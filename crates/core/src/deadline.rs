@@ -31,19 +31,21 @@ pub struct DeadlineScheme {
 }
 
 impl DeadlineScheme {
-    /// Measures the three reference runtimes by running `trace` at the
-    /// paper's 200/600/800 MHz XScale points.
+    /// Measures the three reference runtimes of `trace` at the paper's
+    /// 200/600/800 MHz XScale points, with one [`Machine::run_points`]
+    /// call: one walk of the caches and predictor, timed at each point.
     #[must_use]
     pub fn measure(machine: &Machine, cfg: &Cfg, trace: &Trace) -> Self {
-        let t = |v: f64, f: f64| {
-            machine
-                .run(cfg, trace, OperatingPoint::new(v, f))
-                .total_time_us
-        };
+        let points = [
+            OperatingPoint::new(0.7, 200.0),
+            OperatingPoint::new(1.3, 600.0),
+            OperatingPoint::new(1.65, 800.0),
+        ];
+        let runs = machine.run_points(cfg, trace, &points);
         DeadlineScheme {
-            t_slow_us: t(0.7, 200.0),
-            t_mid_us: t(1.3, 600.0),
-            t_fast_us: t(1.65, 800.0),
+            t_slow_us: runs[0].total_time_us,
+            t_mid_us: runs[1].total_time_us,
+            t_fast_us: runs[2].total_time_us,
         }
     }
 

@@ -1,22 +1,17 @@
-//! Trace → bytecode compiler: runs the machine's mode-independent state
-//! (memory hierarchy, TLBs, branch predictor) exactly once and records the
-//! outcomes as interned integer ops.
+//! Trace → bytecode compiler: reads the machine's mode-independent
+//! outcomes (memory hierarchy, TLBs, branch predictor) from one
+//! [`Machine::record`] walk and stores them as interned integer ops.
 
 use std::collections::HashMap;
 
 use dvs_ir::{Cfg, Opcode};
-use dvs_sim::{BranchPredictor, DataLevel, Machine, MemoryHierarchy, Trace};
+use dvs_sim::{DataLevel, Machine, Trace};
 use dvs_vf::{TransitionModel, VoltageLadder};
 
 use crate::bytecode::{
     BlockOp, InstOp, RawOp, ReplayBytecode, Variant, ACC_L1, ACC_L2, ACC_MEM, ENTRY_EDGE, F_BRANCH,
     F_LOAD, F_MEM, F_MISPREDICT, F_WRITES,
 };
-
-/// Pipeline front-end depth in cycles; must match `dvs_sim::dvs_exec`.
-pub(crate) const FRONTEND_DEPTH: f64 = 3.0;
-const INST_BYTES: u64 = 4;
-const BLOCK_STRIDE: u64 = 1024;
 
 /// Compiles `trace` as executed by `machine` into a schedule-independent
 /// program for `ladder`'s modes under `transition`'s regulator. Evaluating
@@ -40,8 +35,8 @@ pub fn compile(
     let cfgm = machine.config();
     let em = machine.energy_model();
 
-    let mut hier = MemoryHierarchy::new(cfgm);
-    let mut pred = BranchPredictor::new(cfgm.predictor);
+    let rec = machine.record(cfg, trace);
+    let mut outcomes = rec.outcomes();
 
     // fu_nf by pool index; pools 0 (ALU/AGU/branch) and 6 (nop) are the two
     // where several opcodes share a pool, and within each the simulator
@@ -77,31 +72,25 @@ pub fn compile(
         };
         prev_block = Some(dyn_block.block);
 
-        let bb = cfg.block(dyn_block.block);
-        let base_pc = dyn_block.block.index() as u64 * BLOCK_STRIDE;
-        let line_bytes = cfgm.l1i.block_bytes;
-        let mut next_line_pc = base_pc;
-        let mut addr_ix = 0usize;
-
         raw.clear();
-        for (ii, inst) in bb.insts.iter().enumerate() {
+        for inst in &cfg.block(dyn_block.block).insts {
+            let outcome = outcomes
+                .next()
+                .expect("the record covers every dynamic instruction");
             let mut op = RawOp::default();
-            let pc = base_pc + (ii as u64 * INST_BYTES) % BLOCK_STRIDE;
-            if pc >= next_line_pc {
-                let (lvl, cyc) = hier.inst_access(pc);
-                match lvl {
+            if let Some(fetch) = outcome.fetch {
+                match fetch.level {
                     DataLevel::L1 => op.icache = ACC_L1,
                     DataLevel::L2 => {
                         op.icache = ACC_L2;
-                        op.icache_cyc = cyc - cfgm.l1_latency;
+                        op.icache_cyc = fetch.cycles - cfgm.l1_latency;
                     }
                     DataLevel::Memory => {
                         op.icache = ACC_MEM;
-                        op.icache_cyc = cyc;
+                        op.icache_cyc = fetch.cycles;
                         dram_uj += em.dram_uj_per_access;
                     }
                 }
-                next_line_pc = (pc / line_bytes + 1) * line_bytes;
             }
 
             op.pool_ix = match inst.opcode {
@@ -128,33 +117,24 @@ pub fn compile(
                 op.flags |= F_WRITES;
                 op.dest = inst.dest.0 % 64;
             }
-            if inst.opcode.is_mem() {
+            if let Some(access) = outcome.data {
                 op.flags |= F_MEM;
                 if inst.opcode == Opcode::Load {
                     op.flags |= F_LOAD;
                 }
-                let addr = dyn_block.addrs[addr_ix];
-                addr_ix += 1;
-                let (lvl, cyc) = hier.data_access(addr);
-                op.dcache = match lvl {
+                op.dcache = match access.level {
                     DataLevel::L1 => ACC_L1,
                     DataLevel::L2 => ACC_L2,
                     DataLevel::Memory => ACC_MEM,
                 };
-                op.dcache_cyc = cyc;
-                if lvl == DataLevel::Memory {
+                op.dcache_cyc = access.cycles;
+                if access.level == DataLevel::Memory {
                     dram_uj += em.dram_uj_per_access;
                 }
             }
             if inst.opcode.is_branch() {
                 op.flags |= F_BRANCH;
-                let target_pc = base_pc + BLOCK_STRIDE;
-                let correct = pred.predict_and_update(
-                    pc,
-                    dyn_block.taken,
-                    if dyn_block.taken { target_pc } else { 0 },
-                );
-                if !correct {
+                if outcome.mispredicted {
                     op.flags |= F_MISPREDICT;
                 }
             }

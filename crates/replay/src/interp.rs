@@ -1,12 +1,11 @@
 //! The batched interpreter: replays the pure timing recurrence of
 //! `dvs_sim`'s scheduled executor over the compiled op stream.
 
-use dvs_sim::{EdgeSchedule, ScheduledRun};
+use dvs_sim::{EdgeSchedule, ScheduledRun, FRONTEND_DEPTH};
 
 use crate::bytecode::{
     BlockOp, ReplayBytecode, ACC_L2, ACC_MEM, ENTRY_EDGE, F_LOAD, F_MEM, F_MISPREDICT, F_WRITES,
 };
-use crate::compile::FRONTEND_DEPTH;
 
 /// Mutable per-schedule evaluation state — everything
 /// `Machine::run_scheduled` keeps between instructions, minus the memory

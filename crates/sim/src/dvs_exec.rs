@@ -11,14 +11,9 @@
 //! rather than cycles; instruction latencies convert through the period of
 //! whichever mode the surrounding block was assigned.
 
-use crate::{BranchPredictor, DataLevel, Machine, MemoryHierarchy, Trace};
-use dvs_ir::{Cfg, Opcode};
+use crate::{DataLevel, EnergyModel, Machine, Trace, FRONTEND_DEPTH};
+use dvs_ir::Cfg;
 use dvs_vf::{ModeId, TransitionModel, VoltageLadder};
-
-/// Pipeline front-end depth in cycles (matches the fixed-frequency model).
-const FRONTEND_DEPTH: f64 = 3.0;
-const INST_BYTES: u64 = 4;
-const BLOCK_STRIDE: u64 = 1024;
 
 /// A compile-time DVS mode assignment: one mode per CFG edge plus the mode
 /// the program starts in (the paper's mode-set on the virtual start edge).
@@ -94,24 +89,17 @@ impl Machine {
             cfg.num_edges(),
             "schedule must cover every edge"
         );
+        let rec = self.record(cfg, trace);
         let _span = dvs_obs::span!("sim.run_scheduled");
         let cfgm = self.config();
         let em = self.energy_model();
-
-        let mut hier = MemoryHierarchy::new(cfgm);
-        let mut pred = BranchPredictor::new(cfgm.predictor);
+        let table = &rec.table;
+        let mut fetches = rec.fetches.iter();
+        let mut data = rec.data.iter();
+        let mut branches = rec.mispredicted.iter();
 
         let mut reg_ready = [0.0f64; 64];
-        let fu_pools: [usize; 7] = [
-            cfgm.int_alus,
-            cfgm.int_mult,
-            cfgm.int_mult,
-            cfgm.fp_adders,
-            cfgm.fp_mult,
-            cfgm.fp_div,
-            1,
-        ];
-        let mut fu_free: Vec<Vec<f64>> = fu_pools.iter().map(|&n| vec![0.0; n.max(1)]).collect();
+        let mut fu_free = vec![0.0f64; table.fu_offsets[7]];
         let mut window_ring = vec![0.0f64; cfgm.ruu_size];
         let mut lsq_ring = vec![0.0f64; cfgm.lsq_size];
         let mut commit_ring = vec![0.0f64; cfgm.commit_width];
@@ -159,42 +147,32 @@ impl Machine {
             let vv = point.voltage * point.voltage;
             let mem_lat_us = cfgm.mem_latency_us;
 
-            let bb = cfg.block(dyn_block.block);
-            let base_pc = dyn_block.block.index() as u64 * BLOCK_STRIDE;
             fetch_us = fetch_us.max(pending_redirect);
             if pending_redirect > 0.0 {
                 fetch_slots = 0;
                 pending_redirect = 0.0;
             }
 
-            let line_bytes = cfgm.l1i.block_bytes;
-            let mut next_line_pc = base_pc;
-            let mut addr_ix = 0usize;
-
-            for (ii, inst) in bb.insts.iter().enumerate() {
-                let pc = base_pc + (ii as u64 * INST_BYTES) % BLOCK_STRIDE;
-                if pc >= next_line_pc {
-                    let (lvl, cyc) = hier.inst_access(pc);
-                    cap_weighted_uj += crate::EnergyModel::cap_to_uj(em.l1_nf, point.voltage);
-                    match lvl {
+            for inst in table.block(dyn_block.block.index()) {
+                if inst.starts_line {
+                    let a = fetches.next().expect("one fetch per line start");
+                    cap_weighted_uj += EnergyModel::cap_to_uj(em.l1_nf, point.voltage);
+                    match a.level {
                         DataLevel::L1 => {}
                         DataLevel::L2 => {
-                            cap_weighted_uj +=
-                                crate::EnergyModel::cap_to_uj(em.l2_nf, point.voltage);
-                            fetch_us += f64::from(cyc - cfgm.l1_latency) * period;
+                            cap_weighted_uj += EnergyModel::cap_to_uj(em.l2_nf, point.voltage);
+                            fetch_us += f64::from(a.cycles - cfgm.l1_latency) * period;
                         }
                         DataLevel::Memory => {
-                            cap_weighted_uj +=
-                                crate::EnergyModel::cap_to_uj(em.l2_nf, point.voltage);
+                            cap_weighted_uj += EnergyModel::cap_to_uj(em.l2_nf, point.voltage);
                             dram_uj += em.dram_uj_per_access;
-                            let ready = fetch_us + f64::from(cyc) * period;
+                            let ready = fetch_us + f64::from(a.cycles) * period;
                             let start = ready.max(mem_free);
                             let end = start + mem_lat_us;
                             mem_free = end;
                             fetch_us = end;
                         }
                     }
-                    next_line_pc = (pc / line_bytes + 1) * line_bytes;
                 }
 
                 if fetch_slots >= cfgm.fetch_width {
@@ -208,83 +186,59 @@ impl Machine {
                 let window_gate = window_ring[inst_index % cfgm.ruu_size];
 
                 let mut src_ready = 0.0f64;
-                for s in &inst.srcs {
-                    if !s.is_zero() {
-                        src_ready = src_ready.max(reg_ready[s.0 as usize % 64]);
-                    }
+                for &s in table.srcs(inst) {
+                    src_ready = src_ready.max(reg_ready[usize::from(s)]);
                 }
 
-                let pool_ix = match inst.opcode {
-                    Opcode::IntAlu | Opcode::Branch | Opcode::Load | Opcode::Store => 0,
-                    Opcode::IntMul => 1,
-                    Opcode::IntDiv => 2,
-                    Opcode::FpAdd => 3,
-                    Opcode::FpMul => 4,
-                    Opcode::FpDiv => 5,
-                    Opcode::Nop => 6,
-                };
-                let pool = &mut fu_free[pool_ix];
-                let (unit_ix, unit_free) = pool
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-                    .expect("pool non-empty");
+                let pool = usize::from(inst.pool);
+                let (lo, hi) = (table.fu_offsets[pool], table.fu_offsets[pool + 1]);
+                let (mut unit_ix, mut unit_free) = (lo, fu_free[lo]);
+                for (j, &t) in fu_free[lo..hi].iter().enumerate().skip(1) {
+                    if t < unit_free {
+                        unit_free = t;
+                        unit_ix = lo + j;
+                    }
+                }
 
                 let mut issue = dispatch_ready
                     .max(window_gate)
                     .max(src_ready)
                     .max(unit_free);
-                let is_mem = inst.opcode.is_mem();
-                if is_mem {
+                if inst.is_mem {
                     issue = issue.max(lsq_ring[mem_index % cfgm.lsq_size]);
                 }
-                let occupancy = match inst.opcode {
-                    Opcode::IntDiv | Opcode::FpDiv => f64::from(inst.opcode.base_latency()),
-                    _ => 1.0,
-                };
-                pool[unit_ix] = issue + occupancy * period;
+                fu_free[unit_ix] = issue + f64::from(inst.occupancy) * period;
 
-                let mut complete = issue + f64::from(inst.opcode.base_latency()) * period;
-                if is_mem {
-                    let addr = dyn_block.addrs[addr_ix];
-                    addr_ix += 1;
-                    let (lvl, cyc) = hier.data_access(addr);
-                    cap_weighted_uj += crate::EnergyModel::cap_to_uj(em.l1_nf, point.voltage);
-                    match lvl {
+                let mut complete = issue + f64::from(inst.latency) * period;
+                if inst.is_mem {
+                    let a = data.next().expect("one data access per memory instruction");
+                    cap_weighted_uj += EnergyModel::cap_to_uj(em.l1_nf, point.voltage);
+                    match a.level {
                         DataLevel::L1 | DataLevel::L2 => {
-                            if lvl == DataLevel::L2 {
-                                cap_weighted_uj +=
-                                    crate::EnergyModel::cap_to_uj(em.l2_nf, point.voltage);
+                            if a.level == DataLevel::L2 {
+                                cap_weighted_uj += EnergyModel::cap_to_uj(em.l2_nf, point.voltage);
                             }
-                            if inst.opcode == Opcode::Load {
-                                complete = issue + (1.0 + f64::from(cyc)) * period;
+                            if inst.is_load {
+                                complete = issue + (1.0 + f64::from(a.cycles)) * period;
                             }
                         }
                         DataLevel::Memory => {
-                            cap_weighted_uj +=
-                                crate::EnergyModel::cap_to_uj(em.l2_nf, point.voltage);
+                            cap_weighted_uj += EnergyModel::cap_to_uj(em.l2_nf, point.voltage);
                             dram_uj += em.dram_uj_per_access;
-                            let ready = issue + (1.0 + f64::from(cyc)) * period;
+                            let ready = issue + (1.0 + f64::from(a.cycles)) * period;
                             let start = ready.max(mem_free);
                             let end = start + mem_lat_us;
                             mem_free = end;
-                            if inst.opcode == Opcode::Load {
+                            if inst.is_load {
                                 complete = end;
                             }
                         }
                     }
                 }
 
-                if inst.opcode.is_branch() {
-                    cap_weighted_uj += crate::EnergyModel::cap_to_uj(em.bpred_nf, point.voltage);
-                    let target_pc = base_pc + BLOCK_STRIDE;
-                    let correct = pred.predict_and_update(
-                        pc,
-                        dyn_block.taken,
-                        if dyn_block.taken { target_pc } else { 0 },
-                    );
-                    if !correct {
+                if inst.is_branch {
+                    cap_weighted_uj += EnergyModel::cap_to_uj(em.bpred_nf, point.voltage);
+                    if *branches.next().expect("one outcome per branch") {
                         pending_redirect = pending_redirect
                             .max(complete + f64::from(cfgm.mispredict_penalty) * period);
                     }
@@ -296,22 +250,15 @@ impl Machine {
                 prev_commit = commit;
                 commit_ring[inst_index % cfgm.commit_width] = commit;
                 window_ring[inst_index % cfgm.ruu_size] = commit;
-                if is_mem {
+                if inst.is_mem {
                     lsq_ring[mem_index % cfgm.lsq_size] = commit;
                     mem_index += 1;
                 }
-                if inst.writes_reg() {
-                    reg_ready[inst.dest.0 as usize % 64] = complete;
+                if let Some(d) = inst.dest {
+                    reg_ready[usize::from(d)] = complete;
                 }
 
-                let reads = inst.srcs.iter().filter(|s| !s.is_zero()).count() as f64;
-                let writes = if inst.writes_reg() { 1.0 } else { 0.0 };
-                let cap = em.frontend_nf
-                    + em.window_nf
-                    + em.clock_nf
-                    + em.regfile_nf * (reads + writes)
-                    + em.fu_nf(inst.opcode);
-                cap_weighted_uj += cap * vv * 1e-3;
+                cap_weighted_uj += (inst.core_nf + inst.fu_nf) * vv * 1e-3;
 
                 inst_index += 1;
             }

@@ -1,20 +1,8 @@
 use crate::cache::CacheStats;
-use crate::{
-    BranchPredictor, DataLevel, EnergyBreakdown, EnergyModel, MemoryHierarchy, SimConfig, Trace,
-};
-use dvs_ir::{Cfg, Opcode};
+use crate::record::{Recording, FRONTEND_DEPTH};
+use crate::{DataLevel, EnergyBreakdown, EnergyModel, SimConfig, Trace};
+use dvs_ir::Cfg;
 use dvs_vf::OperatingPoint;
-
-/// Pipeline front-end depth in cycles (fetch → decode → rename).
-const FRONTEND_DEPTH: f64 = 3.0;
-/// Bytes per instruction in the synthetic instruction encoding.
-const INST_BYTES: u64 = 4;
-/// Code bytes reserved per basic block (blocks get disjoint PC ranges).
-/// Blocks longer than `BLOCK_STRIDE / INST_BYTES` (256) instructions wrap
-/// within their own range: their tail reuses the block's earlier I-cache
-/// lines, which slightly understates I-footprint for outsized blocks but
-/// never aliases *other* blocks' code.
-const BLOCK_STRIDE: u64 = 1024;
 
 /// Per-basic-block accumulation over one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -129,8 +117,13 @@ impl std::fmt::Display for RunStats {
 /// per-class functional units, fetch bandwidth, a single-channel
 /// asynchronous memory). This captures the behaviours the paper's study
 /// depends on — memory/computation overlap, frequency-invariant miss
-/// service time, clock-gated stalls — at a cost of O(1) work per
-/// instruction.
+/// service time, clock-gated stalls.
+///
+/// A call walks the caches, TLBs and branch predictor once
+/// ([`Machine::record`]) and then times every requested operating point
+/// over that record. A timing pass does work per instruction bounded by
+/// its operand count and its unit pool's size, plus one bit per busy cycle
+/// and one word-level popcount per 64 cycles of off-chip miss service.
 #[derive(Debug, Clone)]
 pub struct Machine {
     config: SimConfig,
@@ -170,89 +163,89 @@ impl Machine {
     /// Panics if the trace references blocks outside `cfg`.
     #[must_use]
     pub fn run(&self, cfg: &Cfg, trace: &Trace, point: OperatingPoint) -> RunStats {
-        let _span = dvs_obs::span!("sim.run");
+        self.run_points(cfg, trace, &[point])
+            .pop()
+            .expect("one run per point")
+    }
+
+    /// Executes `trace` over `cfg` once per operating point, each run from
+    /// cold caches and predictor, and returns the runs in `points` order.
+    ///
+    /// The caches, TLBs and predictor see the same stream at every clock,
+    /// so they are walked once ([`Machine::record`]); each point then gets
+    /// its own cycle-domain timing pass over that record. Each result
+    /// equals what a separate [`Machine::run`] at that point reports.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace references blocks outside `cfg`.
+    #[must_use]
+    pub fn run_points(&self, cfg: &Cfg, trace: &Trace, points: &[OperatingPoint]) -> Vec<RunStats> {
+        let rec = self.record(cfg, trace);
+        let charge = Charge::of(&rec, &self.energy, cfg.num_blocks());
+        points
+            .iter()
+            .map(|&point| {
+                let _span = dvs_obs::span!("sim.run");
+                let stats = self.time(&rec, &charge, point);
+                stats.record_metrics();
+                stats
+            })
+            .collect()
+    }
+
+    /// One cycle-domain timing pass over `rec` at `point`.
+    fn time(&self, rec: &Recording<'_>, charge: &Charge, point: OperatingPoint) -> RunStats {
         let cfgm = &self.config;
-        let em = &self.energy;
+        let table = &rec.table;
         let f = point.frequency_mhz;
         let mem_lat_cycles = cfgm.mem_latency_us * f;
 
-        let mut hier = MemoryHierarchy::new(cfgm);
-        let mut pred = BranchPredictor::new(cfgm.predictor);
-
         let mut reg_ready = [0.0f64; 64];
-        let fu_pools: [usize; 7] = [
-            cfgm.int_alus, // IntAlu/Branch/agen
-            cfgm.int_mult, // IntMul
-            cfgm.int_mult, // IntDiv shares the mult/div unit
-            cfgm.fp_adders,
-            cfgm.fp_mult,
-            cfgm.fp_div,
-            1, // Nop pseudo-pool
-        ];
-        let mut fu_free: Vec<Vec<f64>> = fu_pools.iter().map(|&n| vec![0.0; n.max(1)]).collect();
+        // Free time of every functional unit, pools laid out by
+        // `fu_offsets`.
+        let mut fu_free = vec![0.0f64; table.fu_offsets[7]];
         let mut window_ring = vec![0.0f64; cfgm.ruu_size];
         let mut lsq_ring = vec![0.0f64; cfgm.lsq_size];
         let mut commit_ring = vec![0.0f64; cfgm.commit_width];
+        let mut fetches = rec.fetches.iter();
+        let mut data = rec.data.iter();
+        let mut branches = rec.mispredicted.iter();
 
         let mut fetch_cycle = 0.0f64;
         let mut fetch_slots = 0usize;
         let mut mem_free = 0.0f64;
         let mut prev_commit = 0.0f64;
-        let mut inst_index = 0usize;
-        let mut mem_index = 0usize;
-
-        let mut busy = BusyBitmap::new();
-        let mut mem_active = BusyBitmap::new();
-        let mut miss_intervals: Vec<(f64, f64)> = Vec::new();
-        let mut cache_hit_cycles = 0.0f64;
-        // (issue cycle, latency) of every computation (non-memory)
-        // instruction, classified against memory activity after the run —
-        // deferring the lookup makes the classification independent of
-        // program order vs issue order.
-        let mut compute_events: Vec<(f64, f64)> = Vec::new();
-
-        let mut blocks = vec![BlockStats::default(); cfg.num_blocks()];
-        let mut energy = EnergyBreakdown::default();
-        let mut dram_accesses = 0u64;
-        let mut committed = 0u64;
+        // Ring positions of the current instruction (window and commit
+        // rings) and of the next memory instruction (LSQ ring).
+        let (mut window_ix, mut commit_ix, mut lsq_ix) = (0usize, 0usize, 0usize);
+        let mut blocks = charge.blocks.clone();
         let mut pending_redirect = 0.0f64;
         let mut block_mark = 0.0f64;
 
-        for dyn_block in trace.blocks() {
-            let bb = cfg.block(dyn_block.block);
-            let base_pc = dyn_block.block.index() as u64 * BLOCK_STRIDE;
+        let mut busy = BusyBitmap::default();
+        let mut mem_active = BusyBitmap::default();
+        let mut miss_intervals: Vec<(f64, f64)> = Vec::new();
+        let mut compute = ComputeLog::default();
+
+        for dyn_block in rec.trace.blocks() {
+            let b = dyn_block.block.index();
             fetch_cycle = fetch_cycle.max(pending_redirect);
             if pending_redirect > 0.0 {
                 fetch_slots = 0;
                 pending_redirect = 0.0;
             }
 
-            // Instruction-side cache behaviour: one access per 32B line the
-            // block touches.
-            let line_bytes = cfgm.l1i.block_bytes;
-            let mut next_line_pc = base_pc;
-            let mut block_cap = 0.0f64;
-            let mut addr_ix = 0usize;
-
-            for (ii, inst) in bb.insts.iter().enumerate() {
-                let pc = base_pc + (ii as u64 * INST_BYTES) % BLOCK_STRIDE;
-                if pc >= next_line_pc {
-                    let (lvl, cyc) = hier.inst_access(pc);
-                    energy.cache_nf += em.l1_nf;
-                    block_cap += em.l1_nf;
-                    match lvl {
+            for inst in table.block(b) {
+                // Instruction-side cache behaviour: one access per line the
+                // block touches.
+                if inst.starts_line {
+                    let a = fetches.next().expect("one fetch per line start");
+                    match a.level {
                         DataLevel::L1 => {}
-                        DataLevel::L2 => {
-                            energy.cache_nf += em.l2_nf;
-                            block_cap += em.l2_nf;
-                            fetch_cycle += f64::from(cyc - cfgm.l1_latency);
-                        }
+                        DataLevel::L2 => fetch_cycle += f64::from(a.cycles - cfgm.l1_latency),
                         DataLevel::Memory => {
-                            energy.cache_nf += em.l2_nf;
-                            energy.dram_uj += em.dram_uj_per_access;
-                            dram_accesses += 1;
-                            block_cap += em.l2_nf;
-                            let ready = fetch_cycle + f64::from(cyc);
+                            let ready = fetch_cycle + f64::from(a.cycles);
                             let start = ready.max(mem_free);
                             let end = start + mem_lat_cycles;
                             mem_free = end;
@@ -261,7 +254,6 @@ impl Machine {
                             fetch_cycle = end;
                         }
                     }
-                    next_line_pc = (pc / line_bytes + 1) * line_bytes;
                 }
 
                 // Fetch bandwidth.
@@ -273,82 +265,54 @@ impl Machine {
                 fetch_slots += 1;
 
                 let dispatch_ready = fetch_time + FRONTEND_DEPTH;
-                let window_gate = window_ring[inst_index % cfgm.ruu_size];
+                let window_gate = window_ring[window_ix];
 
                 // Source readiness.
                 let mut src_ready = 0.0f64;
-                for s in &inst.srcs {
-                    if !s.is_zero() {
-                        src_ready = src_ready.max(reg_ready[s.0 as usize % 64]);
-                    }
+                for &s in table.srcs(inst) {
+                    src_ready = src_ready.max(reg_ready[usize::from(s)]);
                 }
 
-                // Functional unit.
-                let pool_ix = match inst.opcode {
-                    Opcode::IntAlu | Opcode::Branch | Opcode::Load | Opcode::Store => 0,
-                    Opcode::IntMul => 1,
-                    Opcode::IntDiv => 2,
-                    Opcode::FpAdd => 3,
-                    Opcode::FpMul => 4,
-                    Opcode::FpDiv => 5,
-                    Opcode::Nop => 6,
-                };
-                let pool = &mut fu_free[pool_ix];
-                let (unit_ix, unit_free) = pool
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("times are finite"))
-                    .expect("pool non-empty");
+                // Functional unit: the first unit to free up in the pool.
+                let pool = usize::from(inst.pool);
+                let (lo, hi) = (table.fu_offsets[pool], table.fu_offsets[pool + 1]);
+                let (mut unit_ix, mut unit_free) = (lo, fu_free[lo]);
+                for (j, &t) in fu_free[lo..hi].iter().enumerate().skip(1) {
+                    if t < unit_free {
+                        unit_free = t;
+                        unit_ix = lo + j;
+                    }
+                }
 
                 let mut issue = dispatch_ready
                     .max(window_gate)
                     .max(src_ready)
                     .max(unit_free);
-                let is_mem = inst.opcode.is_mem();
-                if is_mem {
-                    issue = issue.max(lsq_ring[mem_index % cfgm.lsq_size]);
+                if inst.is_mem {
+                    issue = issue.max(lsq_ring[lsq_ix]);
                 }
-
                 // Unit occupancy: divides are unpipelined.
-                let occupancy = match inst.opcode {
-                    Opcode::IntDiv | Opcode::FpDiv => f64::from(inst.opcode.base_latency()),
-                    _ => 1.0,
-                };
-                pool[unit_ix] = issue + occupancy;
+                fu_free[unit_ix] = issue + f64::from(inst.occupancy);
 
                 // Completion.
-                let mut complete = issue + f64::from(inst.opcode.base_latency());
-                if is_mem {
-                    let addr = dyn_block.addrs[addr_ix];
-                    addr_ix += 1;
-                    let (lvl, cyc) = hier.data_access(addr);
-                    energy.cache_nf += em.l1_nf;
-                    block_cap += em.l1_nf;
-                    match lvl {
+                let mut complete = issue + f64::from(inst.latency);
+                if inst.is_mem {
+                    let a = data.next().expect("one data access per memory instruction");
+                    match a.level {
                         DataLevel::L1 | DataLevel::L2 => {
-                            if lvl == DataLevel::L2 {
-                                energy.cache_nf += em.l2_nf;
-                                block_cap += em.l2_nf;
-                            }
-                            cache_hit_cycles += f64::from(cyc);
-                            mem_active.mark_range(issue, issue + 1.0 + f64::from(cyc));
-                            if inst.opcode == Opcode::Load {
-                                complete = issue + 1.0 + f64::from(cyc);
+                            mem_active.mark_range(issue, issue + 1.0 + f64::from(a.cycles));
+                            if inst.is_load {
+                                complete = issue + 1.0 + f64::from(a.cycles);
                             }
                         }
                         DataLevel::Memory => {
-                            energy.cache_nf += em.l2_nf;
-                            energy.dram_uj += em.dram_uj_per_access;
-                            dram_accesses += 1;
-                            block_cap += em.l2_nf;
-                            let ready = issue + 1.0 + f64::from(cyc);
+                            let ready = issue + 1.0 + f64::from(a.cycles);
                             let start = ready.max(mem_free);
                             let end = start + mem_lat_cycles;
                             mem_free = end;
                             miss_intervals.push((start, end));
                             mem_active.mark_range(issue, end);
-                            if inst.opcode == Opcode::Load {
+                            if inst.is_load {
                                 complete = end;
                             }
                             // Store misses retire without waiting for DRAM.
@@ -356,124 +320,240 @@ impl Machine {
                     }
                 }
 
-                // Branch prediction.
-                if inst.opcode.is_branch() {
-                    energy.bpred_nf += em.bpred_nf;
-                    block_cap += em.bpred_nf;
-                    let target_pc = base_pc + BLOCK_STRIDE; // proxy target id
-                    let correct = pred.predict_and_update(
-                        pc,
-                        dyn_block.taken,
-                        if dyn_block.taken { target_pc } else { 0 },
-                    );
-                    if !correct {
-                        pending_redirect =
-                            pending_redirect.max(complete + f64::from(cfgm.mispredict_penalty));
-                    }
+                // Branch misprediction refills the front end.
+                if inst.is_branch && *branches.next().expect("one outcome per branch") {
+                    pending_redirect =
+                        pending_redirect.max(complete + f64::from(cfgm.mispredict_penalty));
                 }
 
                 // In-order commit.
                 let commit = (complete + 1.0)
                     .max(prev_commit)
-                    .max(commit_ring[inst_index % cfgm.commit_width] + 1.0);
+                    .max(commit_ring[commit_ix] + 1.0);
                 prev_commit = commit;
-                commit_ring[inst_index % cfgm.commit_width] = commit;
-                window_ring[inst_index % cfgm.ruu_size] = commit;
-                if is_mem {
-                    lsq_ring[mem_index % cfgm.lsq_size] = commit;
-                    mem_index += 1;
+                commit_ring[commit_ix] = commit;
+                window_ring[window_ix] = commit;
+                commit_ix = next_slot(commit_ix, commit_ring.len());
+                window_ix = next_slot(window_ix, window_ring.len());
+                if inst.is_mem {
+                    lsq_ring[lsq_ix] = commit;
+                    lsq_ix = next_slot(lsq_ix, lsq_ring.len());
                 }
-                if inst.writes_reg() {
-                    reg_ready[inst.dest.0 as usize % 64] = complete;
+                if let Some(d) = inst.dest {
+                    reg_ready[usize::from(d)] = complete;
                 }
 
                 busy.mark(issue);
-                if !is_mem && inst.opcode != Opcode::Nop {
-                    compute_events.push((issue, f64::from(inst.opcode.base_latency())));
+                if inst.is_compute {
+                    compute.log(issue, inst.latency);
                 }
-                committed += 1;
-                inst_index += 1;
-
-                // Per-instruction energy.
-                let reads = inst.srcs.iter().filter(|s| !s.is_zero()).count() as f64;
-                let writes = if inst.writes_reg() { 1.0 } else { 0.0 };
-                let cap = em.frontend_nf
-                    + em.window_nf
-                    + em.clock_nf
-                    + em.regfile_nf * (reads + writes)
-                    + em.fu_nf(inst.opcode);
-                energy.core_nf +=
-                    em.frontend_nf + em.window_nf + em.clock_nf + em.regfile_nf * (reads + writes);
-                energy.fu_nf += em.fu_nf(inst.opcode);
-                block_cap += cap;
             }
+            // Every later mark of `mem_active` starts at or after the
+            // current fetch cycle (a fetch miss at its ready time, a data
+            // access at its issue), and the fetch cycle never decreases.
+            compute.settle(fetch_cycle.max(0.0) as usize, &mem_active);
 
-            // Attribute elapsed time and energy to this block invocation.
-            let bstat = &mut blocks[dyn_block.block.index()];
-            bstat.invocations += 1;
-            bstat.time_us += (prev_commit - block_mark).max(0.0) / f;
-            bstat.cap_nf += block_cap;
+            // Attribute elapsed time to this block invocation.
+            blocks[b].time_us += (prev_commit - block_mark).max(0.0) / f;
             block_mark = prev_commit;
         }
 
         let total_cycles = prev_commit;
         // Stall time: idle cycles during off-chip miss service (this is the
         // absolute-time component, tinvariant).
-        let (_, stall) = busy.classify(&miss_intervals, total_cycles);
-        // The paper's Noverlap/Ndependent count *execution cycles of
-        // computation operations*: each compute instruction contributes its
-        // latency, classified by whether a memory operation (hit or miss)
-        // was in flight when it issued.
-        let mut overlap = 0.0;
-        let mut dependent = 0.0;
-        for &(issue, lat) in &compute_events {
-            if mem_active.get(issue.max(0.0) as usize) {
-                overlap += lat;
-            } else {
-                dependent += lat;
-            }
-        }
+        let stall = busy.idle_within(&miss_intervals, total_cycles);
+        compute.settle(usize::MAX, &mem_active);
+        let mut energy = charge.energy;
         // Without perfect clock gating, every idle cycle still drives the
         // clock tree. Charged globally (not attributed to blocks): it is a
         // property of the gaps *between* work.
-        if em.gating == crate::ClockGating::Ungated {
+        if self.energy.gating == crate::ClockGating::Ungated {
             let idle = (total_cycles - busy.count() as f64).max(0.0);
-            energy.core_nf += idle * em.clock_nf;
+            energy.core_nf += idle * self.energy.clock_nf;
         }
 
-        let stats = RunStats {
+        RunStats {
             point,
             total_time_us: total_cycles / f,
             total_cycles,
-            committed_insts: committed,
+            committed_insts: charge.committed,
             energy,
             blocks,
-            overlap_cycles: overlap,
-            dependent_cycles: dependent,
-            stall_cycles: stall,
-            cache_hit_cycles,
-            l1d: hier.l1d_stats(),
-            l1i: hier.l1i_stats(),
-            l2: hier.l2_stats(),
-            mispredicts: pred.stats().mispredicts,
+            overlap_cycles: compute.overlap as f64,
+            dependent_cycles: compute.dependent as f64,
+            stall_cycles: stall as f64,
+            cache_hit_cycles: charge.cache_hit_cycles,
+            l1d: rec.l1d,
+            l1i: rec.l1i,
+            l2: rec.l2,
+            mispredicts: rec.mispredicts,
+            dram_accesses: charge.dram_accesses,
+        }
+    }
+}
+
+/// The next position of a ring of `len` slots.
+fn next_slot(ix: usize, len: usize) -> usize {
+    if ix + 1 == len {
+        0
+    } else {
+        ix + 1
+    }
+}
+
+/// The clock-independent part of a run: energy as switched capacitance,
+/// per-block invocations and capacitance, and event counts. Computed once
+/// per record, in the same order a single run accumulates it.
+struct Charge {
+    energy: EnergyBreakdown,
+    /// Per-block stats with `time_us` still zero.
+    blocks: Vec<BlockStats>,
+    dram_accesses: u64,
+    committed: u64,
+    cache_hit_cycles: f64,
+}
+
+impl Charge {
+    fn of(rec: &Recording<'_>, em: &EnergyModel, num_blocks: usize) -> Self {
+        let mut energy = EnergyBreakdown::default();
+        let mut blocks = vec![BlockStats::default(); num_blocks];
+        let mut dram_accesses = 0u64;
+        let mut committed = 0u64;
+        let mut cache_hit_cycles = 0.0f64;
+        let mut fetches = rec.fetches.iter();
+        let mut data = rec.data.iter();
+
+        for dyn_block in rec.trace.blocks() {
+            let b = dyn_block.block.index();
+            let mut block_cap = 0.0f64;
+            for inst in rec.table.block(b) {
+                if inst.starts_line {
+                    let a = fetches.next().expect("one fetch per line start");
+                    energy.cache_nf += em.l1_nf;
+                    block_cap += em.l1_nf;
+                    match a.level {
+                        DataLevel::L1 => {}
+                        DataLevel::L2 => {
+                            energy.cache_nf += em.l2_nf;
+                            block_cap += em.l2_nf;
+                        }
+                        DataLevel::Memory => {
+                            energy.cache_nf += em.l2_nf;
+                            energy.dram_uj += em.dram_uj_per_access;
+                            dram_accesses += 1;
+                            block_cap += em.l2_nf;
+                        }
+                    }
+                }
+                if inst.is_mem {
+                    let a = data.next().expect("one data access per memory instruction");
+                    energy.cache_nf += em.l1_nf;
+                    block_cap += em.l1_nf;
+                    match a.level {
+                        DataLevel::L1 | DataLevel::L2 => {
+                            if a.level == DataLevel::L2 {
+                                energy.cache_nf += em.l2_nf;
+                                block_cap += em.l2_nf;
+                            }
+                            cache_hit_cycles += f64::from(a.cycles);
+                        }
+                        DataLevel::Memory => {
+                            energy.cache_nf += em.l2_nf;
+                            energy.dram_uj += em.dram_uj_per_access;
+                            dram_accesses += 1;
+                            block_cap += em.l2_nf;
+                        }
+                    }
+                }
+                if inst.is_branch {
+                    energy.bpred_nf += em.bpred_nf;
+                    block_cap += em.bpred_nf;
+                }
+                committed += 1;
+                // Per-instruction energy.
+                energy.core_nf += inst.core_nf;
+                energy.fu_nf += inst.fu_nf;
+                block_cap += inst.core_nf + inst.fu_nf;
+            }
+            let bstat = &mut blocks[b];
+            bstat.invocations += 1;
+            bstat.cap_nf += block_cap;
+        }
+        Charge {
+            energy,
+            blocks,
             dram_accesses,
-        };
-        stats.record_metrics();
-        stats
+            committed,
+            cache_hit_cycles,
+        }
+    }
+}
+
+/// The analytical model's Noverlap/Ndependent: the paper counts
+/// *execution cycles of computation operations*, so each compute
+/// instruction contributes its latency, classified by whether a memory
+/// operation (hit or miss) was in flight in the cycle it issued.
+///
+/// Instructions issue out of program order, so a later memory operation
+/// may still mark a cycle that already has compute issued in it. The log
+/// therefore sums compute latency per cycle and classifies a cycle only
+/// once no later mark can reach it, which keeps it as long as the distance
+/// from fetch to the latest issue. The counts are integers, so grouping
+/// them by cycle does not change the sums.
+#[derive(Default)]
+struct ComputeLog {
+    /// The first cycle not yet classified.
+    first: usize,
+    /// Compute latency issued in each cycle from `first` on.
+    latency_at: std::collections::VecDeque<u32>,
+    overlap: u64,
+    dependent: u64,
+}
+
+impl ComputeLog {
+    /// Logs a compute instruction issued at `issue`, which is never before
+    /// the cycles already classified.
+    fn log(&mut self, issue: f64, latency: u32) {
+        let ix = issue.max(0.0) as usize - self.first;
+        if ix >= self.latency_at.len() {
+            self.latency_at.resize(ix + 1, 0);
+        }
+        self.latency_at[ix] = self.latency_at[ix]
+            .checked_add(latency)
+            .expect("one cycle's compute latency fits u32");
+    }
+
+    /// Classifies every cycle before `open`, the earliest cycle a later
+    /// mark of `mem_active` can reach.
+    fn settle(&mut self, open: usize, mem_active: &BusyBitmap) {
+        if open <= self.first {
+            return;
+        }
+        let settled = (open - self.first).min(self.latency_at.len());
+        for (c, lat) in (self.first..).zip(self.latency_at.drain(..settled)) {
+            if lat == 0 {
+                continue;
+            }
+            if mem_active.get(c) {
+                self.overlap += u64::from(lat);
+            } else {
+                self.dependent += u64::from(lat);
+            }
+        }
+        // Either every cycle before `open` was drained, or the ones past
+        // the drained ones had nothing issued in them.
+        self.first = open;
     }
 }
 
 /// Grow-on-demand bitmap of cycles in which at least one instruction
 /// issued.
+#[derive(Default)]
 struct BusyBitmap {
     words: Vec<u64>,
 }
 
 impl BusyBitmap {
-    fn new() -> Self {
-        BusyBitmap { words: Vec::new() }
-    }
-
     fn mark(&mut self, cycle: f64) {
         let c = cycle.max(0.0) as usize;
         let w = c / 64;
@@ -517,23 +597,37 @@ impl BusyBitmap {
             .is_some_and(|w| w & (1 << (c % 64)) != 0)
     }
 
-    /// Over the (disjoint, sorted) miss-service intervals, counts busy
-    /// cycles (overlap) and idle cycles (stall).
-    fn classify(&self, intervals: &[(f64, f64)], total_cycles: f64) -> (f64, f64) {
-        let mut overlap = 0.0;
-        let mut stall = 0.0;
-        for &(s, e) in intervals {
-            let s = s.max(0.0) as usize;
-            let e = (e.min(total_cycles).max(0.0)) as usize;
-            for c in s..e {
-                if self.get(c) {
-                    overlap += 1.0;
-                } else {
-                    stall += 1.0;
-                }
-            }
+    /// Marked cycles in `[s, e)`, one popcount per word.
+    fn count_in(&self, s: usize, e: usize) -> usize {
+        if e <= s {
+            return 0;
         }
-        (overlap, stall)
+        let ones = |w: u64| w.count_ones() as usize;
+        let word = |w: usize| self.words.get(w).copied().unwrap_or(0);
+        let (ws, wend) = (s / 64, (e - 1) / 64);
+        let head = !0u64 << (s % 64);
+        let tail = !0u64 >> (63 - (e - 1) % 64);
+        if ws == wend {
+            return ones(word(ws) & head & tail);
+        }
+        let inner: usize = self.words[(ws + 1).min(self.words.len())..wend.min(self.words.len())]
+            .iter()
+            .map(|&w| ones(w))
+            .sum();
+        ones(word(ws) & head) + inner + ones(word(wend) & tail)
+    }
+
+    /// Over the (disjoint, sorted) miss-service intervals, counts the idle
+    /// cycles (the stall), clipping each interval at `total_cycles`.
+    fn idle_within(&self, intervals: &[(f64, f64)], total_cycles: f64) -> usize {
+        intervals
+            .iter()
+            .map(|&(s, e)| {
+                let s = s.max(0.0) as usize;
+                let e = (e.min(total_cycles).max(0.0)) as usize;
+                e.saturating_sub(s) - self.count_in(s, e)
+            })
+            .sum()
     }
 }
 

@@ -81,9 +81,10 @@ impl ModeProfiler {
         &self.machine
     }
 
-    /// Runs `trace` once at every mode of `ladder` and assembles the
-    /// profile. Returns the profile and the per-mode run statistics
-    /// (indexed like the ladder, slowest first).
+    /// Times `trace` at every mode of `ladder`, from one walk of the caches
+    /// and predictor ([`Machine::run_points`]), and assembles the profile.
+    /// Returns the profile and the per-mode run statistics (indexed like
+    /// the ladder, slowest first).
     ///
     /// # Panics
     ///
@@ -101,9 +102,9 @@ impl ModeProfiler {
             pb.record_walk(cfg, &trace.walk()),
             "trace must be an entry-to-exit walk of the CFG"
         );
-        let mut runs = Vec::with_capacity(ladder.len());
-        for (mode, point) in ladder.iter() {
-            let run = self.machine.run(cfg, trace, point);
+        let points: Vec<_> = ladder.iter().map(|(_, point)| point).collect();
+        let runs = self.machine.run_points(cfg, trace, &points);
+        for ((mode, point), run) in ladder.iter().zip(&runs) {
             for (bix, bs) in run.blocks.iter().enumerate() {
                 if bs.invocations > 0 {
                     let inv = bs.invocations as f64;
@@ -118,7 +119,6 @@ impl ModeProfiler {
                     );
                 }
             }
-            runs.push(run);
         }
         (pb.finish(), runs)
     }

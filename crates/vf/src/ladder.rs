@@ -8,9 +8,10 @@ pub enum LadderSpec {
     /// 200 MHz @ 0.7 V, 600 MHz @ 1.3 V, 800 MHz @ 1.65 V.
     Xscale3,
     /// `n` levels with voltages evenly spaced over [0.7 V, 1.65 V] and
-    /// frequencies from the alpha-power law, except that the three anchor
-    /// levels shared with [`LadderSpec::Xscale3`] keep their exact paper
-    /// frequencies when they coincide with a generated voltage.
+    /// every frequency from the alpha-power law, anchors included: 0.7 V
+    /// runs at about 179.31 MHz here, not the 200 MHz of
+    /// [`LadderSpec::Xscale3`], and only 1.65 V lands on 800 MHz (the law's
+    /// calibration point).
     Interpolated(usize),
 }
 
