@@ -6,7 +6,7 @@
 
 use dvs_bench::timing::bench;
 use dvs_compiler::{DeadlineScheme, EdgeFilter, MilpFormulation};
-use dvs_milp::{solve, LinExpr, Model, Sense};
+use dvs_milp::{solve, LinExpr, Model, Sense, SolveOptions};
 use dvs_sim::{Machine, ModeProfiler};
 use dvs_vf::{AlphaPower, TransitionModel, VoltageLadder};
 use dvs_workloads::Benchmark;
@@ -71,7 +71,7 @@ fn main() {
             }
             m.add_eq(s, 1.0);
         }
-        solve(&m).expect("assignment solvable")
+        solve(&m, &SolveOptions::default()).expect("assignment solvable")
     });
     println!("  {}", m.render());
 }

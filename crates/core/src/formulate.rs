@@ -1,9 +1,6 @@
 use crate::EdgeFilter;
 use dvs_ir::{Cfg, EdgeId, LocalPath, Profile};
-use dvs_milp::{
-    solve_seeded, solve_with_choice, LinExpr, MilpError, Model, Sense, SolveOptions, SolveStats,
-    SolverChoice, Var,
-};
+use dvs_milp::{LinExpr, MilpError, Model, Sense, SolveOptions, SolveStats, SolverChoice, Var};
 use dvs_sim::EdgeSchedule;
 use dvs_vf::{ModeId, TransitionModel, VoltageLadder};
 use std::time::{Duration, Instant};
@@ -74,7 +71,6 @@ pub struct MilpFormulation<'a> {
     granularity: Granularity,
     deadline_us: f64,
     pinned: Vec<(EdgeId, ModeId)>,
-    solver_jobs: usize,
     solver: SolverChoice,
     certify: bool,
 }
@@ -135,7 +131,6 @@ impl<'a> MilpFormulation<'a> {
             granularity: Granularity::Edge,
             deadline_us,
             pinned: Vec::new(),
-            solver_jobs: 1,
             solver: SolverChoice::Auto,
             certify: false,
         }
@@ -155,11 +150,10 @@ impl<'a> MilpFormulation<'a> {
         self
     }
 
-    /// Solver threads for the MILP's root branch split (see
-    /// [`SolveOptions`]'s `jobs`). `1` (the default) is fully sequential.
+    /// Does nothing: the MILP search is sequential.
+    #[deprecated(note = "the MILP search is sequential; this setting does nothing")]
     #[must_use]
-    pub fn with_solver_jobs(mut self, jobs: usize) -> Self {
-        self.solver_jobs = jobs.max(1);
+    pub fn with_solver_jobs(self, _jobs: usize) -> Self {
         self
     }
 
@@ -358,7 +352,7 @@ impl<'a> MilpFormulation<'a> {
     /// A warm-start point from the exact continuous-voltage algorithm:
     /// project the model onto its pure ladder shape (group selection rows
     /// plus the block-cost part of the deadline row, transitions ignored),
-    /// solve that with the [`dvs_milp::ContinuousYds`] backend, and take
+    /// solve that with [`SolverChoice::Continuous`], and take
     /// its rounded incumbent. Transition aux variables are then set to
     /// their tight values; if the reassembled point misses the real
     /// deadline (transition time the projection ignored), `None`.
@@ -394,8 +388,11 @@ impl<'a> MilpFormulation<'a> {
         }
         sub.set_objective(sobj);
         sub.add_le(stime, self.deadline_us);
-        let sol =
-            solve_with_choice(&sub, SolverChoice::Continuous, &SolveOptions::default()).ok()?;
+        let opts = SolveOptions {
+            solver: SolverChoice::Continuous,
+            ..SolveOptions::default()
+        };
+        let sol = dvs_milp::solve(&sub, &opts).ok()?;
         let mut x = vec![0.0; built.model.num_vars()];
         for &(bi, sv) in &map {
             x[bi] = sol.value(sv).round();
@@ -447,38 +444,25 @@ impl<'a> MilpFormulation<'a> {
         };
 
         let t0 = Instant::now();
+        // Auto resolves to branch-and-bound here (the integral DVS model is
+        // never a pure continuous ladder), which is the search that takes
+        // the warm start.
         let opts = SolveOptions {
-            jobs: self.solver_jobs,
+            solver: self.solver,
+            start: warm,
             ..SolveOptions::default()
         };
         let sol = {
             let _span = dvs_obs::span!("pass.solve");
-            match self.solver {
-                SolverChoice::Continuous => {
-                    solve_with_choice(&built.model, SolverChoice::Continuous, &opts)?
-                }
-                // Auto resolves to branch-and-bound here (the integral DVS
-                // model is never a pure continuous ladder), which is the
-                // only backend that accepts a seed.
-                SolverChoice::Auto | SolverChoice::BranchAndBound => {
-                    solve_seeded(&built.model, &opts, warm.as_deref())?
-                }
-            }
+            dvs_milp::solve(&built.model, &opts)?
         };
         let solve_time = t0.elapsed();
         dvs_obs::gauge("pass.solve.wall_us", solve_time.as_secs_f64() * 1e6);
 
         let certificate = if self.certify {
-            // Certify what actually ran: the Auto arm above always took the
-            // seeded branch-and-bound path, so the prover must not
-            // re-dispatch on the model shape.
-            let choice = match self.solver {
-                SolverChoice::Continuous => SolverChoice::Continuous,
-                SolverChoice::Auto | SolverChoice::BranchAndBound => SolverChoice::BranchAndBound,
-            };
             let cert = {
                 let _span = dvs_obs::span!("pass.certify");
-                dvs_milp::certify_solution(&built.model, &opts, choice, &sol)?
+                dvs_milp::certify_solution(&built.model, &opts, &sol)?
             };
             let encoded = cert.encode();
             let tc = Instant::now();
@@ -551,27 +535,29 @@ impl<'a> MilpFormulation<'a> {
     /// infeasible (the fractional and integral feasibility thresholds
     /// coincide: both are "the all-fastest assignment meets the deadline").
     pub fn relaxation_bound(&self) -> Result<f64, MilpError> {
-        let built = self.build_model();
-        // One shared path with the branch-and-bound root bound
-        // (`dvs_milp::relaxation_bound` relaxes and dispatches through the
-        // backend API), so the check oracle and the solver can never drift.
-        dvs_milp::relaxation_bound(&built.model, &SolveOptions::default())
+        self.relaxation_bound_via(SolverChoice::Auto)
     }
 
     /// [`MilpFormulation::relaxation_bound`] through an explicitly chosen
-    /// backend instead of [`SolverChoice::Auto`] — the solver benchmark
+    /// solver instead of [`SolverChoice::Auto`] — the solver benchmark
     /// uses this to pin the exact continuous-voltage algorithm against the
     /// branch-and-bound LP on the same relaxation.
     ///
     /// # Errors
     ///
     /// Same as [`MilpFormulation::relaxation_bound`], plus
-    /// [`MilpError::Unsupported`] if the forced backend cannot represent
+    /// [`MilpError::Unsupported`] if the forced solver cannot represent
     /// the relaxed model.
     pub fn relaxation_bound_via(&self, solver: SolverChoice) -> Result<f64, MilpError> {
         let built = self.build_model();
-        let relaxed = built.model.relax();
-        solve_with_choice(&relaxed, solver, &SolveOptions::default()).map(|s| s.objective)
+        // One shared path (`dvs_milp::relaxation_bound` relaxes and
+        // dispatches like any solve), so the check oracle and the solver
+        // benchmark can never drift.
+        let opts = SolveOptions {
+            solver,
+            ..SolveOptions::default()
+        };
+        dvs_milp::relaxation_bound(&built.model, &opts)
     }
 
     /// The filter in use (for reporting).

@@ -8,7 +8,7 @@
 
 use crate::EdgeFilter;
 use dvs_ir::{Cfg, Profile};
-use dvs_milp::{solve_with, LinExpr, MilpError, Model, Sense, SolveOptions, Var};
+use dvs_milp::{LinExpr, MilpError, Model, Sense, SolveOptions, Var};
 use dvs_sim::EdgeSchedule;
 use dvs_vf::{ModeId, TransitionModel, VoltageLadder};
 use std::time::Instant;
@@ -201,7 +201,7 @@ impl<'a> MultiCategory<'a> {
         model.set_objective(objective);
 
         let t0 = Instant::now();
-        let sol = solve_with(&model, &SolveOptions::default())?;
+        let sol = dvs_milp::solve(&model, &SolveOptions::default())?;
         let solve_time = t0.elapsed();
 
         let pick = |ks: &[Var]| -> ModeId {

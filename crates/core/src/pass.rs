@@ -251,7 +251,6 @@ pub struct CompilerBuilder {
     verify_emitted: bool,
     certify: bool,
     jobs: usize,
-    solver_jobs: usize,
     solver: SolverChoice,
 }
 
@@ -270,7 +269,6 @@ impl CompilerBuilder {
             verify_emitted: false,
             certify: false,
             jobs: 1,
-            solver_jobs: 1,
             solver: SolverChoice::Auto,
         }
     }
@@ -334,14 +332,10 @@ impl CompilerBuilder {
         self
     }
 
-    /// Worker threads for the MILP's root branch split (see
-    /// [`dvs_milp::SolveOptions`]'s `jobs`). Unlike [`CompilerBuilder::jobs`]
-    /// this can perturb which optimal-within-gap solution is returned, so
-    /// it is a separate opt-in and [`DvsCompiler::compile_grid`] always
-    /// solves its cells sequentially.
+    /// Does nothing: the MILP search is sequential.
+    #[deprecated(note = "the MILP search is sequential; this setting does nothing")]
     #[must_use]
-    pub fn solver_jobs(mut self, jobs: usize) -> Self {
-        self.solver_jobs = jobs;
+    pub fn solver_jobs(self, _jobs: usize) -> Self {
         self
     }
 
@@ -382,7 +376,6 @@ impl CompilerBuilder {
             verify_emitted: self.verify_emitted,
             certify: self.certify,
             jobs: self.jobs.max(1),
-            solver_jobs: self.solver_jobs.max(1),
             solver: self.solver,
         })
     }
@@ -405,7 +398,6 @@ pub struct DvsCompiler {
     verify_emitted: bool,
     certify: bool,
     jobs: usize,
-    solver_jobs: usize,
     solver: SolverChoice,
 }
 
@@ -452,15 +444,14 @@ impl DvsCompiler {
 
     /// A canonical 64-bit digest of every setting that can change what
     /// [`DvsCompiler::compile`] produces: the voltage ladder's operating
-    /// points, the regulator transition model, the filter tail fraction and
-    /// the hoisting/verify/certify toggles.
+    /// points, the regulator transition model, the filter tail fraction,
+    /// the hoisting/verify/certify toggles and the solver choice.
     ///
-    /// Parallelism knobs (`jobs`) and the validation toggle are excluded —
-    /// `jobs` only trades wall-clock, and callers that cache validated
-    /// results should fold `solver_jobs`/validation into their own request
-    /// key the way `dvs-serve` does. Two compilers with equal digests given
-    /// byte-equal inputs produce byte-equal [`CompileResult::to_json`]
-    /// output (for a sequential solver).
+    /// `jobs` and the validation toggle are excluded — `jobs` only trades
+    /// wall-clock, and callers that cache validated results should fold
+    /// validation into their own request key the way `dvs-serve` does. Two
+    /// compilers with equal digests given byte-equal inputs produce
+    /// byte-equal [`CompileResult::to_json`] output.
     #[must_use]
     pub fn config_digest(&self) -> u64 {
         let mut h = crate::fingerprint::Fnv64::new();
@@ -524,19 +515,6 @@ impl DvsCompiler {
         profile: &Profile,
         deadline_us: f64,
     ) -> Result<CompileResult, PassError> {
-        self.compile_cell(cfg, profile, deadline_us, self.solver_jobs)
-    }
-
-    /// [`DvsCompiler::compile`] with an explicit MILP `solver_jobs` — the
-    /// grid path pins this to 1 so cell results cannot depend on the
-    /// worker count.
-    fn compile_cell(
-        &self,
-        cfg: &Cfg,
-        profile: &Profile,
-        deadline_us: f64,
-        solver_jobs: usize,
-    ) -> Result<CompileResult, PassError> {
         self.check_inputs(profile, deadline_us)?;
         let ref_mode = self.ladder.len() - 1;
         let filter = timed("pass.filter", "pass.filter.wall_us", || {
@@ -548,7 +526,6 @@ impl DvsCompiler {
         });
         let milp = MilpFormulation::new(cfg, profile, &self.ladder, &self.transition, deadline_us)
             .with_filter(filter.clone())
-            .with_solver_jobs(solver_jobs)
             .with_solver(self.solver)
             .with_certify(self.certify)
             .solve()?;
@@ -610,11 +587,10 @@ impl DvsCompiler {
     /// Compiles one shared profile against many deadlines concurrently on a
     /// [`dvs_runtime::Pool`] of [`CompilerBuilder::jobs`] workers.
     ///
-    /// Results are index-aligned with `deadlines_us`, and every cell is
-    /// solved with a sequential MILP regardless of
-    /// [`CompilerBuilder::solver_jobs`], so the output is identical for
-    /// every jobs value — `jobs` trades wall-clock only. Metrics recorded
-    /// by cells land in the caller's `dvs_obs` domain.
+    /// Results are index-aligned with `deadlines_us`, and each cell is one
+    /// [`DvsCompiler::compile`], so the output is identical for every jobs
+    /// value — `jobs` trades wall-clock only. Metrics recorded by cells
+    /// land in the caller's `dvs_obs` domain.
     pub fn compile_grid(
         &self,
         cfg: &Cfg,
@@ -625,7 +601,7 @@ impl DvsCompiler {
         let domain = dvs_obs::current_domain();
         pool.map(deadlines_us.to_vec(), |_, deadline_us| {
             let _dg = dvs_obs::enter_domain(domain);
-            self.compile_cell(cfg, profile, deadline_us, 1)
+            self.compile(cfg, profile, deadline_us)
         })
     }
 

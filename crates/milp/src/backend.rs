@@ -1,61 +1,77 @@
-//! Pluggable solver backends.
+//! The one solve entry point and the exact continuous-voltage algorithm.
 //!
-//! [`SolverBackend`] is the one entry point every solver implements:
-//! `solve(&Model, &SolveOptions) -> Result<Solution, MilpError>`, with
-//! [`crate::SolveStats`] — including the incumbent trajectory — part of the
-//! contract. Two backends ship:
+//! [`solve`] resolves [`SolveOptions::solver`] against the model and runs
+//! one of two searches. Either returns a [`Solution`] whose [`SolveStats`]
+//! carry the work counters and the incumbent trajectory, or a
+//! [`MilpError`]:
 //!
-//! * [`BranchAndBound`] — the general MILP search ([`crate::solve_with`])
-//!   with basis-reusing dual-simplex node solves and pseudo-cost branching.
-//!   Handles every model.
-//! * [`ContinuousYds`] — an exact combinatorial algorithm for the
-//!   *continuous-voltage ladder* shape (one exactly-one selection row per
-//!   group, at most one non-negative budget row, minimize): per group the
-//!   lower convex hull of its `(time, energy)` points is walked
+//! * [`SolverChoice::BranchAndBound`] — the general MILP search (see the
+//!   crate docs) with basis-reusing dual-simplex node solves and
+//!   pseudo-cost branching. Handles every model.
+//! * [`SolverChoice::Continuous`] — an exact combinatorial algorithm for
+//!   the *continuous-voltage ladder* shape (one exactly-one selection row
+//!   per group, at most one non-negative budget row, minimize): per group
+//!   the lower convex hull of its `(time, energy)` points is walked
 //!   cheapest-rate-first until the time budget is met, in the style of the
-//!   Yao–Demers–Shenker / Li–Yao–Yuan continuous DVS algorithms. `O(n log n)`
-//!   (well inside the paper's `O(n²)` budget), no simplex at all. On models
-//!   with integer variables it reports the exact continuous optimum as
-//!   `best_bound` and a feasible rounding as the incumbent.
+//!   Yao–Demers–Shenker / Li–Yao–Yuan continuous DVS algorithms. A sort
+//!   and a walk over sorted segments, so `O(n log n)`, with no simplex at
+//!   all. On models with integer variables it reports the exact continuous
+//!   optimum as `best_bound` and a feasible rounding as the incumbent.
 //!
-//! [`SolverChoice::Auto`] picks [`ContinuousYds`] exactly when it is exact:
-//! no integer variables and the ladder shape extracts. The branch-and-bound
-//! also calls into the ladder core at its root (see
+//! [`SolverChoice::Auto`] picks the continuous algorithm exactly when it
+//! is exact: no integer variables and the ladder shape extracts. The
+//! branch-and-bound also calls into the ladder core at its root (see
 //! [`continuous_lower_bound`]) to seed a global bound that lets the search
 //! stop the moment the incumbent provably meets it.
 
-use crate::{Cmp, Incumbent, MilpError, Model, Sense, Solution, SolveOptions, SolveStats, Status};
+use crate::{Cmp, Incumbent, MilpError, Model, Sense, Solution, SolveStats, Status};
 use std::time::Instant;
 
 const EXT_TOL: f64 = 1e-9;
 
-/// A MILP solver implementation selectable at [`crate::SolveOptions`] level.
-///
-/// The contract: `solve` returns a [`Solution`] whose
-/// [`SolveStats`] carry the work counters and the full incumbent
-/// trajectory (minimization form, monotone nonincreasing for sequential
-/// runs), or a [`MilpError`] — including
-/// [`MilpError::Unsupported`] when the backend cannot represent the model.
-pub trait SolverBackend {
-    /// Stable, human-readable backend identifier (used in cache keys,
-    /// benchmark output, and CLI flags).
-    fn name(&self) -> &'static str;
-
-    /// Solves `model` under `opts`.
-    ///
-    /// # Errors
-    ///
-    /// Backend-dependent; every backend may return
-    /// [`MilpError::Infeasible`], and restricted backends return
-    /// [`MilpError::Unsupported`] for models outside their shape.
-    fn solve(&self, model: &Model, opts: &SolveOptions) -> Result<Solution, MilpError>;
+/// Settings for [`solve`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SolveOptions {
+    /// Which search runs (see [`SolverChoice`]).
+    pub solver: SolverChoice,
+    /// Stop after this many nodes and return the incumbent (as
+    /// [`Status::Feasible`]) or [`MilpError::LimitReached`].
+    pub max_nodes: usize,
+    /// Run [`crate::presolve()`] on the root problem before the search
+    /// (bound tightening, row elimination, coefficient reduction, early
+    /// infeasibility). Per-node bound propagation also rides on this flag.
+    pub presolve: bool,
+    /// Restart each node's LP from its parent's basis with the dual
+    /// simplex instead of solving from scratch. Answers are identical
+    /// either way (the engine falls back to a fresh solve whenever a warm
+    /// start cannot be certified); disabling this exists for regression
+    /// testing and diagnosis.
+    pub reuse_basis: bool,
+    /// A known feasible point (variable values indexed like the model's
+    /// variables) that seeds the branch-and-bound incumbent, so the search
+    /// prunes against its objective from node one. A start that violates
+    /// any bound, row or integrality is silently ignored, as is any start
+    /// under the continuous algorithm.
+    pub start: Option<Vec<f64>>,
 }
 
-/// Which [`SolverBackend`] to run.
+impl Default for SolveOptions {
+    fn default() -> Self {
+        SolveOptions {
+            solver: SolverChoice::Auto,
+            max_nodes: 500_000,
+            presolve: true,
+            reuse_basis: true,
+            start: None,
+        }
+    }
+}
+
+/// Which search [`solve`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverChoice {
-    /// [`ContinuousYds`] when the model is a pure continuous ladder
-    /// (exact), [`BranchAndBound`] otherwise.
+    /// The continuous algorithm when the model is a pure continuous ladder
+    /// (exact), branch-and-bound otherwise.
     #[default]
     Auto,
     /// Always the branch-and-bound MILP search.
@@ -87,6 +103,17 @@ impl SolverChoice {
             SolverChoice::Continuous => "continuous",
         }
     }
+
+    /// Whether this choice runs the continuous algorithm on `model`.
+    /// [`solve`] and [`crate::certify_solution`] both dispatch on this, so
+    /// a proof always matches the search that produced the solution.
+    pub(crate) fn runs_continuous(self, model: &Model) -> bool {
+        match self {
+            SolverChoice::Auto => model.num_int_vars() == 0 && extract_ladder(model).is_ok(),
+            SolverChoice::BranchAndBound => false,
+            SolverChoice::Continuous => true,
+        }
+    }
 }
 
 impl std::fmt::Display for SolverChoice {
@@ -95,125 +122,88 @@ impl std::fmt::Display for SolverChoice {
     }
 }
 
-/// Resolves a [`SolverChoice`] against a concrete model.
-#[must_use]
-pub fn backend_for(choice: SolverChoice, model: &Model) -> &'static dyn SolverBackend {
-    match choice {
-        SolverChoice::BranchAndBound => &BranchAndBound,
-        SolverChoice::Continuous => &ContinuousYds,
-        SolverChoice::Auto => {
-            if model.num_int_vars() == 0 && extract_ladder(model).is_ok() {
-                &ContinuousYds
-            } else {
-                &BranchAndBound
-            }
-        }
-    }
-}
-
-/// Solves `model` with the backend selected by `choice`.
+/// Solves `model` with the search `opts.solver` selects.
 ///
 /// # Errors
 ///
-/// See [`SolverBackend::solve`].
-pub fn solve_with_choice(
-    model: &Model,
-    choice: SolverChoice,
-    opts: &SolveOptions,
-) -> Result<Solution, MilpError> {
-    backend_for(choice, model).solve(model, opts)
+/// * [`MilpError::Infeasible`] — no feasible assignment exists;
+/// * [`MilpError::Unbounded`] — the LP relaxation is unbounded;
+/// * [`MilpError::LimitReached`] — node budget exhausted with no incumbent;
+/// * [`MilpError::SimplexStalled`] — numerical failure in the LP layer;
+/// * [`MilpError::Unsupported`] — [`SolverChoice::Continuous`] on a model
+///   outside the ladder shape;
+/// * validation errors from [`Model::validate`].
+pub fn solve(model: &Model, opts: &SolveOptions) -> Result<Solution, MilpError> {
+    if opts.solver.runs_continuous(model) {
+        solve_continuous(model)
+    } else {
+        crate::branch::branch_and_bound(model, opts)
+    }
 }
 
-/// Objective of the LP relaxation of `model` ([`Model::relax`]), solved
-/// through the backend API. Both the differential-testing oracle and the
-/// branch-and-bound bound go through this single path, so they can never
-/// drift apart.
+/// Objective of the LP relaxation of `model` ([`Model::relax`]), solved by
+/// [`solve`] under `opts`. The differential-testing oracle and the solver
+/// benchmark's cross-check both go through this single path, so they can
+/// never drift apart.
 ///
 /// # Errors
 ///
 /// [`MilpError::Infeasible`], [`MilpError::Unbounded`], or LP-layer errors.
 pub fn relaxation_bound(model: &Model, opts: &SolveOptions) -> Result<f64, MilpError> {
-    let relaxed = model.relax();
-    Ok(backend_for(SolverChoice::Auto, &relaxed)
-        .solve(&relaxed, opts)?
-        .objective)
+    Ok(solve(&model.relax(), opts)?.objective)
 }
 
-/// The branch-and-bound backend (see [`crate::solve_with`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BranchAndBound;
-
-impl SolverBackend for BranchAndBound {
-    fn name(&self) -> &'static str {
-        "branch-and-bound"
+/// The exact continuous-voltage ladder algorithm (see the module docs).
+fn solve_continuous(model: &Model) -> Result<Solution, MilpError> {
+    let t0 = Instant::now();
+    model.validate()?;
+    let ladder = extract_ladder(model)?;
+    let cont = solve_ladder(&ladder)?;
+    if dvs_obs::enabled() {
+        dvs_obs::counter("milp.continuous_solves", 1);
     }
-
-    fn solve(&self, model: &Model, opts: &SolveOptions) -> Result<Solution, MilpError> {
-        crate::solve_seeded(model, opts, None)
-    }
-}
-
-/// The exact continuous-voltage ladder backend (see the module docs).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ContinuousYds;
-
-impl SolverBackend for ContinuousYds {
-    fn name(&self) -> &'static str {
-        "continuous-yds"
-    }
-
-    fn solve(&self, model: &Model, opts: &SolveOptions) -> Result<Solution, MilpError> {
-        let _ = opts;
-        let t0 = Instant::now();
-        model.validate()?;
-        let ladder = extract_ladder(model)?;
-        let cont = solve_ladder(&ladder)?;
-        if dvs_obs::enabled() {
-            dvs_obs::counter("milp.continuous_solves", 1);
-        }
-        let mut stats = SolveStats {
-            nodes: 1,
-            best_bound: cont.objective,
-            mip_gap: 0.0,
-            ..SolveStats::default()
-        };
-        if model.num_int_vars() == 0 {
-            stats.incumbents.push(Incumbent {
-                objective: cont.objective,
-                node: 0,
-                at_us: t0.elapsed().as_secs_f64() * 1e6,
-            });
-            return Ok(Solution {
-                status: Status::Optimal,
-                objective: cont.objective,
-                values: cont.values,
-                stats,
-            });
-        }
-        // Integer model: the continuous optimum is the exact bound; round
-        // each fractional group to the *faster* hull endpoint (time can
-        // only shrink, so feasibility is preserved).
-        let (values, objective, exact) = round_to_fast_endpoints(&ladder, &cont);
+    let mut stats = SolveStats {
+        nodes: 1,
+        best_bound: cont.objective,
+        mip_gap: 0.0,
+        ..SolveStats::default()
+    };
+    if model.num_int_vars() == 0 {
         stats.incumbents.push(Incumbent {
-            objective,
+            objective: cont.objective,
             node: 0,
             at_us: t0.elapsed().as_secs_f64() * 1e6,
         });
-        let status = if exact {
-            Status::Optimal
-        } else {
-            Status::Feasible
-        };
-        if !exact {
-            stats.mip_gap = ((objective - cont.objective) / objective.abs().max(1.0)).max(0.0);
-        }
-        Ok(Solution {
-            status,
-            objective,
-            values,
+        return Ok(Solution {
+            status: Status::Optimal,
+            objective: cont.objective,
+            values: cont.values,
             stats,
-        })
+        });
     }
+    // Integer model: the continuous optimum is the exact bound; round
+    // each fractional group to the *faster* hull endpoint (time can
+    // only shrink, so feasibility is preserved).
+    let (values, objective, exact) = round_to_fast_endpoints(&ladder, &cont);
+    stats.incumbents.push(Incumbent {
+        objective,
+        node: 0,
+        at_us: t0.elapsed().as_secs_f64() * 1e6,
+    });
+    let status = if exact {
+        Status::Optimal
+    } else {
+        Status::Feasible
+    };
+    if !exact {
+        stats.mip_gap = ((objective - cont.objective) / objective.abs().max(1.0)).max(0.0);
+    }
+    Ok(Solution {
+        status,
+        objective,
+        values,
+        stats,
+    })
 }
 
 /// Exact continuous ladder bound for `model` in **minimization form**, or
@@ -505,7 +495,7 @@ fn round_to_fast_endpoints(ladder: &Ladder, cont: &ContinuousOpt) -> (Vec<f64>, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LinExpr, Model, SolveOptions};
+    use crate::{LinExpr, Model};
 
     /// A little DVS-shaped ladder: `groups` of `(time, energy)` points,
     /// one exactly-one row per group, one deadline row.
@@ -543,10 +533,32 @@ mod tests {
         &[(0.5, 6.0), (1.0, 3.0), (2.0, 1.5)],
     ];
 
+    const CHOICES: [SolverChoice; 3] = [
+        SolverChoice::Auto,
+        SolverChoice::BranchAndBound,
+        SolverChoice::Continuous,
+    ];
+
+    /// Default settings with `solver` selected.
+    fn with(solver: SolverChoice) -> SolveOptions {
+        SolveOptions {
+            solver,
+            ..SolveOptions::default()
+        }
+    }
+
+    fn continuous(m: &Model) -> Result<Solution, MilpError> {
+        solve(m, &with(SolverChoice::Continuous))
+    }
+
+    fn bnb(m: &Model) -> Solution {
+        solve(m, &with(SolverChoice::BranchAndBound)).unwrap()
+    }
+
     #[test]
     fn slack_deadline_picks_min_energy_points() {
         let m = ladder_model(G3, 100.0, false);
-        let s = ContinuousYds.solve(&m, &SolveOptions::default()).unwrap();
+        let s = continuous(&m).unwrap();
         assert_eq!(s.status, Status::Optimal);
         assert!((s.objective - (1.0 + 2.0 + 1.5)).abs() < 1e-9);
     }
@@ -555,8 +567,8 @@ mod tests {
     fn continuous_matches_branch_and_bound_on_relaxation() {
         for &deadline in &[4.0, 5.5, 7.0, 9.0, 12.0] {
             let m = ladder_model(G3, deadline, false);
-            let yds = ContinuousYds.solve(&m, &SolveOptions::default()).unwrap();
-            let bnb = BranchAndBound.solve(&m, &SolveOptions::default()).unwrap();
+            let yds = continuous(&m).unwrap();
+            let bnb = bnb(&m);
             let rel = (yds.objective - bnb.objective).abs() / bnb.objective.abs().max(1.0);
             assert!(
                 rel < 1e-6,
@@ -579,7 +591,7 @@ mod tests {
         // One group, two points (1, 9) and (4, 1); deadline 2.5 forces the
         // mixture x_fast = 0.5, x_slow = 0.5 -> energy 5.
         let m = ladder_model(&[&[(1.0, 9.0), (4.0, 1.0)]], 2.5, false);
-        let s = ContinuousYds.solve(&m, &SolveOptions::default()).unwrap();
+        let s = continuous(&m).unwrap();
         assert!((s.objective - 5.0).abs() < 1e-9);
         assert!((s.values[0] - 0.5).abs() < 1e-9);
         assert!((s.values[1] - 0.5).abs() < 1e-9);
@@ -588,17 +600,14 @@ mod tests {
     #[test]
     fn impossible_deadline_is_infeasible() {
         let m = ladder_model(G3, 1.0, false); // fastest total time is 3.0
-        assert!(matches!(
-            ContinuousYds.solve(&m, &SolveOptions::default()),
-            Err(MilpError::Infeasible)
-        ));
+        assert!(matches!(continuous(&m), Err(MilpError::Infeasible)));
     }
 
     #[test]
     fn integer_ladder_rounds_to_feasible_incumbent() {
         let m = ladder_model(G3, 7.0, true);
-        let s = ContinuousYds.solve(&m, &SolveOptions::default()).unwrap();
-        let exact = BranchAndBound.solve(&m, &SolveOptions::default()).unwrap();
+        let s = continuous(&m).unwrap();
+        let exact = bnb(&m);
         // The continuous optimum bounds from below; the rounding is a real
         // feasible point, so it bounds the MILP optimum from above.
         assert!(s.stats.best_bound <= exact.objective + 1e-9);
@@ -619,16 +628,13 @@ mod tests {
         let x = m.num_var("x", 0.0, 1.0);
         m.set_objective(LinExpr::from(x));
         m.add_eq(LinExpr::from(x), 1.0);
-        assert!(matches!(
-            ContinuousYds.solve(&m, &SolveOptions::default()),
-            Err(MilpError::Unsupported { .. })
-        ));
+        assert!(matches!(continuous(&m), Err(MilpError::Unsupported { .. })));
         // A >= row.
         let mut m2 = ladder_model(G3, 9.0, false);
         let extra = m2.num_var("extra", 0.0, 1.0);
         m2.add_ge(LinExpr::from(extra), 0.5);
         assert!(matches!(
-            ContinuousYds.solve(&m2, &SolveOptions::default()),
+            continuous(&m2),
             Err(MilpError::Unsupported { .. })
         ));
         // Two budget rows.
@@ -636,38 +642,51 @@ mod tests {
         let v0 = crate::Var(0);
         m3.add_le(LinExpr::from(v0), 0.9);
         assert!(matches!(
-            ContinuousYds.solve(&m3, &SolveOptions::default()),
+            continuous(&m3),
             Err(MilpError::Unsupported { .. })
         ));
     }
 
     #[test]
     fn auto_resolves_by_shape_and_integrality() {
+        // The deterministic part of a solution (wall-clock stamps aside),
+        // enough to tell which search produced it.
+        let key = |s: &Solution| {
+            (
+                s.status,
+                s.objective.to_bits(),
+                s.values.clone(),
+                s.stats.nodes,
+                s.stats.pivots,
+            )
+        };
+        // Relaxed ladder: Auto runs the continuous algorithm, which makes
+        // no simplex pivots where branch-and-bound does.
         let relaxed = ladder_model(G3, 9.0, false);
-        assert_eq!(
-            backend_for(SolverChoice::Auto, &relaxed).name(),
-            "continuous-yds"
-        );
+        let auto = solve(&relaxed, &with(SolverChoice::Auto)).unwrap();
+        assert_eq!(key(&auto), key(&continuous(&relaxed).unwrap()));
+        assert_eq!(auto.stats.pivots, 0);
+        assert!(bnb(&relaxed).stats.pivots > 0);
+        // Integral ladder: Auto runs branch-and-bound.
         let integral = ladder_model(G3, 9.0, true);
-        assert_eq!(
-            backend_for(SolverChoice::Auto, &integral).name(),
-            "branch-and-bound"
-        );
-        // Not a ladder at all: fall back to branch-and-bound.
+        let auto = solve(&integral, &with(SolverChoice::Auto)).unwrap();
+        assert_eq!(key(&auto), key(&bnb(&integral)));
+        assert!(auto.stats.pivots > 0);
+        // Not a ladder at all: the continuous algorithm refuses it, so Auto
+        // falls back to branch-and-bound.
         let mut lp = Model::new(Sense::Maximize);
         let x = lp.num_var("x", 0.0, 4.0);
         lp.set_objective(3.0 * x);
-        assert_eq!(
-            backend_for(SolverChoice::Auto, &lp).name(),
-            "branch-and-bound"
-        );
+        assert!(matches!(
+            continuous(&lp),
+            Err(MilpError::Unsupported { .. })
+        ));
+        let auto = solve(&lp, &with(SolverChoice::Auto)).unwrap();
+        assert_eq!(key(&auto), key(&bnb(&lp)));
+        assert!((auto.objective - 12.0).abs() < 1e-9);
         assert_eq!(SolverChoice::parse("yds"), Some(SolverChoice::Continuous));
         assert_eq!(SolverChoice::parse("nope"), None);
-        for c in [
-            SolverChoice::Auto,
-            SolverChoice::BranchAndBound,
-            SolverChoice::Continuous,
-        ] {
+        for c in CHOICES {
             assert_eq!(SolverChoice::parse(c.as_str()), Some(c));
         }
     }
@@ -675,13 +694,12 @@ mod tests {
     #[test]
     fn relaxation_bound_is_shared_and_exact_for_ladders() {
         let m = ladder_model(G3, 6.0, true);
-        let opts = SolveOptions::default();
-        let bound = relaxation_bound(&m, &opts).unwrap();
-        // Same number the B&B backend would compute on the relaxation.
-        let via_bnb = BranchAndBound.solve(&m.relax(), &opts).unwrap().objective;
+        let bound = relaxation_bound(&m, &SolveOptions::default()).unwrap();
+        // Same number the branch-and-bound computes on the relaxation.
+        let via_bnb = relaxation_bound(&m, &with(SolverChoice::BranchAndBound)).unwrap();
         assert!((bound - via_bnb).abs() < 1e-6);
         // And it must lower-bound the integral optimum.
-        let exact = BranchAndBound.solve(&m, &opts).unwrap();
+        let exact = bnb(&m);
         assert!(bound <= exact.objective + 1e-9);
         // The root seed agrees with the public path.
         let lb = continuous_lower_bound(&m).unwrap();
@@ -689,22 +707,16 @@ mod tests {
     }
 
     #[test]
-    fn incumbent_trajectory_reported_by_both_backends() {
+    fn incumbent_trajectory_reported_by_every_choice() {
         let m = ladder_model(G3, 6.0, true);
-        let opts = SolveOptions::default();
-        for backend in [&BranchAndBound as &dyn SolverBackend, &ContinuousYds] {
-            let s = backend.solve(&m, &opts).unwrap();
+        for choice in CHOICES {
+            let s = solve(&m, &with(choice)).unwrap();
             assert!(
                 !s.stats.incumbents.is_empty(),
-                "{}: contract requires a trajectory",
-                backend.name()
+                "{choice}: a solution requires a trajectory"
             );
             for w in s.stats.incumbents.windows(2) {
-                assert!(
-                    w[1].objective <= w[0].objective + 1e-9,
-                    "{}",
-                    backend.name()
-                );
+                assert!(w[1].objective <= w[0].objective + 1e-9, "{choice}");
             }
         }
     }

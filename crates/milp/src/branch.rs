@@ -10,134 +10,33 @@
 //! primal solve. Any warm start the engine cannot certify falls back to a
 //! fresh solve, so answers never depend on basis reuse being possible.
 //!
-//! Branching defaults to SOS1 group splits where groups are declared,
+//! Branching prefers SOS1 group splits where groups are declared,
 //! falling back to **pseudo-cost** variable selection with reliability-1
 //! initialization: a variable is branched most-fractional until both of
 //! its directions have at least one observed LP degradation, after which
 //! the product of its per-direction average gains drives the choice.
 
 use crate::presolve::{presolve_int, Presolved};
-use crate::simplex::{solve_lp, Basis, LpProblem, LpSolution, LpStatus, RowKind, SimplexEngine};
-use crate::{Cmp, Incumbent, MilpError, Model, Sense, Solution, SolveStats, Status, VarKind};
+use crate::simplex::{Basis, LpProblem, LpSolution, LpStatus, RowKind, SimplexEngine};
+use crate::{
+    Cmp, Incumbent, MilpError, Model, Sense, Solution, SolveOptions, SolveStats, Status, VarKind,
+};
 use std::rc::Rc;
 use std::time::Instant;
 
 const INT_TOL: f64 = 1e-6;
 const OBJ_TOL: f64 = 1e-7;
 
-/// How branching variables are chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BranchRule {
-    /// Prefer SOS1 group splits where groups are declared, falling back to
-    /// pseudo-cost single-variable branching (reliability-1 initialized:
-    /// most-fractional until both directions of a variable have been
-    /// observed). The right default for the DVS formulation.
-    #[default]
-    Sos1ThenPseudoCost,
-    /// Prefer SOS1 group splits, falling back to most-fractional
-    /// single-variable branching (the pre-pseudo-cost behaviour, kept for
-    /// comparison runs).
-    Sos1ThenFractional,
-    /// Always branch on the most fractional integer variable.
-    MostFractional,
-}
+/// Absolute optimality gap at which a node is pruned against the
+/// incumbent. The certificate prover folds the same gap into the tolerance
+/// it declares, so the proof may prune wherever the search did.
+pub(crate) const GAP: f64 = 1e-6;
 
-/// Tunables for [`solve_with`] and every [`crate::SolverBackend`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolveOptions {
-    /// Stop after this many nodes and return the incumbent (as
-    /// [`Status::Feasible`]) or [`MilpError::LimitReached`].
-    pub max_nodes: usize,
-    /// Branch variable selection rule.
-    pub rule: BranchRule,
-    /// Absolute optimality gap at which a node is pruned against the
-    /// incumbent.
-    pub gap: f64,
-    /// Run [`crate::presolve`] on the root problem before the search
-    /// (bound tightening, row elimination, coefficient reduction, early
-    /// infeasibility). Per-node bound propagation also rides on this flag.
-    pub presolve: bool,
-    /// Restart each node's LP from its parent's basis with the dual
-    /// simplex instead of solving from scratch. Answers are identical
-    /// either way (the engine falls back to a fresh solve whenever a warm
-    /// start cannot be certified); disabling this exists for regression
-    /// testing and diagnosis.
-    pub reuse_basis: bool,
-    /// Seed the search with the exact continuous-voltage (YDS) relaxation
-    /// bound when the model has the pure ladder-selection shape, letting
-    /// the search stop as soon as the incumbent provably meets it.
-    pub seed_continuous: bool,
-    /// With `jobs >= 2`, the two children of the *root* branch-and-bound
-    /// split are solved as independent subproblems on a
-    /// [`dvs_runtime::Pool`], each under an equal share of the node budget.
-    /// Merging keeps best-bound pruning deterministic: the depth-first
-    /// child wins ties, exactly as in the sequential search (the answer can
-    /// differ from sequential only inside the `gap` tolerance). `0`/`1`
-    /// solve entirely sequentially.
-    pub jobs: usize,
-}
-
-impl Default for SolveOptions {
-    fn default() -> Self {
-        SolveOptions {
-            max_nodes: 500_000,
-            rule: BranchRule::default(),
-            gap: 1e-6,
-            presolve: true,
-            reuse_basis: true,
-            seed_continuous: true,
-            jobs: 1,
-        }
-    }
-}
-
-/// Former name of [`SolveOptions`], kept for one release.
-#[deprecated(note = "renamed to `SolveOptions` in the solver-backend API")]
-pub type BranchConfig = SolveOptions;
-
-/// Solves `model` to proven optimality with default settings.
-///
-/// # Errors
-///
-/// [`MilpError::Infeasible`], [`MilpError::Unbounded`], or resource errors;
-/// see [`solve_with`].
-pub fn solve(model: &Model) -> Result<Solution, MilpError> {
-    solve_with(model, &SolveOptions::default())
-}
-
-/// Solves `model` under explicit branch-and-bound settings.
-///
-/// # Errors
-///
-/// * [`MilpError::Infeasible`] — no feasible assignment exists;
-/// * [`MilpError::Unbounded`] — the LP relaxation is unbounded;
-/// * [`MilpError::LimitReached`] — node budget exhausted with no incumbent;
-/// * [`MilpError::SimplexStalled`] — numerical failure in the LP layer;
-/// * validation errors from [`Model::validate`].
-pub fn solve_with(model: &Model, config: &SolveOptions) -> Result<Solution, MilpError> {
-    solve_seeded(model, config, None)
-}
-
-/// [`solve_with`] warm-started from a known feasible point `start`
-/// (variable values indexed like the model's variables). The point seeds
-/// the incumbent, so branch-and-bound prunes against its objective from
-/// node one; if the start violates any constraint or integrality it is
-/// silently ignored.
-///
-/// # Errors
-///
-/// Same as [`solve_with`].
-pub fn solve_seeded(
-    model: &Model,
-    config: &SolveOptions,
-    start: Option<&[f64]>,
-) -> Result<Solution, MilpError> {
+/// The branch-and-bound search behind [`crate::solve`], wrapped in the
+/// `milp.solve` span and the per-solve counters.
+pub(crate) fn branch_and_bound(model: &Model, opts: &SolveOptions) -> Result<Solution, MilpError> {
     let _span = dvs_obs::span!("milp.solve");
-    let result = if config.jobs >= 2 {
-        solve_root_parallel(model, config, start)
-    } else {
-        solve_seeded_impl(model, config, start)
-    };
+    let result = search(model, opts);
     if dvs_obs::enabled() {
         dvs_obs::counter("milp.solves", 1);
         if let Ok(sol) = &result {
@@ -514,11 +413,7 @@ fn int_mask(model: &Model) -> (Vec<usize>, Vec<bool>) {
     (int_vars, mask)
 }
 
-fn solve_seeded_impl(
-    model: &Model,
-    config: &SolveOptions,
-    start: Option<&[f64]>,
-) -> Result<Solution, MilpError> {
+fn search(model: &Model, opts: &SolveOptions) -> Result<Solution, MilpError> {
     let t0 = Instant::now();
     model.validate()?;
     let base = lower_to_lp(model);
@@ -533,27 +428,27 @@ fn solve_seeded_impl(
         ..SolveStats::default()
     };
     let mut incumbent: Option<(f64, Vec<f64>)> = None;
-    if let Some(x0) = start {
+    if let Some(x0) = &opts.start {
         if x0.len() == model.num_vars() && start_is_feasible(model, &base, &int_vars, x0) {
             let obj = recompute_objective(&base, x0);
             record_incumbent(&mut stats, obj, t0);
-            incumbent = Some((obj, x0.to_vec()));
+            incumbent = Some((obj, x0.clone()));
         }
     }
 
     // Exact continuous-voltage relaxation bound (minimization form) when
     // the model has the pure ladder shape; -inf otherwise. Lets the search
     // terminate the moment the incumbent provably meets the bound.
-    let global_lb = if config.seed_continuous && !int_vars.is_empty() {
-        crate::backend::continuous_lower_bound(model).unwrap_or(f64::NEG_INFINITY)
-    } else {
+    let global_lb = if int_vars.is_empty() {
         f64::NEG_INFINITY
+    } else {
+        crate::backend::continuous_lower_bound(model).unwrap_or(f64::NEG_INFINITY)
     };
 
     // Root presolve, once: node bounds never remove rows, so the engine's
     // matrix stays valid for the whole search.
     let mut root_infeasible = false;
-    let root_lp = if config.presolve {
+    let root_lp = if opts.presolve {
         match presolve_int(&base, &mask) {
             Presolved::Reduced {
                 problem,
@@ -596,7 +491,7 @@ fn solve_seeded_impl(
     // A seeded incumbent that already meets the continuous bound ends the
     // search before the first node.
     if let Some((inc, _)) = &incumbent {
-        if *inc <= global_lb + config.gap {
+        if *inc <= global_lb + GAP {
             stack.clear();
         }
     }
@@ -620,7 +515,7 @@ fn solve_seeded_impl(
     let mut root_bound: Option<f64> = None;
 
     while let Some(node) = stack.pop() {
-        if stats.nodes >= config.max_nodes {
+        if stats.nodes >= opts.max_nodes {
             return match incumbent {
                 Some((obj, values)) => {
                     stats.mip_gap = relative_gap(obj, stats.best_bound);
@@ -636,7 +531,7 @@ fn solve_seeded_impl(
         }
         // Prune on the parent's bound before paying for an LP solve.
         if let Some((inc, _)) = &incumbent {
-            if node.parent_bound >= inc - config.gap {
+            if node.parent_bound >= inc - GAP {
                 stats.nodes_pruned += 1;
                 continue;
             }
@@ -650,13 +545,13 @@ fn solve_seeded_impl(
             nlb[j] = nlb[j].max(lb);
             nub[j] = nub[j].min(ub);
         }
-        if config.presolve {
+        if opts.presolve {
             // Group-aware pass first: with an incumbent, its objective
             // cutoff participates as a pseudo-row, so dominance fixing
             // can delete modes no improving solution selects.
-            let cutoff = incumbent.as_ref().map_or(f64::INFINITY, |(inc, _)| {
-                inc - config.gap - root_lp.obj_offset
-            });
+            let cutoff = incumbent
+                .as_ref()
+                .map_or(f64::INFINITY, |(inc, _)| inc - GAP - root_lp.obj_offset);
             // Iterate to a fixpoint (a fixed mode tightens row activity,
             // which fixes further modes); a handful of rounds suffices.
             let mut pruned = false;
@@ -691,7 +586,7 @@ fn solve_seeded_impl(
             engine.set_bound(j, nlb[j], nub[j]);
         }
 
-        let sol = match (&node.basis, config.reuse_basis) {
+        let sol = match (&node.basis, opts.reuse_basis) {
             (Some(warm), true) => match engine.solve_warm(warm) {
                 Some(s) => s,
                 None => engine.solve_fresh()?,
@@ -719,7 +614,7 @@ fn solve_seeded_impl(
             pc.record(j, is_up, gain);
         }
         if let Some((inc, _)) = &incumbent {
-            if sol.objective >= inc - config.gap {
+            if sol.objective >= inc - GAP {
                 stats.nodes_pruned += 1;
                 continue;
             }
@@ -745,7 +640,7 @@ fn solve_seeded_impl(
                 record_incumbent(&mut stats, obj, t0);
                 incumbent = Some((obj, x));
                 // Incumbent meets the exact continuous bound: optimal.
-                if obj <= global_lb + config.gap {
+                if obj <= global_lb + GAP {
                     break;
                 }
             }
@@ -754,7 +649,7 @@ fn solve_seeded_impl(
 
         // Branch. Both children share the parent's optimal basis.
         let shared = Rc::new(engine.basis());
-        let children = plan_children(model, config.rule, &pc, &sol.x, &violated, &node.bounds);
+        let children = plan_children(model, &pc, &sol.x, &violated, &node.bounds);
         for (bounds, info) in children {
             stack.push(Node {
                 bounds,
@@ -780,316 +675,73 @@ fn solve_seeded_impl(
     }
 }
 
-/// The `jobs >= 2` path: solve the root relaxation, branch once, then solve
-/// the two child subproblems to completion as *independent models* (child
-/// bounds folded into variable bounds) on a [`dvs_runtime::Pool`].
-///
-/// Determinism: the sequential search explores the last-pushed (most
-/// promising) child's subtree first and replaces its incumbent only on a
-/// strict `OBJ_TOL` improvement. The merge below applies the same rule in
-/// the same order — seeded incumbent, then the depth-first child, then the
-/// other child — so ties resolve identically regardless of which worker
-/// finished first. The only divergence from sequential is that neither
-/// child prunes against the *other's* incumbent, which can surface a
-/// solution that differs inside the `gap` tolerance.
-fn solve_root_parallel(
-    model: &Model,
-    config: &SolveOptions,
-    start: Option<&[f64]>,
-) -> Result<Solution, MilpError> {
-    let t0 = Instant::now();
-    model.validate()?;
-    let base = lower_to_lp(model);
-    let (int_vars, mask) = int_mask(model);
-    let flip = match model.sense() {
-        Sense::Minimize => 1.0,
-        Sense::Maximize => -1.0,
-    };
-
-    let mut stats = SolveStats {
-        best_bound: f64::INFINITY,
-        ..SolveStats::default()
-    };
-    let mut incumbent: Option<(f64, Vec<f64>)> = None;
-    if let Some(x0) = start {
-        if x0.len() == model.num_vars() && start_is_feasible(model, &base, &int_vars, x0) {
-            let obj = recompute_objective(&base, x0);
-            record_incumbent(&mut stats, obj, t0);
-            incumbent = Some((obj, x0.to_vec()));
-        }
-    }
-    let done = |status: Status, obj: f64, values: Vec<f64>, stats: SolveStats| {
-        Ok(Solution {
-            status,
-            objective: flip * obj,
-            values,
-            stats,
-        })
-    };
-    if config.max_nodes == 0 {
-        return match incumbent {
-            Some((obj, values)) => {
-                stats.mip_gap = relative_gap(obj, stats.best_bound);
-                done(Status::Feasible, obj, values, stats)
-            }
-            None => Err(MilpError::LimitReached { incumbent: None }),
-        };
-    }
-
-    // Root relaxation (node 1).
-    stats.nodes = 1;
-    let mut lp = base.clone();
-    let mut root_infeasible = false;
-    if config.presolve {
-        match presolve_int(&lp, &mask) {
-            Presolved::Reduced {
-                problem,
-                rows_removed,
-                bounds_tightened,
-            } => {
-                stats.presolve_rows_removed += rows_removed;
-                stats.presolve_bounds_tightened += bounds_tightened;
-                lp = problem;
-            }
-            Presolved::Infeasible => root_infeasible = true,
-        }
-    }
-    let sol = if root_infeasible {
-        None
-    } else {
-        let s = solve_lp(&lp)?;
-        absorb_lp(&mut stats, &s);
-        match s.status {
-            LpStatus::Infeasible => None,
-            LpStatus::Unbounded => return Err(MilpError::Unbounded),
-            LpStatus::Optimal => Some(s),
-        }
-    };
-    let Some(sol) = sol else {
-        // Root infeasible: only a seeded incumbent can save the answer
-        // (matching the sequential search, which would drain its stack).
-        return match incumbent {
-            Some((obj, values)) => {
-                stats.best_bound = obj;
-                done(Status::Optimal, obj, values, stats)
-            }
-            None => Err(MilpError::Infeasible),
-        };
-    };
-    stats.best_bound = sol.objective;
-
-    let frac = |v: f64| (v - v.round()).abs();
-    let violated: Vec<usize> = int_vars
-        .iter()
-        .copied()
-        .filter(|&j| frac(sol.x[j]) > INT_TOL)
-        .collect();
-    let root_pruned = incumbent
-        .as_ref()
-        .is_some_and(|(inc, _)| sol.objective >= inc - config.gap);
-    if violated.is_empty() || root_pruned {
-        if !root_pruned {
-            let mut x = sol.x.clone();
-            for &j in &int_vars {
-                x[j] = x[j].round();
-            }
-            let obj = recompute_objective(&base, &x);
-            if incumbent
-                .as_ref()
-                .is_none_or(|(inc, _)| obj < inc - OBJ_TOL)
-            {
-                record_incumbent(&mut stats, obj, t0);
-                incumbent = Some((obj, x));
-            }
-        }
-        return match incumbent {
-            Some((obj, values)) => {
-                stats.best_bound = obj;
-                stats.mip_gap = 0.0;
-                done(Status::Optimal, obj, values, stats)
-            }
-            None => Err(MilpError::Infeasible),
-        };
-    }
-
-    // One root split; each child becomes a standalone model with the branch
-    // bounds folded into its variable bounds, solved sequentially under an
-    // equal share of the remaining node budget.
-    let children = branch_children(model, config.rule, &sol.x, &violated, &[]);
-    let child_budget = config.max_nodes.saturating_sub(1) / children.len().max(1);
-    let child_config = SolveOptions {
-        jobs: 1,
-        max_nodes: child_budget,
-        ..*config
-    };
-    let domain = dvs_obs::current_domain();
-    let results =
-        dvs_runtime::Pool::new(config.jobs.min(children.len())).map(children, |_, bounds| {
-            let _dg = dvs_obs::enter_domain(domain);
-            let mut child = model.clone();
-            for (j, lb, ub) in bounds {
-                child.vars[j].lb = child.vars[j].lb.max(lb);
-                child.vars[j].ub = child.vars[j].ub.min(ub);
-            }
-            solve_seeded_impl(&child, &child_config, start)
-        });
-
-    // Merge in the sequential exploration order: the most promising child
-    // (pushed last, popped first) before its sibling. Child trajectories
-    // re-record the shared seed at their own node 0 and number nodes from
-    // their own root, so the merge renumbers them into the global node
-    // order and keeps only strict improvements over the running best —
-    // the merged trajectory is monotone and ends at the final incumbent,
-    // exactly as a sequential run's would.
-    let mut hit_limit = false;
-    let mut node_offset = stats.nodes;
-    let mut traj_best: Option<f64> = incumbent.as_ref().map(|(obj, _)| *obj);
-    for r in results.iter().rev() {
-        match r {
-            Ok(s) => {
-                if s.status == Status::Feasible {
-                    hit_limit = true;
-                }
-                let obj = flip * s.objective;
-                stats.absorb(&s.stats);
-                for inc in &s.stats.incumbents {
-                    if traj_best.is_none_or(|best| inc.objective < best - OBJ_TOL) {
-                        stats.incumbents.push(Incumbent {
-                            objective: inc.objective,
-                            node: node_offset + inc.node,
-                            at_us: inc.at_us,
-                        });
-                        traj_best = Some(inc.objective);
-                    }
-                }
-                node_offset += s.stats.nodes;
-                if incumbent
-                    .as_ref()
-                    .is_none_or(|(inc, _)| obj < inc - OBJ_TOL)
-                {
-                    incumbent = Some((obj, s.values.clone()));
-                }
-            }
-            Err(MilpError::Infeasible) => {}
-            // The sequential search only raises `LimitReached` when it has
-            // no incumbent of its own; any feasible point it found comes
-            // back as a `Status::Feasible` solution handled above.
-            Err(MilpError::LimitReached { .. }) => hit_limit = true,
-            Err(e) => return Err(e.clone()),
-        }
-    }
-    match incumbent {
-        Some((obj, values)) => {
-            let status = if hit_limit {
-                stats.mip_gap = relative_gap(obj, stats.best_bound);
-                Status::Feasible
-            } else {
-                stats.best_bound = obj;
-                stats.mip_gap = 0.0;
-                Status::Optimal
-            };
-            done(status, obj, values, stats)
-        }
-        None if hit_limit => Err(MilpError::LimitReached { incumbent: None }),
-        None => Err(MilpError::Infeasible),
-    }
-}
-
-/// Bound sets for the children of a fractional LP solution, without
-/// pseudo-cost history (used by the parallel root split, where no history
-/// exists yet). Children are in push order: the most promising last.
-fn branch_children(
-    model: &Model,
-    rule: BranchRule,
-    x: &[f64],
-    violated: &[usize],
-    parent_bounds: &[(usize, f64, f64)],
-) -> Vec<Vec<(usize, f64, f64)>> {
-    let pc = PseudoCosts::new(model.num_vars());
-    plan_children(model, rule, &pc, x, violated, parent_bounds)
-        .into_iter()
-        .map(|(bounds, _)| bounds)
-        .collect()
-}
-
-/// Produces child bound sets (plus per-child branch metadata for
-/// pseudo-cost updates: `(var, is_up, frac_dist)`, `None` for SOS1 splits)
-/// for a fractional LP solution. Children are returned in the order they
-/// should be *pushed* (the most promising child last, so depth-first
-/// search explores it first).
+/// Produces child bound sets for a fractional LP solution: an SOS1 group
+/// split when a declared group has two fractional members, otherwise a
+/// pseudo-cost single-variable split. Each child carries its branch
+/// metadata for pseudo-cost updates (`(var, is_up, frac_dist)`, `None` for
+/// SOS1 splits). Children are returned in the order they should be
+/// *pushed* (the most promising child last, so depth-first search explores
+/// it first).
 #[allow(clippy::type_complexity)]
 fn plan_children(
     model: &Model,
-    rule: BranchRule,
     pc: &PseudoCosts,
     x: &[f64],
     violated: &[usize],
     parent_bounds: &[(usize, f64, f64)],
 ) -> Vec<(Vec<(usize, f64, f64)>, Option<(usize, bool, f64)>)> {
-    if rule == BranchRule::Sos1ThenFractional || rule == BranchRule::Sos1ThenPseudoCost {
-        // Find an SOS1 group with at least two "active" fractional members.
-        let mut best_group: Option<(usize, f64)> = None;
-        for (gi, group) in model.sos1_groups.iter().enumerate() {
-            let fractional: Vec<f64> = group
-                .iter()
-                .map(|v| x[v.index()])
-                .filter(|&v| v > INT_TOL && v < 1.0 - INT_TOL)
-                .collect();
-            if fractional.len() >= 2 {
-                // Prefer the most "balanced" group (entropy proxy: product
-                // of top two values).
-                let mut vals = fractional.clone();
-                vals.sort_by(|a, b| b.partial_cmp(a).unwrap());
-                let score = vals[0] * vals[1];
-                if best_group.is_none_or(|(_, s)| score > s) {
-                    best_group = Some((gi, score));
-                }
+    // Find an SOS1 group with at least two "active" fractional members.
+    let mut best_group: Option<(usize, f64)> = None;
+    for (gi, group) in model.sos1_groups.iter().enumerate() {
+        let fractional: Vec<f64> = group
+            .iter()
+            .map(|v| x[v.index()])
+            .filter(|&v| v > INT_TOL && v < 1.0 - INT_TOL)
+            .collect();
+        if fractional.len() >= 2 {
+            // Prefer the most "balanced" group (entropy proxy: product
+            // of top two values).
+            let mut vals = fractional.clone();
+            vals.sort_by(|a, b| b.partial_cmp(a).unwrap());
+            let score = vals[0] * vals[1];
+            if best_group.is_none_or(|(_, s)| score > s) {
+                best_group = Some((gi, score));
             }
         }
-        if let Some((gi, _)) = best_group {
-            let group = &model.sos1_groups[gi];
-            // Split members into two halves around the weighted median of
-            // their LP values.
-            let mut members: Vec<(usize, f64)> =
-                group.iter().map(|v| (v.index(), x[v.index()])).collect();
-            members.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-            let total: f64 = members.iter().map(|(_, v)| v).sum();
-            let mut acc = 0.0;
-            let mut cut = 0;
-            for (i, (_, v)) in members.iter().enumerate() {
-                acc += v;
-                if acc >= total * 0.5 {
-                    cut = i + 1;
-                    break;
-                }
+    }
+    if let Some((gi, _)) = best_group {
+        let group = &model.sos1_groups[gi];
+        // Split members into two halves around the weighted median of
+        // their LP values.
+        let mut members: Vec<(usize, f64)> =
+            group.iter().map(|v| (v.index(), x[v.index()])).collect();
+        members.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+        let total: f64 = members.iter().map(|(_, v)| v).sum();
+        let mut acc = 0.0;
+        let mut cut = 0;
+        for (i, (_, v)) in members.iter().enumerate() {
+            acc += v;
+            if acc >= total * 0.5 {
+                cut = i + 1;
+                break;
             }
-            cut = cut.clamp(1, members.len() - 1);
-            let (half_a, half_b) = members.split_at(cut);
-            // Child A: everything in half_b forced to 0; child B: half_a to 0.
-            let zero = |half: &[(usize, f64)]| {
-                let mut b = parent_bounds.to_vec();
-                for &(j, _) in half {
-                    b.push((j, 0.0, 0.0));
-                }
-                b
-            };
-            // half_a holds more LP mass; explore the child keeping it first.
-            return vec![(zero(half_a), None), (zero(half_b), None)];
         }
+        cut = cut.clamp(1, members.len() - 1);
+        let (half_a, half_b) = members.split_at(cut);
+        // Child A: everything in half_b forced to 0; child B: half_a to 0.
+        let zero = |half: &[(usize, f64)]| {
+            let mut b = parent_bounds.to_vec();
+            for &(j, _) in half {
+                b.push((j, 0.0, 0.0));
+            }
+            b
+        };
+        // half_a holds more LP mass; explore the child keeping it first.
+        return vec![(zero(half_a), None), (zero(half_b), None)];
     }
 
     // Single-variable branching.
-    let j = match rule {
-        BranchRule::Sos1ThenPseudoCost => select_pseudocost_var(pc, x, violated),
-        BranchRule::Sos1ThenFractional | BranchRule::MostFractional => *violated
-            .iter()
-            .max_by(|&&a, &&b| {
-                let fa = (x[a] - x[a].round()).abs();
-                let fb = (x[b] - x[b].round()).abs();
-                fa.partial_cmp(&fb).unwrap()
-            })
-            .expect("violated is non-empty"),
-    };
+    let j = select_pseudocost_var(pc, x, violated);
     let floor = x[j].floor();
     let f_dn = x[j] - floor;
     let f_up = 1.0 - f_dn;
@@ -1213,10 +865,25 @@ pub(crate) fn recompute_objective(p: &LpProblem, x: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LinExpr, Model, Sense};
+    use crate::{LinExpr, Model, Sense, SolverChoice};
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
+    }
+
+    /// [`crate::solve`] forced onto the branch-and-bound search.
+    fn bnb_with(m: &Model, opts: SolveOptions) -> Result<Solution, MilpError> {
+        crate::solve(
+            m,
+            &SolveOptions {
+                solver: SolverChoice::BranchAndBound,
+                ..opts
+            },
+        )
+    }
+
+    fn bnb(m: &Model) -> Result<Solution, MilpError> {
+        bnb_with(m, SolveOptions::default())
     }
 
     #[test]
@@ -1227,7 +894,7 @@ mod tests {
         m.set_objective(3.0 * x + 2.0 * y);
         m.add_le(x + y, 4.0);
         m.add_le(x + 3.0 * y, 6.0);
-        let s = solve(&m).unwrap();
+        let s = bnb(&m).unwrap();
         assert_eq!(s.status, Status::Optimal);
         assert_close(s.objective, 12.0); // x=4, y=0
     }
@@ -1239,7 +906,7 @@ mod tests {
         let items: Vec<_> = (0..3).map(|i| m.bool_var(format!("i{i}"))).collect();
         m.set_objective(60.0 * items[0] + 100.0 * items[1] + 120.0 * items[2]);
         m.add_le(10.0 * items[0] + 20.0 * items[1] + 30.0 * items[2], 50.0);
-        let s = solve(&m).unwrap();
+        let s = bnb(&m).unwrap();
         assert_close(s.objective, 220.0); // items 1 and 2
         assert_eq!(s.int_value(items[0]), 0);
         assert_eq!(s.int_value(items[1]), 1);
@@ -1254,7 +921,7 @@ mod tests {
         let y = m.int_var("y", 0.0, 10.0);
         m.set_objective(x + y);
         m.add_le(2.0 * x + 2.0 * y, 5.0);
-        let s = solve(&m).unwrap();
+        let s = bnb(&m).unwrap();
         assert_close(s.objective, 2.0);
     }
 
@@ -1264,7 +931,7 @@ mod tests {
         let x = m.bool_var("x");
         m.set_objective(LinExpr::from(x));
         m.add_ge(LinExpr::from(x), 2.0);
-        assert!(matches!(solve(&m), Err(MilpError::Infeasible)));
+        assert!(matches!(bnb(&m), Err(MilpError::Infeasible)));
     }
 
     #[test]
@@ -1272,7 +939,7 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let x = m.num_var("x", 0.0, f64::INFINITY);
         m.set_objective(LinExpr::from(x));
-        assert!(matches!(solve(&m), Err(MilpError::Unbounded)));
+        assert!(matches!(bnb(&m), Err(MilpError::Unbounded)));
     }
 
     #[test]
@@ -1301,7 +968,7 @@ mod tests {
         for ((&a, &b), &c) in vars[0].iter().zip(&vars[1]).zip(&vars[2]) {
             m.add_eq(a + b + c, 1.0);
         }
-        let s = solve(&m).unwrap();
+        let s = bnb(&m).unwrap();
         // Optimal assignment: w0->t1 (1), w1->t0 (2), w2->t2 (2) = 5.
         assert_close(s.objective, 5.0);
         assert_eq!(s.int_value(vars[0][1]), 1);
@@ -1323,7 +990,7 @@ mod tests {
         }
         m.set_objective(obj);
         m.add_eq(sum, 2.0);
-        let s = solve(&m).unwrap();
+        let s = bnb(&m).unwrap();
         assert_close(s.objective, 12.0); // items 1 and 3
     }
 
@@ -1332,7 +999,7 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.int_var("x", -3.0, 3.0);
         m.set_objective(LinExpr::from(x) * -2.0 + 1.0);
-        let s = solve(&m).unwrap();
+        let s = bnb(&m).unwrap();
         assert_close(s.objective, -5.0); // x = 3
         assert_eq!(s.int_value(x), 3);
     }
@@ -1354,7 +1021,7 @@ mod tests {
             max_nodes: 1,
             ..SolveOptions::default()
         };
-        match solve_with(&m, &cfg) {
+        match bnb_with(&m, cfg) {
             Ok(s) => assert_eq!(s.status, Status::Feasible),
             Err(MilpError::LimitReached { .. }) => {}
             Err(e) => panic!("unexpected error {e}"),
@@ -1370,7 +1037,7 @@ mod tests {
         let y = m.num_var("y", 0.0, 2.1);
         m.set_objective(3.0 * x + 2.0 * y);
         m.add_ge(x + y, 4.3);
-        let s = solve(&m).unwrap();
+        let s = bnb(&m).unwrap();
         // Candidates: x=3,y=1.3 -> 11.6; x=4,y=0.3 -> 12.6; x=3 wins.
         assert_close(s.objective, 11.6);
         assert_eq!(s.int_value(x), 3);
@@ -1390,14 +1057,26 @@ mod tests {
         }
         m.set_objective(obj);
         m.add_le(w, 9.0);
-        let cold = solve_with(&m, &SolveOptions::default()).unwrap();
+        let cold = bnb(&m).unwrap();
         // A trivially feasible start: everything zero.
-        let start = vec![0.0; 10];
-        let warm = solve_seeded(&m, &SolveOptions::default(), Some(&start)).unwrap();
+        let warm = bnb_with(
+            &m,
+            SolveOptions {
+                start: Some(vec![0.0; 10]),
+                ..SolveOptions::default()
+            },
+        )
+        .unwrap();
         assert!((cold.objective - warm.objective).abs() < 1e-6);
         // An infeasible start must be ignored, not believed.
-        let bogus = vec![1.0; 10];
-        let still = solve_seeded(&m, &SolveOptions::default(), Some(&bogus)).unwrap();
+        let still = bnb_with(
+            &m,
+            SolveOptions {
+                start: Some(vec![1.0; 10]),
+                ..SolveOptions::default()
+            },
+        )
+        .unwrap();
         assert!((cold.objective - still.objective).abs() < 1e-6);
     }
 
@@ -1419,15 +1098,16 @@ mod tests {
         start[7] = 1.0; // weight 2 <= 7, objective 8
         let cfg = SolveOptions {
             max_nodes: 0,
+            start: Some(start),
             ..SolveOptions::default()
         };
-        let sol = solve_seeded(&m, &cfg, Some(&start)).unwrap();
+        let sol = bnb_with(&m, cfg).unwrap();
         assert_eq!(sol.status, Status::Feasible);
         assert!((sol.objective - 8.0).abs() < 1e-9);
     }
 
-    /// A knapsack family used to compare the sequential and parallel
-    /// searches over several instances.
+    /// A knapsack family that needs some branching, for sweeps over
+    /// several instances.
     fn knapsack_instance(seed: u64, n: usize) -> Model {
         let mut m = Model::new(Sense::Maximize);
         let xs: Vec<_> = (0..n).map(|i| m.bool_var(format!("x{i}"))).collect();
@@ -1453,149 +1133,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_root_split_matches_sequential_objective() {
-        for seed in 0..6u64 {
-            let m = knapsack_instance(seed, 14);
-            let seq = solve(&m).unwrap();
-            let par = solve_with(
-                &m,
-                &SolveOptions {
-                    jobs: 2,
-                    ..SolveOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(par.status, Status::Optimal, "seed {seed}");
-            assert!(
-                (seq.objective - par.objective).abs() < 1e-6,
-                "seed {seed}: sequential {} vs parallel {}",
-                seq.objective,
-                par.objective
-            );
-            // Deterministic merge: the chosen assignment must be feasible
-            // and repeatable run-to-run.
-            let again = solve_with(
-                &m,
-                &SolveOptions {
-                    jobs: 2,
-                    ..SolveOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(par.values, again.values, "seed {seed}: unstable values");
-        }
-    }
-
-    #[test]
-    fn parallel_split_on_sos1_model() {
-        // The DVS shape: SOS1 mode groups. Root split is a group split.
-        let cost = [[4.0, 1.0, 3.0], [2.0, 0.5, 5.0], [3.0, 2.0, 2.0]];
-        let mut m = Model::new(Sense::Minimize);
-        let mut vars = vec![vec![]; 3];
-        for (w, row) in vars.iter_mut().enumerate() {
-            for t in 0..3 {
-                row.push(m.bool_var(format!("w{w}t{t}")));
-            }
-        }
-        let mut obj = LinExpr::zero();
-        for (w, row) in vars.iter().enumerate() {
-            for (t, &v) in row.iter().enumerate() {
-                obj += cost[w][t] * v;
-            }
-        }
-        m.set_objective(obj);
-        for row in &vars {
-            m.add_eq(row[0] + row[1] + row[2], 1.0);
-            m.add_sos1(row.clone());
-        }
-        for ((&a, &b), &c) in vars[0].iter().zip(&vars[1]).zip(&vars[2]) {
-            m.add_eq(a + b + c, 1.0);
-        }
-        let seq = solve(&m).unwrap();
-        let par = solve_with(
-            &m,
-            &SolveOptions {
-                jobs: 4,
-                ..SolveOptions::default()
-            },
-        )
-        .unwrap();
-        assert!((seq.objective - par.objective).abs() < 1e-6);
-        assert_eq!(seq.values, par.values);
-    }
-
-    #[test]
-    fn parallel_infeasible_and_trivial_cases() {
-        let cfg = SolveOptions {
-            jobs: 2,
-            ..SolveOptions::default()
-        };
-        // Infeasible.
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.bool_var("x");
-        m.set_objective(LinExpr::from(x));
-        m.add_ge(LinExpr::from(x), 2.0);
-        assert!(matches!(solve_with(&m, &cfg), Err(MilpError::Infeasible)));
-        // Root-integral (no split needed).
-        let mut m2 = Model::new(Sense::Maximize);
-        let y = m2.bool_var("y");
-        m2.set_objective(2.0 * y);
-        let s = solve_with(&m2, &cfg).unwrap();
-        assert_eq!(s.status, Status::Optimal);
-        assert!((s.objective - 2.0).abs() < 1e-9);
-        // Pure LP under jobs=2.
-        let mut m3 = Model::new(Sense::Maximize);
-        let a = m3.num_var("a", 0.0, 4.0);
-        m3.set_objective(3.0 * a);
-        let s3 = solve_with(&m3, &cfg).unwrap();
-        assert!((s3.objective - 12.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parallel_respects_node_budget() {
-        let m = knapsack_instance(3, 16);
-        let cfg = SolveOptions {
-            jobs: 2,
-            max_nodes: 3,
-            ..SolveOptions::default()
-        };
-        match solve_with(&m, &cfg) {
-            Ok(s) => assert_eq!(s.status, Status::Feasible),
-            Err(MilpError::LimitReached { .. }) => {}
-            Err(e) => panic!("unexpected error {e}"),
-        }
-        // Zero budget behaves like the sequential search.
-        let zero = SolveOptions {
-            jobs: 2,
-            max_nodes: 0,
-            ..SolveOptions::default()
-        };
-        assert!(matches!(
-            solve_with(&m, &zero),
-            Err(MilpError::LimitReached { incumbent: None })
-        ));
-    }
-
-    #[test]
-    fn parallel_warm_start_survives_tiny_budget() {
-        let m = knapsack_instance(5, 12);
-        let seq = solve(&m).unwrap();
-        let cfg = SolveOptions {
-            jobs: 2,
-            ..SolveOptions::default()
-        };
-        let warm = solve_seeded(&m, &cfg, Some(&seq.values)).unwrap();
-        assert!((warm.objective - seq.objective).abs() < 1e-6);
-    }
-
-    #[test]
     fn stats_populated() {
         let mut m = Model::new(Sense::Maximize);
         let x = m.int_var("x", 0.0, 9.0);
         let y = m.int_var("y", 0.0, 9.0);
         m.set_objective(x + y);
         m.add_le(3.0 * x + 7.0 * y, 21.5);
-        let s = solve(&m).unwrap();
+        let s = bnb(&m).unwrap();
         assert!(s.stats.nodes >= 1);
         assert!(
             !s.stats.incumbents.is_empty(),
@@ -1608,8 +1152,8 @@ mod tests {
     fn incumbent_trajectory_is_monotone_and_deterministic() {
         for seed in 0..4u64 {
             let m = knapsack_instance(seed, 14);
-            let a = solve(&m).unwrap();
-            let b = solve(&m).unwrap();
+            let a = bnb(&m).unwrap();
+            let b = bnb(&m).unwrap();
             // Minimization-form objectives strictly improve along the run.
             for w in a.stats.incumbents.windows(2) {
                 assert!(
@@ -1643,7 +1187,7 @@ mod tests {
     #[test]
     fn search_work_counters_are_consistent() {
         let m = knapsack_instance(1, 16);
-        let s = solve(&m).unwrap();
+        let s = bnb(&m).unwrap();
         let st = &s.stats;
         assert!(
             st.pivots + st.bound_flips <= st.lp_iterations,
@@ -1664,17 +1208,17 @@ mod tests {
         // must reproduce it *bit for bit* while doing less simplex work.
         for seed in 0..5u64 {
             let m = knapsack_instance(seed, 14);
-            let reuse = solve_with(
+            let reuse = bnb_with(
                 &m,
-                &SolveOptions {
+                SolveOptions {
                     reuse_basis: true,
                     ..SolveOptions::default()
                 },
             )
             .unwrap();
-            let scratch = solve_with(
+            let scratch = bnb_with(
                 &m,
-                &SolveOptions {
+                SolveOptions {
                     reuse_basis: false,
                     ..SolveOptions::default()
                 },
@@ -1686,35 +1230,6 @@ mod tests {
                 "seed {seed}: objectives must be bit-identical"
             );
             assert_eq!(scratch.stats.dual_pivots, 0);
-        }
-    }
-
-    #[test]
-    fn pseudocost_rule_agrees_with_fractional_rule() {
-        for seed in 0..5u64 {
-            let m = knapsack_instance(seed, 14);
-            let a = solve_with(
-                &m,
-                &SolveOptions {
-                    rule: BranchRule::Sos1ThenPseudoCost,
-                    ..SolveOptions::default()
-                },
-            )
-            .unwrap();
-            let b = solve_with(
-                &m,
-                &SolveOptions {
-                    rule: BranchRule::Sos1ThenFractional,
-                    ..SolveOptions::default()
-                },
-            )
-            .unwrap();
-            assert!(
-                (a.objective - b.objective).abs() < 1e-6,
-                "seed {seed}: {} vs {}",
-                a.objective,
-                b.objective
-            );
         }
     }
 }

@@ -21,8 +21,8 @@
 
 use std::cmp::Ordering;
 
-use crate::backend::{backend_for, extract_ladder, solve_ladder, SolverChoice};
-use crate::branch::{lower_to_lp, SolveOptions};
+use crate::backend::{extract_ladder, solve_ladder, SolveOptions};
+use crate::branch::{lower_to_lp, GAP};
 use crate::model::{Model, Sense, VarKind};
 use crate::simplex::{LpProblem, LpStatus, RowKind, SimplexEngine};
 use crate::solution::{Solution, Status};
@@ -41,7 +41,7 @@ const INT_TOL: f64 = 1e-6;
 /// noise, which is ~1e-13 in practice).
 const OBJ_TOL: f64 = 1e-9;
 /// Extra relative slack folded into the branch-and-bound certificate's
-/// `tolerance` on top of the solver's gap, absorbing the floating-point
+/// `tolerance` on top of the solver's [`GAP`], absorbing the floating-point
 /// distance between the solver's pruning decisions and the exact bound.
 const SLACK_REL: f64 = 1e-7;
 
@@ -56,13 +56,14 @@ fn unsupported(reason: impl Into<String>) -> MilpError {
 }
 
 /// Produces an optimality certificate for `sol`, which must be the result
-/// of solving `model` under `opts` with the backend selected by `choice`.
+/// of [`crate::solve`] on `model` under the same `opts`. The prover
+/// resolves `opts.solver` against the model exactly as `solve` does: a
+/// branch-and-bound solution gets a certifying replay bounded by
+/// `opts.max_nodes`, a continuous one the single-leaf KKT certificate.
 ///
 /// The certificate is deterministic: it depends only on the model, the
-/// incumbent, and the claimed objective — never on wall clock, thread
-/// count, or the search path the original solve happened to take. Solving
-/// with `jobs = 1` and `jobs = N` therefore certifies to identical bytes
-/// as long as both runs agree on the answer.
+/// incumbent, and the claimed objective — never on wall clock or the
+/// search path the original solve happened to take.
 ///
 /// # Errors
 ///
@@ -72,12 +73,12 @@ fn unsupported(reason: impl Into<String>) -> MilpError {
 pub fn certify_solution(
     model: &Model,
     opts: &SolveOptions,
-    choice: SolverChoice,
     sol: &Solution,
 ) -> Result<Certificate, MilpError> {
-    match backend_for(choice, model).name() {
-        "continuous-yds" => certify_continuous(model, sol),
-        _ => certify_bnb(model, opts, sol),
+    if opts.solver.runs_continuous(model) {
+        certify_continuous(model, sol)
+    } else {
+        certify_bnb(model, opts, sol)
     }
 }
 
@@ -702,13 +703,13 @@ impl Replay {
 /// completion of the solver's integer assignment: integers fixed to their
 /// rounded values, continuous variables re-solved by one sequential LP.
 ///
-/// A parallel solve can surface a different-but-equivalent completion of
-/// the same integer answer — the continuous aux values carry whichever
-/// worker's LP noise found the incumbent first, and that noise would leak
-/// into the encoded certificate. The completion LP depends only on the
-/// model and the integer assignment, so `jobs = 1` and `jobs = N`
-/// certify to identical bytes. Returns the canonical incumbent together
-/// with its objective in minimization form (the lowered problem's sense).
+/// Two searches that reach the same integer answer by different paths (a
+/// different warm start, basis reuse on or off) can carry different LP
+/// noise in the continuous aux values, and that noise would leak into the
+/// encoded certificate. The completion LP depends only on the model and
+/// the integer assignment, so such solves certify to identical bytes.
+/// Returns the canonical incumbent together with its objective in
+/// minimization form (the lowered problem's sense).
 fn canonical_incumbent(
     p: &LpProblem,
     model: &Model,
@@ -755,7 +756,7 @@ fn certify_bnb(
     let p = lower_to_lp(model);
     let snap = snapshot_of(&p, model);
     let (incumbent, claimed) = canonical_incumbent(&p, model, sol)?;
-    let tolerance = opts.gap + SLACK_REL * claimed.abs().max(1.0);
+    let tolerance = GAP + SLACK_REL * claimed.abs().max(1.0);
     let target = dy(claimed).sub(&dy(tolerance));
     let mut replay = Replay::new(&p, snap, target, opts.max_nodes);
     let tree = replay.node()?;
@@ -883,8 +884,7 @@ fn certify_continuous(model: &Model, sol: &Solution) -> Result<Certificate, Milp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve_with_choice;
-    use crate::LinExpr;
+    use crate::{solve, LinExpr, SolverChoice};
 
     /// A ladder-shaped model: groups of `(time, energy)` points, one
     /// exactly-one row per group (plus an SOS1 hint), one deadline row.
@@ -910,8 +910,11 @@ mod tests {
         m
     }
 
-    fn opts() -> SolveOptions {
-        SolveOptions::default()
+    fn opts(solver: SolverChoice) -> SolveOptions {
+        SolveOptions {
+            solver,
+            ..SolveOptions::default()
+        }
     }
 
     #[test]
@@ -924,8 +927,8 @@ mod tests {
             ],
             7.0,
         );
-        let sol = solve_with_choice(&m, SolverChoice::BranchAndBound, &opts()).unwrap();
-        let cert = certify_solution(&m, &opts(), SolverChoice::BranchAndBound, &sol).unwrap();
+        let sol = solve(&m, &opts(SolverChoice::BranchAndBound)).unwrap();
+        let cert = certify_solution(&m, &opts(SolverChoice::BranchAndBound), &sol).unwrap();
         let report = dvs_cert::check(&cert);
         assert!(report.ok(), "{:?}", report.reject);
         assert!(report.bound_leaves + report.empty_leaves >= 1);
@@ -941,8 +944,8 @@ mod tests {
             ],
             5.0,
         );
-        let sol = solve_with_choice(&m, SolverChoice::Continuous, &opts()).unwrap();
-        let cert = certify_solution(&m, &opts(), SolverChoice::Continuous, &sol).unwrap();
+        let sol = solve(&m, &opts(SolverChoice::Continuous)).unwrap();
+        let cert = certify_solution(&m, &opts(SolverChoice::Continuous), &sol).unwrap();
         let report = dvs_cert::check(&cert);
         assert!(report.ok(), "{:?}", report.reject);
         assert_eq!(cert.backend, "continuous");
@@ -960,20 +963,20 @@ mod tests {
             ],
             6.0,
         );
-        let sol = solve_with_choice(&m, SolverChoice::BranchAndBound, &opts()).unwrap();
-        let a = certify_solution(&m, &opts(), SolverChoice::BranchAndBound, &sol).unwrap();
-        let b = certify_solution(&m, &opts(), SolverChoice::BranchAndBound, &sol).unwrap();
+        let sol = solve(&m, &opts(SolverChoice::BranchAndBound)).unwrap();
+        let a = certify_solution(&m, &opts(SolverChoice::BranchAndBound), &sol).unwrap();
+        let b = certify_solution(&m, &opts(SolverChoice::BranchAndBound), &sol).unwrap();
         assert_eq!(a.encode(), b.encode());
     }
 
     #[test]
     fn corrupted_claim_is_rejected_not_certified() {
         let m = ladder_model(&[&[(1.0, 9.0), (2.0, 4.0)]], 2.0);
-        let mut sol = solve_with_choice(&m, SolverChoice::BranchAndBound, &opts()).unwrap();
+        let mut sol = solve(&m, &opts(SolverChoice::BranchAndBound)).unwrap();
         // Claim a better objective than the true optimum: the replay
         // cannot prove the tighter target and must refuse to certify.
         sol.objective -= 1.0;
-        let err = certify_solution(&m, &opts(), SolverChoice::BranchAndBound, &sol);
+        let err = certify_solution(&m, &opts(SolverChoice::BranchAndBound), &sol);
         assert!(err.is_err());
     }
 
@@ -988,8 +991,8 @@ mod tests {
             ],
             2.0,
         );
-        let sol = solve_with_choice(&m, SolverChoice::BranchAndBound, &opts()).unwrap();
-        let cert = certify_solution(&m, &opts(), SolverChoice::BranchAndBound, &sol).unwrap();
+        let sol = solve(&m, &opts(SolverChoice::BranchAndBound)).unwrap();
+        let cert = certify_solution(&m, &opts(SolverChoice::BranchAndBound), &sol).unwrap();
         let report = dvs_cert::check(&cert);
         assert!(report.ok(), "{:?}", report.reject);
     }

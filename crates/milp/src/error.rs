@@ -31,9 +31,10 @@ pub enum MilpError {
     /// The simplex failed to converge within its iteration budget (numerical
     /// trouble).
     SimplexStalled,
-    /// The selected solver backend cannot represent this model (e.g. the
-    /// `ContinuousYds` backend was forced on a model that is not a pure
-    /// voltage-ladder selection problem).
+    /// The selected solver cannot represent this model (e.g.
+    /// [`crate::SolverChoice::Continuous`] was forced on a model that is not
+    /// a pure voltage-ladder selection problem), or a solution cannot be
+    /// certified.
     Unsupported {
         /// Human-readable description of the unsupported structure.
         reason: String,

@@ -12,20 +12,22 @@
 //!   a warm-start **dual simplex** that restarts a node LP from its
 //!   parent's basis — variable bounds are handled natively rather than as
 //!   extra rows, which keeps the DVS formulations small;
-//! * a **branch-and-bound** driver ([`solve`]) with depth-first diving for
-//!   fast incumbents, best-bound pruning, basis reuse across nodes,
-//!   pseudo-cost branching, integrality-aware presolve, and SOS1-aware
-//!   group splits for the `Σ_m k_ijm = 1` mode-selection groups that
-//!   dominate the DVS MILP;
-//! * a **pluggable backend layer** ([`SolverBackend`]) with an exact
-//!   `O(n log n)` continuous-voltage algorithm ([`ContinuousYds`]) next to
-//!   the general search, selected explicitly or by shape via
-//!   [`SolverChoice::Auto`].
+//! * a **branch-and-bound** search with depth-first diving for fast
+//!   incumbents, best-bound pruning, basis reuse across nodes, pseudo-cost
+//!   branching, integrality-aware presolve, and SOS1-aware group splits
+//!   for the `Σ_m k_ijm = 1` mode-selection groups that dominate the DVS
+//!   MILP;
+//! * an exact `O(n log n)` **continuous-voltage** algorithm next to the
+//!   general search, which also seeds the search's root bound.
+//!
+//! [`solve`] is the one entry point: it runs whichever search
+//! [`SolveOptions::solver`] selects, explicitly or by model shape via
+//! [`SolverChoice::Auto`].
 //!
 //! # Example
 //!
 //! ```
-//! use dvs_milp::{Model, Sense};
+//! use dvs_milp::{Model, Sense, SolveOptions};
 //!
 //! // max x + 2y  s.t.  x + y <= 4, x <= 3, y <= 2, x,y integer >= 0
 //! let mut m = Model::new(Sense::Maximize);
@@ -33,7 +35,7 @@
 //! let y = m.int_var("y", 0.0, 2.0);
 //! m.set_objective(x + 2.0 * y);
 //! m.add_le(x + y, 4.0);
-//! let sol = dvs_milp::solve(&m).unwrap();
+//! let sol = dvs_milp::solve(&m, &SolveOptions::default()).unwrap();
 //! assert_eq!(sol.objective.round() as i64, 6); // x=2, y=2
 //! ```
 
@@ -50,13 +52,7 @@ pub mod presolve;
 pub mod simplex;
 mod solution;
 
-pub use backend::{
-    backend_for, relaxation_bound, solve_with_choice, BranchAndBound, ContinuousYds, SolverBackend,
-    SolverChoice,
-};
-#[allow(deprecated)]
-pub use branch::BranchConfig;
-pub use branch::{solve, solve_seeded, solve_with, BranchRule, SolveOptions};
+pub use backend::{relaxation_bound, solve, SolveOptions, SolverChoice};
 pub use certify::certify_solution;
 pub use error::MilpError;
 pub use expr::{LinExpr, Var};

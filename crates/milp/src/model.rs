@@ -315,7 +315,7 @@ mod tests {
         m.set_objective(LinExpr::from(x));
         m.add_range(2.0 * x, 3.0, 8.0);
         assert_eq!(m.num_constraints(), 2);
-        let s = crate::solve(&m).unwrap();
+        let s = crate::solve(&m, &crate::SolveOptions::default()).unwrap();
         assert!((s.value(x) - 4.0).abs() < 1e-6);
     }
 
@@ -342,14 +342,14 @@ mod tests {
         let v = m.bool_var("v");
         m.add_eq(u + v, 1.0);
         m.add_sos1(vec![u, v]);
-        let integral = crate::solve(&m).unwrap();
+        let integral = crate::solve(&m, &crate::SolveOptions::default()).unwrap();
         assert!((integral.objective - 2.0).abs() < 1e-6);
 
         let r = m.relax();
         assert_eq!(r.num_int_vars(), 0);
         assert_eq!(r.num_vars(), m.num_vars());
         assert!(r.sos1_groups.is_empty());
-        let relaxed = crate::solve(&r).unwrap();
+        let relaxed = crate::solve(&r, &crate::SolveOptions::default()).unwrap();
         assert!((relaxed.objective - 5.0 / 3.0).abs() < 1e-6);
         assert!(relaxed.objective <= integral.objective + 1e-9);
         // Bounds survive the relaxation.

@@ -18,8 +18,8 @@ pub enum Status {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Incumbent {
     /// Objective value of the new incumbent in **minimization form** (the
-    /// sign flip for maximization models is *not* applied), so a
-    /// sequential search's trajectory is always monotone nonincreasing.
+    /// sign flip for maximization models is *not* applied), so the
+    /// trajectory is always monotone nonincreasing.
     pub objective: f64,
     /// Branch-and-bound nodes explored when this incumbent was found
     /// (0 = warm-start seed accepted before the search began).
@@ -70,35 +70,8 @@ pub struct SolveStats {
     pub mip_gap: f64,
     /// Every improvement of the incumbent, in the order found. Objectives
     /// are recorded in minimization form and the trajectory is monotone
-    /// strictly decreasing, ending at the returned solution's objective —
-    /// for sequential searches by construction, and for a parallel root
-    /// split because the merge renumbers child improvements into the
-    /// deterministic depth-first exploration order and keeps only the
-    /// strict improvements.
+    /// strictly decreasing, ending at the returned solution's objective.
     pub incumbents: Vec<Incumbent>,
-}
-
-impl SolveStats {
-    /// Folds another run's statistics into this one (used when merging
-    /// the results of a parallel root split). Counter fields add;
-    /// `best_bound` takes the minimum. The incumbent trajectory is *not*
-    /// touched: children of a parallel split re-record the shared seed and
-    /// number nodes from their own root, so a blind concatenation would
-    /// duplicate entries and break monotonicity — the merge site filters
-    /// and renumbers instead.
-    pub fn absorb(&mut self, other: &SolveStats) {
-        self.nodes += other.nodes;
-        self.nodes_pruned += other.nodes_pruned;
-        self.lp_iterations += other.lp_iterations;
-        self.pivots += other.pivots;
-        self.degenerate_pivots += other.degenerate_pivots;
-        self.bound_flips += other.bound_flips;
-        self.refactorizations += other.refactorizations;
-        self.dual_pivots += other.dual_pivots;
-        self.presolve_rows_removed += other.presolve_rows_removed;
-        self.presolve_bounds_tightened += other.presolve_bounds_tightened;
-        self.best_bound = self.best_bound.min(other.best_bound);
-    }
 }
 
 /// A feasible (and usually optimal) solution to a [`crate::Model`].

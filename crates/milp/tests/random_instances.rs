@@ -10,7 +10,7 @@
 //! reproduce exactly; each test sweeps the same instance counts the old
 //! property-testing setup used.
 
-use dvs_milp::{solve, solve_with, BranchRule, LinExpr, MilpError, Model, Sense, SolveOptions};
+use dvs_milp::{solve, LinExpr, MilpError, Model, Sense, SolveOptions};
 
 /// SplitMix64: tiny, seedable, and statistically fine for test-case
 /// generation.
@@ -86,7 +86,7 @@ fn binary_milp_matches_brute_force() {
         }
 
         let expected = brute_force_binary(n, &obj, &cons);
-        match (solve(&m), expected) {
+        match (solve(&m, &SolveOptions::default()), expected) {
             (Ok(sol), Some(best)) => {
                 assert!(
                     (sol.objective - best).abs() < 1e-6,
@@ -151,7 +151,7 @@ fn lp_optimum_dominates_random_feasible_points() {
             }
             m.add_le(lhs, *b);
         }
-        let sol = solve(&m).unwrap();
+        let sol = solve(&m, &SolveOptions::default()).unwrap();
 
         // The solver's point is feasible.
         for (a, b) in &cons {
@@ -189,11 +189,11 @@ fn lp_optimum_dominates_random_feasible_points() {
     }
 }
 
-/// SOS1 branching and plain most-fractional branching must agree on
-/// the optimal objective of random assignment-like instances (they
-/// explore different trees, same optimum).
+/// SOS1 group branching finds the brute-force optimum of random
+/// assignment-like instances: three groups of three binaries, one pick per
+/// group, and a side constraint coupling the groups.
 #[test]
-fn branch_rules_agree_on_optimum() {
+fn sos1_branching_matches_brute_force() {
     let mut rng = Rng(0xD5_5EED_0003);
     for case in 0..48 {
         let costs: Vec<f64> = (0..9).map(|_| rng.int(0, 12) as f64).collect();
@@ -224,33 +224,29 @@ fn branch_rules_agree_on_optimum() {
         m.add_le(col0, cap);
         m.set_objective(obj);
 
-        let sos = solve_with(
-            &m,
-            &SolveOptions {
-                rule: BranchRule::Sos1ThenFractional,
-                ..SolveOptions::default()
-            },
+        // Brute force: the 27 one-pick-per-group assignments under the cap
+        // (`cap >= 1`, so picking column 1 everywhere is always feasible).
+        let best = (0..27usize)
+            .map(|code| [code % 3, code / 3 % 3, code / 9])
+            .filter(|picks| picks.iter().filter(|&&p| p == 0).count() as f64 <= cap)
+            .map(|picks| (0..3).map(|g| costs[g * 3 + picks[g]]).sum::<f64>())
+            .fold(f64::INFINITY, f64::min);
+
+        let sol = solve(&m, &SolveOptions::default())
+            .unwrap_or_else(|e| panic!("case {case}: feasible instance failed: {e}"));
+        assert!(
+            (sol.objective - best).abs() < 1e-6,
+            "case {case}: solver {} vs brute force {best}",
+            sol.objective
         );
-        let frac = solve_with(
-            &m,
-            &SolveOptions {
-                rule: BranchRule::MostFractional,
-                ..SolveOptions::default()
-            },
-        );
-        match (sos, frac) {
-            (Ok(a), Ok(b)) => assert!(
-                (a.objective - b.objective).abs() < 1e-6,
-                "case {case}: sos {} vs fractional {}",
-                a.objective,
-                b.objective
-            ),
-            (a, b) => panic!(
-                "case {case}: solver disagreement: {:?} vs {:?}",
-                a.map(|s| s.objective),
-                b.map(|s| s.objective)
-            ),
+        // The returned point is itself an assignment under the cap.
+        let mut zeros = 0;
+        for group in &vars {
+            let picks: Vec<i64> = group.iter().map(|&v| sol.int_value(v)).collect();
+            assert_eq!(picks.iter().sum::<i64>(), 1, "case {case}: {picks:?}");
+            zeros += picks[0];
         }
+        assert!(zeros as f64 <= cap, "case {case}: cap violated");
     }
 }
 
@@ -273,7 +269,7 @@ fn presolve_preserves_milp_optimum() {
         }
         m.set_objective(obj);
         m.add_le(w, rhs);
-        let with = solve_with(
+        let with = solve(
             &m,
             &SolveOptions {
                 presolve: true,
@@ -281,7 +277,7 @@ fn presolve_preserves_milp_optimum() {
             },
         )
         .expect("feasible: all-zero works");
-        let without = solve_with(
+        let without = solve(
             &m,
             &SolveOptions {
                 presolve: false,
@@ -344,7 +340,7 @@ fn basis_reuse_preserves_optimum_and_saves_pivots() {
         m.add_le(time, min_t + 0.35 * (max_t - min_t));
         m.set_objective(obj);
 
-        let warm = solve_with(
+        let warm = solve(
             &m,
             &SolveOptions {
                 reuse_basis: true,
@@ -352,7 +348,7 @@ fn basis_reuse_preserves_optimum_and_saves_pivots() {
             },
         )
         .expect("all-fastest assignment is feasible");
-        let cold = solve_with(
+        let cold = solve(
             &m,
             &SolveOptions {
                 reuse_basis: false,

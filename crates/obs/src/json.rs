@@ -2,7 +2,7 @@
 //!
 //! The observability layer needs to *emit* JSON (Chrome trace events,
 //! [`crate::MetricsSnapshot`]) and the rest of the workspace needs to
-//! round-trip a handful of structures ([`dvs_ir::Cfg`]-style graphs,
+//! round-trip a handful of structures (`dvs_ir::Cfg`-style graphs,
 //! voltage ladders) without any external crates being available. This
 //! module provides exactly that: a [`Json`] tree, [`Json::parse`], and
 //! compact/pretty writers. Object member order is preserved.

@@ -634,8 +634,7 @@ fn ladder(levels: usize) -> Option<VoltageLadder> {
 
 /// Builds the compiler a request describes. `Compile` validates on the
 /// simulator; `Verify` skips validation (the static pass runs instead);
-/// `Certify` turns on the certified-optimality gate. All pin
-/// `solver_jobs` to 1 so results are reproducible and cacheable.
+/// `Certify` turns on the certified-optimality gate.
 fn build_compiler(req: &SolveRequest, ladder: VoltageLadder) -> Result<DvsCompiler, String> {
     let solver = dvs_compiler::SolverChoice::parse(&req.solver)
         .ok_or_else(|| format!("bad solver `{}`", req.solver))?;
@@ -646,7 +645,6 @@ fn build_compiler(req: &SolveRequest, ladder: VoltageLadder) -> Result<DvsCompil
     )
     .validation(req.op == SolveOp::Compile)
     .certify(req.op == SolveOp::Certify)
-    .solver_jobs(1)
     .solver(solver)
     .build()
     .map_err(|e| format!("bad compiler settings: {e}"))

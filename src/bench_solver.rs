@@ -19,9 +19,9 @@
 //!
 //! * **Search-work counters** ([`dvs_milp::SolveStats`]: nodes, pruned
 //!   nodes, simplex pivots, presolve reductions, the incumbent
-//!   trajectory, the final MIP gap) are *deterministic*: every cell pins
-//!   `solver_jobs` to 1, so the same toolchain produces the same values
-//!   whatever `--jobs` fans the cells out over. CI diffs these against
+//!   trajectory, the final MIP gap) are *deterministic*: the search is
+//!   sequential, so the same toolchain produces the same values whatever
+//!   `--jobs` fans the cells out over. CI diffs these against
 //!   the committed baseline; a change means the solver's search actually
 //!   changed.
 //! * **Wall-clock percentiles** (`wall_us`) are measured over `reps`
@@ -50,8 +50,8 @@ pub struct BenchSolverConfig {
     /// Trim the grid and the repetition count for CI smoke runs.
     pub quick: bool,
     /// Worker threads fanning out over grid *cells*. The solver inside
-    /// each cell always runs sequentially (`solver_jobs = 1`), so this
-    /// only affects wall clock, never the counters.
+    /// each cell is sequential, so this only affects wall clock, never the
+    /// counters.
     pub jobs: usize,
 }
 
@@ -149,7 +149,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 
 /// Runs one cell: generate → profile → solve `reps` times. Counters come
 /// from the first repetition (they are identical across repetitions —
-/// the solver is deterministic at `solver_jobs = 1`); wall clock is
+/// the solver is deterministic); wall clock is
 /// aggregated over all of them.
 #[allow(clippy::cast_precision_loss)]
 fn run_cell(cell: &Cell) -> Json {
@@ -197,8 +197,8 @@ fn run_cell(cell: &Cell) -> Json {
     // Continuous cells carry a cross-check pair: the exact closed-form
     // continuous optimum next to the branch-and-bound LP relaxation of the
     // same model. The baseline validator asserts they agree to 1e-6 —
-    // this is the machine-checked form of the "ContinuousYds matches B&B
-    // on continuous ladders" contract.
+    // this is the machine-checked form of the "the continuous algorithm
+    // matches B&B on continuous ladders" contract.
     let extras: Vec<(String, Json)> = if cell.backend == SolverChoice::Continuous {
         let exact = formulation.relaxation_bound_via(SolverChoice::Continuous);
         let lp = formulation.relaxation_bound_via(SolverChoice::BranchAndBound);

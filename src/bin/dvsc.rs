@@ -4,7 +4,7 @@
 //! dvsc list
 //! dvsc compile --benchmark gsm --deadline 3 [--levels 3] [--capacitance 0.05]
 //!              [--solver auto|bnb|continuous] [--certify] [--emit listing.s]
-//!              [--no-validate] [--metrics] [--trace-out trace.json] [--jobs N]
+//!              [--no-validate] [--metrics] [--trace-out trace.json]
 //! dvsc analyze --benchmark epic [--levels 7]
 //! dvsc check [--seeds N] [--seed-base S] [--max-blocks K] [--jobs J]
 //!            [--repro-out FILE]
@@ -128,7 +128,7 @@ fn usage() -> ExitCode {
         "usage:\n  dvsc list\n  dvsc [compile] --benchmark <name> [--deadline 1..5] \
          [--levels N] [--capacitance µF] [--emit FILE] [--no-validate]\n  \
          \x20              [--solver auto|bnb|continuous] [--certify] [--metrics] \
-         [--trace-out FILE] [--jobs N]\n  \
+         [--trace-out FILE]\n  \
          dvsc analyze --benchmark <name> [--levels N]\n  \
          dvsc check [--seeds N] [--seed-base S] [--max-blocks K] [--jobs J] \
          [--repro-out FILE]\n  \
@@ -843,8 +843,6 @@ fn run_compile(args: &Args) -> u8 {
         deadline
     );
 
-    // `--jobs` feeds both knobs: grid fan-out (for compile_grid users) and
-    // the MILP's parallel root split (capped at the 2 root children).
     let compiler = match DvsCompiler::builder(
         machine,
         ladder,
@@ -852,8 +850,6 @@ fn run_compile(args: &Args) -> u8 {
     )
     .validation(args.validate)
     .certify(args.certify)
-    .jobs(args.jobs)
-    .solver_jobs(args.jobs.min(2))
     .solver(
         compile_time_dvs::compiler::SolverChoice::parse(&args.solver)
             .expect("--solver was validated during argument parsing"),
@@ -996,7 +992,6 @@ fn verify_one(b: Benchmark, ladder: &VoltageLadder, args: &Args, want_dot: bool)
         let transition = TransitionModel::with_capacitance_uf(args.capacitance_uf);
         let compiler = DvsCompiler::builder(machine.clone(), ladder.clone(), transition)
             .validation(false)
-            .solver_jobs(1)
             .build()
             .map_err(|e| format!("bad compiler settings: {e}"))?;
         let (profile, _) = compiler.profile(&cfg, &trace);

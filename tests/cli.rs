@@ -56,6 +56,56 @@ fn compile_ghostscript_and_emit_listing() {
     let _ = std::fs::remove_file(&tmp);
 }
 
+/// Replaces the wall-clock `… ms solve` figure with `<ms>`.
+fn mask_solve_time(text: &str) -> String {
+    text.lines()
+        .map(|line| match line.find(" ms solve") {
+            Some(end) => {
+                let start = line[..end].rfind(' ').map_or(0, |i| i + 1);
+                format!("{}<ms>{}", &line[..start], &line[end..])
+            }
+            None => line.to_string(),
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// `--jobs` must not change what `compile` prints: the MILP search is
+/// sequential whatever the worker count, so the node count and every
+/// predicted figure match; only the wall-clock solve time is masked.
+#[test]
+fn compile_output_does_not_depend_on_jobs() {
+    let run = |jobs: &str| {
+        let out = dvsc()
+            .args([
+                "compile",
+                "--benchmark",
+                "gsm",
+                "--deadline",
+                "3",
+                "--levels",
+                "7",
+                "--no-validate",
+                "--jobs",
+                jobs,
+            ])
+            .output()
+            .expect("dvsc runs");
+        assert!(
+            out.status.success(),
+            "--jobs {jobs} stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        mask_solve_time(&String::from_utf8_lossy(&out.stdout))
+    };
+    let one = run("1");
+    assert!(
+        one.contains("B&B nodes, <ms> ms solve)"),
+        "solve time not masked:\n{one}"
+    );
+    assert_eq!(one, run("4"), "--jobs 1 and --jobs 4 outputs differ");
+}
+
 #[test]
 fn analyze_prints_bounds() {
     let out = dvsc()

@@ -56,7 +56,6 @@ fn direct_compile_body(b: Benchmark, deadline_index: usize) -> String {
         TransitionModel::with_capacitance_uf(0.05),
     )
     .validation(true)
-    .solver_jobs(1)
     .build()
     .expect("paper-default compiler builds");
     let cfg = b.build_cfg();
