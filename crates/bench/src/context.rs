@@ -1,7 +1,7 @@
 use dvs_compiler::DeadlineScheme;
 use dvs_ir::{Cfg, Profile};
 use dvs_sim::{Machine, ModeProfiler, RunStats, Trace};
-use dvs_vf::{AlphaPower, VoltageLadder};
+use dvs_vf::VoltageLadder;
 use dvs_workloads::Benchmark;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -43,16 +43,11 @@ pub fn scaled_capacitance_uf(benchmark: Benchmark, our_t200_us: f64) -> f64 {
     10.0 * our_t200_us / paper_t200_us(benchmark)
 }
 
-/// Builds the ladder used throughout the experiments: the paper's exact
-/// XScale 3-level ladder, or an interpolated `n`-level one.
+/// The ladder used throughout the experiments, [`VoltageLadder::paper`]
+/// (every experiment asks for 3, 7 or 13 levels).
 #[must_use]
 pub fn ladder_of(levels: usize) -> VoltageLadder {
-    let law = AlphaPower::paper();
-    if levels == 3 {
-        VoltageLadder::xscale3(&law)
-    } else {
-        VoltageLadder::interpolated(&law, levels).expect("levels >= 2")
-    }
+    VoltageLadder::paper(levels).expect("experiment ladders have at least 2 levels")
 }
 
 /// A compute-once cell shared between threads: the map lock is held only
@@ -196,12 +191,5 @@ mod tests {
         assert_eq!(ctx.profiles.lock().unwrap().len(), 1);
         let t0 = profiles[0].total_time_at(0);
         assert!(profiles.iter().all(|p| p.total_time_at(0) == t0));
-    }
-
-    #[test]
-    fn ladders() {
-        assert_eq!(ladder_of(3).len(), 3);
-        assert_eq!(ladder_of(7).len(), 7);
-        assert!((ladder_of(3).fastest().frequency_mhz - 800.0).abs() < 1e-9);
     }
 }

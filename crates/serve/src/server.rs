@@ -27,7 +27,7 @@ use crate::trace::{self, TraceCtx, ROOT_SPAN};
 use dvs_compiler::{DeadlineScheme, DvsCompiler};
 use dvs_obs::json::Json;
 use dvs_sim::Machine;
-use dvs_vf::{AlphaPower, TransitionModel, VoltageLadder};
+use dvs_vf::{TransitionModel, VoltageLadder};
 use dvs_workloads::Benchmark;
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -616,22 +616,6 @@ fn dispatcher(state: &State) {
     }
 }
 
-/// Resolves a benchmark name the way `dvsc` does: exact match or prefix.
-fn find_benchmark(name: &str) -> Option<Benchmark> {
-    Benchmark::all()
-        .into_iter()
-        .find(|b| b.name() == name || b.name().starts_with(name))
-}
-
-fn ladder(levels: usize) -> Option<VoltageLadder> {
-    let law = AlphaPower::paper();
-    if levels == 3 {
-        Some(VoltageLadder::xscale3(&law))
-    } else {
-        VoltageLadder::interpolated(&law, levels).ok()
-    }
-}
-
 /// Builds the compiler a request describes. `Compile` validates on the
 /// simulator; `Verify` skips validation (the static pass runs instead);
 /// `Certify` turns on the certified-optimality gate.
@@ -655,12 +639,11 @@ fn build_compiler(req: &SolveRequest, ladder: VoltageLadder) -> Result<DvsCompil
 /// config digest) hashed with FNV-1a 64. Validation of the request
 /// happens here, so a `bad_request` never reaches the queue.
 fn request_key(req: &SolveRequest) -> Result<(u64, String), String> {
-    let b = find_benchmark(&req.benchmark)
-        .ok_or_else(|| format!("unknown benchmark `{}`", req.benchmark))?;
+    let b = Benchmark::find(&req.benchmark)?;
     if !(1..=5).contains(&req.deadline_index) {
         return Err("deadline_index must be 1..5".to_string());
     }
-    let ladder = ladder(req.levels).ok_or_else(|| format!("bad levels {}", req.levels))?;
+    let ladder = VoltageLadder::paper(req.levels).map_err(|e| format!("bad levels: {e}"))?;
     let compiler = build_compiler(req, ladder)?;
     let canonical = format!(
         "dvs-serve.request.v1 op={} benchmark={} deadline_index={} config={:016x}",
@@ -741,8 +724,8 @@ impl Solved {
 /// (tens to hundreds of milliseconds per workload); everything above it
 /// exists to avoid re-entering it.
 fn execute_solve(req: &SolveRequest) -> Result<Solved, String> {
-    let b = find_benchmark(&req.benchmark).ok_or("benchmark vanished after admission")?;
-    let ladder = ladder(req.levels).ok_or("ladder vanished after admission")?;
+    let b = Benchmark::find(&req.benchmark)?;
+    let ladder = VoltageLadder::paper(req.levels).map_err(|e| e.to_string())?;
     let compiler = build_compiler(req, ladder.clone())?;
     let cfg = b.build_cfg();
     let trace = b.trace(&cfg, &b.default_input());

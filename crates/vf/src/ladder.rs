@@ -1,20 +1,6 @@
 use crate::{AlphaPower, ModeId, OperatingPoint, VfError};
 use dvs_obs::json::Json;
 
-/// How a [`VoltageLadder`] should be generated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LadderSpec {
-    /// The paper's XScale-like 3-level ladder:
-    /// 200 MHz @ 0.7 V, 600 MHz @ 1.3 V, 800 MHz @ 1.65 V.
-    Xscale3,
-    /// `n` levels with voltages evenly spaced over [0.7 V, 1.65 V] and
-    /// every frequency from the alpha-power law, anchors included: 0.7 V
-    /// runs at about 179.31 MHz here, not the 200 MHz of
-    /// [`LadderSpec::Xscale3`], and only 1.65 V lands on 800 MHz (the law's
-    /// calibration point).
-    Interpolated(usize),
-}
-
 /// An ordered set of discrete `(V, f)` operating points, slowest first.
 ///
 /// The paper studies ladders with 3, 7 and 13 levels; [`VoltageLadder`]
@@ -90,6 +76,26 @@ impl VoltageLadder {
         VoltageLadder::from_points(points)
     }
 
+    /// The paper's ladder of `levels` points: the exact
+    /// [`VoltageLadder::xscale3`] for 3 levels, otherwise
+    /// [`VoltageLadder::interpolated`] under [`AlphaPower::paper`]. The
+    /// interpolated ladders take every frequency from the law, anchors
+    /// included: 0.7 V runs at about 179.31 MHz there, not the 200 MHz of
+    /// the 3-level ladder, and only 1.65 V lands on 800 MHz (the law's
+    /// calibration point).
+    ///
+    /// # Errors
+    ///
+    /// [`VfError::LadderTooSmall`] if `levels < 2`.
+    pub fn paper(levels: usize) -> Result<Self, VfError> {
+        let law = AlphaPower::paper();
+        if levels == 3 {
+            Ok(VoltageLadder::xscale3(&law))
+        } else {
+            VoltageLadder::interpolated(&law, levels)
+        }
+    }
+
     /// Builds a ladder whose levels sit at the given frequencies (MHz,
     /// strictly increasing), with voltages from the alpha-power law — e.g.
     /// to model a processor documented by frequency steps only.
@@ -111,18 +117,6 @@ impl VoltageLadder {
             points.push(OperatingPoint::new(v, f));
         }
         VoltageLadder::from_points(points)
-    }
-
-    /// Builds a ladder from a [`LadderSpec`].
-    ///
-    /// # Errors
-    ///
-    /// See [`VoltageLadder::interpolated`].
-    pub fn from_spec(law: &AlphaPower, spec: LadderSpec) -> Result<Self, VfError> {
-        match spec {
-            LadderSpec::Xscale3 => Ok(VoltageLadder::xscale3(law)),
-            LadderSpec::Interpolated(n) => VoltageLadder::interpolated(law, n),
-        }
     }
 
     /// Number of levels.
@@ -338,11 +332,15 @@ mod tests {
     }
 
     #[test]
-    fn from_spec_dispatches() {
-        let l3 = VoltageLadder::from_spec(&law(), LadderSpec::Xscale3).unwrap();
-        assert_eq!(l3.len(), 3);
-        let l7 = VoltageLadder::from_spec(&law(), LadderSpec::Interpolated(7)).unwrap();
-        assert_eq!(l7.len(), 7);
+    fn paper_ladder_is_xscale3_at_three_levels_and_interpolated_otherwise() {
+        assert_eq!(VoltageLadder::paper(3), Ok(VoltageLadder::xscale3(&law())));
+        for n in [2, 7, 13] {
+            assert_eq!(
+                VoltageLadder::paper(n),
+                VoltageLadder::interpolated(&law(), n)
+            );
+        }
+        assert!(VoltageLadder::paper(1).is_err());
     }
 
     #[test]

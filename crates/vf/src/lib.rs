@@ -48,6 +48,6 @@ mod transition;
 
 pub use alpha_power::AlphaPower;
 pub use error::VfError;
-pub use ladder::{LadderSpec, VoltageLadder};
+pub use ladder::VoltageLadder;
 pub use point::{ModeId, OperatingPoint};
 pub use transition::TransitionModel;

@@ -121,6 +121,36 @@ impl Benchmark {
         }
     }
 
+    /// Resolves a user-typed benchmark name: an exact [`Benchmark::name`]
+    /// wins, otherwise the one benchmark whose name starts with `name`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming `name` when no benchmark matches, or naming every
+    /// candidate when the prefix matches more than one (`mp` matches both
+    /// `mpeg/decode` and `mpg123`).
+    pub fn find(name: &str) -> Result<Benchmark, String> {
+        let all = Benchmark::all();
+        if let Some(&b) = all.iter().find(|b| b.name() == name) {
+            return Ok(b);
+        }
+        let hits: Vec<Benchmark> = all
+            .into_iter()
+            .filter(|b| b.name().starts_with(name))
+            .collect();
+        match hits[..] {
+            [b] => Ok(b),
+            [] => Err(format!("unknown benchmark `{name}`")),
+            _ => {
+                let names: Vec<&str> = hits.iter().map(|b| b.name()).collect();
+                Err(format!(
+                    "ambiguous benchmark `{name}`: matches {}",
+                    names.join(", ")
+                ))
+            }
+        }
+    }
+
     /// Builds the benchmark's control-flow graph.
     ///
     /// # Panics
@@ -247,6 +277,20 @@ mod tests {
                 b.name()
             );
         }
+    }
+
+    /// Every name and prefix the repository passes resolves; `mp` does not.
+    #[test]
+    fn find_takes_exact_names_and_unique_prefixes_only() {
+        for b in Benchmark::all() {
+            assert_eq!(Benchmark::find(b.name()), Ok(b));
+        }
+        for prefix in ["adpcm", "gsm", "mpeg", "epic", "ghostscript"] {
+            assert!(Benchmark::find(prefix).is_ok_and(|b| b.name().starts_with(prefix)));
+        }
+        let err = Benchmark::find("mp").unwrap_err();
+        assert!(err.ends_with("matches mpeg/decode, mpg123"), "{err}");
+        assert!(Benchmark::find("no-such-benchmark").is_err());
     }
 
     #[test]

@@ -15,42 +15,22 @@
 //! once per cell. Three kinds of numbers live in the report:
 //!
 //! * **Workload shape** (blocks, edges, trace instructions, variant and
-//!   block-op counts) is *deterministic* — CI diffs it against the
-//!   committed baseline via [`deterministic_view`].
+//!   block-op counts) is deterministic.
 //! * **Agreement** (`agreement_ok`, `max_rel_err`) pins the 1e-6
 //!   bytecode-vs-simulator contract on every cell; also deterministic.
 //! * **Wall clock and speedup** (`wall_us`, `speedup`) are measured over
-//!   `reps` paired repetitions and are machine-dependent;
-//!   [`deterministic_view`] strips them, and the validator gates on the
-//!   median speedup separately.
+//!   five paired repetitions and are machine-dependent.
 
+use crate::bench::{at, percentile, run_grid, sum, wall_stats, REPLAY_SCHEMA};
 use dvs_check::{gen_cfg, gen_trace, Gen};
 use dvs_obs::json::Json;
 use dvs_replay::ReplayBytecode;
-use dvs_runtime::Pool;
 use dvs_sim::{EdgeSchedule, Machine, ScheduledRun};
-use dvs_vf::{AlphaPower, ModeId, TransitionModel, VoltageLadder};
+use dvs_vf::{ModeId, TransitionModel, VoltageLadder};
 use std::time::Instant;
 
-/// Configuration for [`run_bench_replay`].
-#[derive(Debug, Clone)]
-pub struct BenchReplayConfig {
-    /// Trim the grid and the repetition count for CI smoke runs.
-    pub quick: bool,
-    /// Worker threads fanning out over grid *cells*. Timing inside each
-    /// cell is sequential and paired (sim and replay measured on the same
-    /// worker), so this only affects total wall clock, never the ratio.
-    pub jobs: usize,
-}
-
-impl Default for BenchReplayConfig {
-    fn default() -> Self {
-        BenchReplayConfig {
-            quick: false,
-            jobs: 1,
-        }
-    }
-}
+/// Paired sim/replay timings per cell.
+const REPS: usize = 5;
 
 /// One cell of the benchmark grid.
 #[derive(Debug, Clone)]
@@ -59,7 +39,6 @@ struct Cell {
     max_blocks: usize,
     levels: usize,
     schedules: usize,
-    reps: usize,
 }
 
 impl Cell {
@@ -74,61 +53,19 @@ impl Cell {
 /// The fixed grid. Seeds are a pure function of the cell coordinates so
 /// the generated program for a cell never silently changes when the grid
 /// gains or loses entries.
-fn grid(quick: bool) -> Vec<Cell> {
-    // The quick grid is a strict subset of the full grid (same seeds, same
-    // coordinates), so a quick CI run can diff its deterministic fields
-    // cell-by-cell against the committed full baseline.
-    let (sizes, levels, reps): (&[usize], &[usize], usize) = if quick {
-        (&[10, 28], &[3], 3)
-    } else {
-        (&[10, 18, 28], &[2, 3, 5], 5)
-    };
+fn grid() -> Vec<Cell> {
     let mut cells = Vec::new();
-    for &max_blocks in sizes {
-        for &lv in levels {
+    for max_blocks in [10, 18, 28] {
+        for lv in [2, 3, 5] {
             cells.push(Cell {
                 seed: 0xb17e + 31 * max_blocks as u64 + 7 * lv as u64,
                 max_blocks,
                 levels: lv,
                 schedules: 64,
-                reps,
             });
         }
     }
     cells
-}
-
-fn ladder(levels: usize) -> VoltageLadder {
-    let law = AlphaPower::paper();
-    if levels == 3 {
-        VoltageLadder::xscale3(&law)
-    } else {
-        VoltageLadder::interpolated(&law, levels).unwrap_or_else(|_| VoltageLadder::xscale3(&law))
-    }
-}
-
-#[allow(clippy::cast_precision_loss)]
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let idx = (((sorted.len() - 1) as f64) * q).round() as usize;
-    sorted[idx]
-}
-
-fn wall_stats(walls: &mut [f64]) -> Json {
-    walls.sort_by(|a, b| a.partial_cmp(b).expect("finite wall times"));
-    #[allow(clippy::cast_precision_loss)]
-    Json::obj([
-        (
-            "mean",
-            Json::from(walls.iter().sum::<f64>() / walls.len() as f64),
-        ),
-        ("p50", Json::from(percentile(walls, 0.50))),
-        ("p90", Json::from(percentile(walls, 0.90))),
-        ("max", Json::from(*walls.last().expect("reps >= 1"))),
-    ])
 }
 
 /// The candidate-schedule batch for a cell: one uniform baseline per mode
@@ -172,29 +109,35 @@ fn max_rel_err(got: &ScheduledRun, want: &ScheduledRun) -> f64 {
     .fold(0.0, f64::max)
 }
 
-/// Runs one cell: generate → compile once → `reps` paired timings of the
-/// simulator and the batched bytecode interpreter over the same schedule
-/// batch, plus a full 1e-6 agreement sweep on the first repetition.
+/// Runs one cell: generate → compile (once untimed to warm up, once
+/// timed) → [`REPS`] paired timings of the simulator and the batched
+/// bytecode interpreter over the same schedule batch, plus a full 1e-6
+/// agreement sweep on the first repetition.
 fn run_cell(cell: &Cell) -> Json {
     let mut g = Gen::from_seed(cell.seed);
     let cfg = gen_cfg(&mut g, cell.max_blocks);
     let trace = gen_trace(&mut g, &cfg);
-    let ladder = ladder(cell.levels);
+    let ladder = VoltageLadder::paper(cell.levels).expect("grid ladders have at least 2 levels");
     let transition = TransitionModel::with_capacitance_uf(0.05);
     let machine = Machine::paper_default();
     let schedules = gen_schedules(&mut g, &cfg, ladder.len(), cell.schedules);
 
+    // The first compile in a process pays for cold caches and page
+    // faults; without this one a cell's compile time depends on whether it
+    // ran first on its worker.
+    let compile = || dvs_replay::compile(&machine, &cfg, &trace, &ladder, &transition);
+    std::hint::black_box(compile());
     let compile_start = Instant::now();
-    let code: ReplayBytecode = dvs_replay::compile(&machine, &cfg, &trace, &ladder, &transition);
+    let code: ReplayBytecode = compile();
     let compile_us = compile_start.elapsed().as_secs_f64() * 1e6;
     let stats = code.stats();
 
-    let mut sim_walls = Vec::with_capacity(cell.reps);
-    let mut replay_walls = Vec::with_capacity(cell.reps);
-    let mut speedups = Vec::with_capacity(cell.reps);
+    let mut sim_walls = Vec::with_capacity(REPS);
+    let mut replay_walls = Vec::with_capacity(REPS);
+    let mut speedups = Vec::with_capacity(REPS);
     let mut agreement_ok = true;
     let mut worst_err = 0.0f64;
-    for rep in 0..cell.reps {
+    for rep in 0..REPS {
         let t0 = Instant::now();
         let sim_runs: Vec<ScheduledRun> = schedules
             .iter()
@@ -229,7 +172,7 @@ fn run_cell(cell: &Cell) -> Json {
         ("edges", Json::from(cfg.num_edges())),
         ("levels", Json::from(cell.levels)),
         ("schedules", Json::from(cell.schedules)),
-        ("reps", Json::from(cell.reps)),
+        ("reps", Json::from(REPS)),
         (
             "bytecode",
             Json::obj([
@@ -268,31 +211,15 @@ fn run_cell(cell: &Cell) -> Json {
     ])
 }
 
-/// Runs the whole grid (cells fanned out over `config.jobs` workers, in
+/// Runs the whole grid (cells fanned out over `jobs` workers, in
 /// deterministic order) and returns the `BENCH_replay.json` document.
 #[must_use]
-pub fn run_bench_replay(config: &BenchReplayConfig) -> Json {
-    let cells = grid(config.quick);
-    let pool = Pool::new(config.jobs.max(1));
-    let cases: Vec<Json> = pool.map(cells, |_, cell| run_cell(&cell));
-
-    let total = |key: &str| {
-        cases
-            .iter()
-            .filter_map(|c| {
-                c.get("bytecode")
-                    .and_then(|s| s.get(key))
-                    .and_then(Json::as_u64)
-            })
-            .sum::<u64>()
-    };
+pub fn run_bench_replay(jobs: usize) -> Json {
+    let cases = run_grid(grid(), jobs, run_cell);
+    let total = |key: &str| Json::from(sum(&cases, &format!("bytecode.{key}")));
     let mut cell_speedups: Vec<f64> = cases
         .iter()
-        .filter_map(|c| {
-            c.get("speedup")
-                .and_then(|s| s.get("p50"))
-                .and_then(Json::as_f64)
-        })
+        .filter_map(|c| at(c, "speedup.p50").and_then(Json::as_f64))
         .collect();
     cell_speedups.sort_by(|a, b| a.partial_cmp(b).expect("finite speedups"));
     let all_agree = cases
@@ -300,18 +227,14 @@ pub fn run_bench_replay(config: &BenchReplayConfig) -> Json {
         .all(|c| c.get("agreement_ok").and_then(Json::as_bool) == Some(true));
 
     Json::obj([
-        ("schema", Json::from("dvs-bench-replay.v1")),
-        (
-            "mode",
-            Json::from(if config.quick { "quick" } else { "full" }),
-        ),
+        ("schema", Json::from(REPLAY_SCHEMA)),
         (
             "totals",
             Json::obj([
                 ("cases", Json::from(cases.len())),
-                ("trace_insts", Json::from(total("trace_insts"))),
-                ("block_ops", Json::from(total("block_ops"))),
-                ("variants", Json::from(total("variants"))),
+                ("trace_insts", total("trace_insts")),
+                ("block_ops", total("block_ops")),
+                ("variants", total("variants")),
                 ("agreement_ok", Json::from(all_agree)),
             ]),
         ),
@@ -327,41 +250,10 @@ pub fn run_bench_replay(config: &BenchReplayConfig) -> Json {
     ])
 }
 
-/// The report with every machine-dependent field (`wall_us` and `speedup`
-/// subtrees) removed — what must be byte-stable across `--jobs` values
-/// and CI runs on the same toolchain.
-#[must_use]
-pub fn deterministic_view(v: &Json) -> Json {
-    match v {
-        Json::Obj(members) => Json::Obj(
-            members
-                .iter()
-                .filter(|(k, _)| k != "wall_us" && k != "speedup")
-                .map(|(k, val)| (k.clone(), deterministic_view(val)))
-                .collect(),
-        ),
-        Json::Arr(items) => Json::Arr(items.iter().map(deterministic_view).collect()),
-        other => other.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quick_grid_is_a_subset_of_the_full_grid() {
-        let full: Vec<String> = grid(false).iter().map(Cell::name).collect();
-        assert_eq!(grid(true).len(), 2);
-        assert_eq!(full.len(), 9);
-        for c in grid(true) {
-            assert!(
-                full.contains(&c.name()),
-                "{} missing from full grid",
-                c.name()
-            );
-        }
-    }
+    use crate::bench::deterministic_view;
 
     #[test]
     fn schedule_batch_covers_uniform_baselines_then_random_candidates() {
@@ -384,7 +276,6 @@ mod tests {
             max_blocks: 10,
             levels: 3,
             schedules: 6,
-            reps: 1,
         };
         let case = run_cell(&cell);
         assert_eq!(case.get("agreement_ok").and_then(Json::as_bool), Some(true));
@@ -392,18 +283,5 @@ mod tests {
         assert!(v.get("wall_us").is_none());
         assert!(v.get("speedup").is_none());
         assert!(v.get("bytecode").is_some());
-    }
-
-    #[test]
-    fn deterministic_view_is_stable_across_jobs() {
-        let a = run_bench_replay(&BenchReplayConfig {
-            quick: true,
-            jobs: 1,
-        });
-        let b = run_bench_replay(&BenchReplayConfig {
-            quick: true,
-            jobs: 4,
-        });
-        assert_eq!(deterministic_view(&a).dump(), deterministic_view(&b).dump());
     }
 }

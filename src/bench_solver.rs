@@ -11,58 +11,29 @@
 //! names) and a `_continuous` sibling (the exact continuous-voltage
 //! backend on the transition-free formulation). Continuous cells also
 //! record `continuous_objective` next to `bnb_relaxation_objective` so
-//! the validator can assert the two backends agree on continuous-ladder
-//! relaxations to 1e-6.
+//! [`crate::bench::check_report`] can assert the two backends agree on
+//! continuous-ladder relaxations to 1e-6.
 //!
-//! Two kinds of numbers live side by side in the report and are treated
-//! very differently:
-//!
-//! * **Search-work counters** ([`dvs_milp::SolveStats`]: nodes, pruned
-//!   nodes, simplex pivots, presolve reductions, the incumbent
-//!   trajectory, the final MIP gap) are *deterministic*: the search is
-//!   sequential, so the same toolchain produces the same values whatever
-//!   `--jobs` fans the cells out over. CI diffs these against
-//!   the committed baseline; a change means the solver's search actually
-//!   changed.
-//! * **Wall-clock percentiles** (`wall_us`) are measured over `reps`
-//!   repeated solves and are machine-dependent noise as far as the
-//!   baseline is concerned. [`deterministic_view`] strips them, and the
-//!   determinism test compares only what survives.
+//! Search-work counters ([`dvs_milp::SolveStats`]: nodes, pruned nodes,
+//! simplex pivots, presolve reductions, the incumbent trajectory, the
+//! final MIP gap) are deterministic; the wall-clock percentiles
+//! (`wall_us`, over `reps` repeated solves) are not (see [`crate::bench`]).
 //!
 //! Every cell additionally runs one *certifying* solve: `certificate_bytes`
-//! records the size of the canonical `dvs-cert.v1` proof (deterministic,
-//! diffed against the baseline with a size-regression gate in
-//! `scripts/validate_bench_solver.py`) and `cert_check_us` the independent
-//! checker's wall time (noise, stripped like `wall_us`). A cell whose
-//! certificate the checker rejects renders as an error cell, which the
-//! validator refuses.
+//! records the size of the canonical `dvs-cert.v1` proof (deterministic)
+//! and `cert_check_us` the independent checker's wall time (noise). A cell
+//! whose certificate the checker rejects renders as an error cell, which
+//! [`crate::bench::check_report`] refuses.
 
+use crate::bench::{run_grid, sum, wall_stats, SOLVER_SCHEMA};
 use dvs_check::{gen_cfg, gen_trace, DeadlineSpec, Gen};
 use dvs_compiler::{MilpFormulation, SolverChoice};
 use dvs_obs::json::Json;
-use dvs_runtime::Pool;
 use dvs_sim::{Machine, ModeProfiler};
-use dvs_vf::{AlphaPower, TransitionModel, VoltageLadder};
+use dvs_vf::{TransitionModel, VoltageLadder};
 
-/// Configuration for [`run_bench_solver`].
-#[derive(Debug, Clone)]
-pub struct BenchSolverConfig {
-    /// Trim the grid and the repetition count for CI smoke runs.
-    pub quick: bool,
-    /// Worker threads fanning out over grid *cells*. The solver inside
-    /// each cell is sequential, so this only affects wall clock, never the
-    /// counters.
-    pub jobs: usize,
-}
-
-impl Default for BenchSolverConfig {
-    fn default() -> Self {
-        BenchSolverConfig {
-            quick: false,
-            jobs: 1,
-        }
-    }
-}
+/// Timed solves per cell; counters come from the first.
+const REPS: usize = 5;
 
 /// One cell of the benchmark grid.
 #[derive(Debug, Clone)]
@@ -71,7 +42,6 @@ struct Cell {
     max_blocks: usize,
     levels: usize,
     deadline_frac: f64,
-    reps: usize,
     backend: SolverChoice,
 }
 
@@ -93,19 +63,11 @@ impl Cell {
 /// The fixed grid. Seeds are a pure function of the cell coordinates so
 /// the generated CFG for a cell never silently changes when the grid
 /// gains or loses entries.
-fn grid(quick: bool) -> Vec<Cell> {
-    // The quick grid is a strict subset of the full grid (same seeds, same
-    // coordinates), so a quick CI run can diff its counters cell-by-cell
-    // against the committed full baseline.
-    let (sizes, levels, fracs, reps): (&[usize], &[usize], &[f64], usize) = if quick {
-        (&[10, 18], &[2, 4], &[0.15, 0.9], 3)
-    } else {
-        (&[10, 18, 28], &[2, 3, 4], &[0.15, 0.4, 0.9], 5)
-    };
+fn grid() -> Vec<Cell> {
     let mut cells = Vec::new();
-    for &max_blocks in sizes {
-        for &lv in levels {
-            for &frac in fracs {
+    for max_blocks in [10, 18, 28] {
+        for lv in [2, 3, 4] {
+            for frac in [0.15, 0.4, 0.9] {
                 // Each coordinate appears twice: once for the
                 // branch-and-bound backend on the full transition-cost
                 // formulation (these keep the historical cell names, so
@@ -118,7 +80,6 @@ fn grid(quick: bool) -> Vec<Cell> {
                         max_blocks,
                         levels: lv,
                         deadline_frac: frac,
-                        reps,
                         backend,
                     });
                 }
@@ -128,35 +89,24 @@ fn grid(quick: bool) -> Vec<Cell> {
     cells
 }
 
-fn ladder(levels: usize) -> VoltageLadder {
-    let law = AlphaPower::paper();
-    if levels == 3 {
-        VoltageLadder::xscale3(&law)
-    } else {
-        VoltageLadder::interpolated(&law, levels).unwrap_or_else(|_| VoltageLadder::xscale3(&law))
-    }
+/// A cell that could not be measured; `check_report` refuses it.
+fn error_case(cell: &Cell, msg: String) -> Json {
+    Json::obj([
+        ("name", Json::from(cell.name())),
+        ("seed", Json::from(cell.seed)),
+        ("error", Json::from(msg)),
+    ])
 }
 
-#[allow(clippy::cast_precision_loss)]
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let idx = (((sorted.len() - 1) as f64) * q).round() as usize;
-    sorted[idx]
-}
-
-/// Runs one cell: generate → profile → solve `reps` times. Counters come
+/// Runs one cell: generate → profile → solve [`REPS`] times. Counters come
 /// from the first repetition (they are identical across repetitions —
 /// the solver is deterministic); wall clock is
 /// aggregated over all of them.
-#[allow(clippy::cast_precision_loss)]
 fn run_cell(cell: &Cell) -> Json {
     let mut g = Gen::from_seed(cell.seed);
     let cfg = gen_cfg(&mut g, cell.max_blocks);
     let trace = gen_trace(&mut g, &cfg);
-    let ladder = ladder(cell.levels);
+    let ladder = VoltageLadder::paper(cell.levels).expect("grid ladders have at least 2 levels");
     // Continuous cells drop regulator transition costs: the exact
     // continuous-voltage backend is defined on pure voltage-ladder models,
     // and the transition-free formulation is exactly that shape.
@@ -172,9 +122,9 @@ fn run_cell(cell: &Cell) -> Json {
     let formulation = MilpFormulation::new(&cfg, &profile, &ladder, &transition, deadline_us)
         .with_solver(cell.backend);
 
-    let mut walls = Vec::with_capacity(cell.reps);
+    let mut walls = Vec::with_capacity(REPS);
     let mut first = None;
-    for _ in 0..cell.reps {
+    for _ in 0..REPS {
         match formulation.solve() {
             Ok(out) => {
                 walls.push(out.solve_time.as_secs_f64() * 1e6);
@@ -182,21 +132,14 @@ fn run_cell(cell: &Cell) -> Json {
                     first = Some(out);
                 }
             }
-            Err(e) => {
-                return Json::obj([
-                    ("name", Json::from(cell.name())),
-                    ("seed", Json::from(cell.seed)),
-                    ("error", Json::from(format!("{e}"))),
-                ]);
-            }
+            Err(e) => return error_case(cell, e.to_string()),
         }
     }
-    let out = first.expect("reps >= 1");
-    walls.sort_by(|a, b| a.partial_cmp(b).expect("finite wall times"));
+    let out = first.expect("REPS >= 1");
 
     // Continuous cells carry a cross-check pair: the exact closed-form
     // continuous optimum next to the branch-and-bound LP relaxation of the
-    // same model. The baseline validator asserts they agree to 1e-6 —
+    // same model. `check_report` asserts they agree to 1e-6 —
     // this is the machine-checked form of the "the continuous algorithm
     // matches B&B on continuous ladders" contract.
     let extras: Vec<(String, Json)> = if cell.backend == SolverChoice::Continuous {
@@ -207,13 +150,7 @@ fn run_cell(cell: &Cell) -> Json {
                 ("continuous_objective".to_string(), Json::from(exact)),
                 ("bnb_relaxation_objective".to_string(), Json::from(lp)),
             ],
-            (Err(e), _) | (_, Err(e)) => {
-                return Json::obj([
-                    ("name", Json::from(cell.name())),
-                    ("seed", Json::from(cell.seed)),
-                    ("error", Json::from(format!("{e}"))),
-                ]);
-            }
+            (Err(e), _) | (_, Err(e)) => return error_case(cell, e.to_string()),
         }
     } else {
         Vec::new()
@@ -222,40 +159,23 @@ fn run_cell(cell: &Cell) -> Json {
     // Every cell must certify: one certifying solve feeds the certificate
     // columns. The encoded size is deterministic (the proof depends only
     // on the model and the answer, never on thread count or wall clock)
-    // and is diffed against the committed baseline; the independent
-    // checker's wall time is noise and is stripped by
-    // [`deterministic_view`]. A rejected or missing certificate is an
-    // error cell — the baseline validator refuses it.
+    // and pinned by the committed baseline; the independent checker's
+    // wall time is noise. A rejected or missing certificate is an error
+    // cell.
     let formulation = formulation.with_certify(true);
     let (certificate_bytes, cert_check_us) = match formulation.solve() {
         Ok(certified) => match certified.certificate {
             Some(c) if c.report.ok() => (c.encoded.len(), c.check_us),
             Some(c) => {
                 let r = c.report.reject.expect("not ok implies reject");
-                return Json::obj([
-                    ("name", Json::from(cell.name())),
-                    ("seed", Json::from(cell.seed)),
-                    (
-                        "error",
-                        Json::from(format!("certificate rejected: {}: {}", r.code, r.detail)),
-                    ),
-                ]);
+                return error_case(
+                    cell,
+                    format!("certificate rejected: {}: {}", r.code, r.detail),
+                );
             }
-            None => {
-                return Json::obj([
-                    ("name", Json::from(cell.name())),
-                    ("seed", Json::from(cell.seed)),
-                    ("error", Json::from("certification produced no certificate")),
-                ]);
-            }
+            None => return error_case(cell, "certification produced no certificate".into()),
         },
-        Err(e) => {
-            return Json::obj([
-                ("name", Json::from(cell.name())),
-                ("seed", Json::from(cell.seed)),
-                ("error", Json::from(format!("certifying solve failed: {e}"))),
-            ]);
-        }
+        Err(e) => return error_case(cell, format!("certifying solve failed: {e}")),
     };
 
     let s = &out.solve_stats;
@@ -273,19 +193,8 @@ fn run_cell(cell: &Cell) -> Json {
         ("predicted_energy_uj", Json::from(out.predicted_energy_uj)),
         ("certificate_bytes", Json::from(certificate_bytes)),
         ("cert_check_us", Json::from(cert_check_us)),
-        ("reps", Json::from(cell.reps)),
-        (
-            "wall_us",
-            Json::obj([
-                (
-                    "mean",
-                    Json::from(walls.iter().sum::<f64>() / walls.len() as f64),
-                ),
-                ("p50", Json::from(percentile(&walls, 0.50))),
-                ("p90", Json::from(percentile(&walls, 0.90))),
-                ("max", Json::from(*walls.last().expect("reps >= 1"))),
-            ]),
-        ),
+        ("reps", Json::from(REPS)),
+        ("wall_us", wall_stats(&mut walls)),
         (
             "stats",
             Json::obj([
@@ -333,108 +242,48 @@ fn run_cell(cell: &Cell) -> Json {
     case
 }
 
-/// Runs the whole grid (cells fanned out over `config.jobs` workers, in
+/// Runs the whole grid (cells fanned out over `jobs` workers, in
 /// deterministic order) and returns the `BENCH_solver.json` document.
 #[must_use]
-pub fn run_bench_solver(config: &BenchSolverConfig) -> Json {
-    let cells = grid(config.quick);
-    let pool = Pool::new(config.jobs.max(1));
-    let cases: Vec<Json> = pool.map(cells, |_, cell| run_cell(&cell));
-
-    let total = |key: &str| {
-        cases
-            .iter()
-            .filter_map(|c| {
-                c.get("stats")
-                    .and_then(|s| s.get(key))
-                    .and_then(Json::as_u64)
-            })
-            .sum::<u64>()
-    };
+pub fn run_bench_solver(jobs: usize) -> Json {
+    let cases = run_grid(grid(), jobs, run_cell);
+    let total = |path: &str| Json::from(sum(&cases, path));
     Json::obj([
-        ("schema", Json::from("dvs-bench-solver.v1")),
-        (
-            "mode",
-            Json::from(if config.quick { "quick" } else { "full" }),
-        ),
+        ("schema", Json::from(SOLVER_SCHEMA)),
         (
             "totals",
             Json::obj([
                 ("cases", Json::from(cases.len())),
-                ("nodes", Json::from(total("nodes"))),
-                ("lp_iterations", Json::from(total("lp_iterations"))),
-                ("pivots", Json::from(total("pivots"))),
-                (
-                    "certificate_bytes",
-                    Json::from(
-                        cases
-                            .iter()
-                            .filter_map(|c| c.get("certificate_bytes").and_then(Json::as_u64))
-                            .sum::<u64>(),
-                    ),
-                ),
+                ("nodes", total("stats.nodes")),
+                ("lp_iterations", total("stats.lp_iterations")),
+                ("pivots", total("stats.pivots")),
+                ("certificate_bytes", total("certificate_bytes")),
             ]),
         ),
         ("cases", Json::Arr(cases)),
     ])
 }
 
-/// The report with every machine-dependent field (`wall_us` subtrees and
-/// the `cert_check_us` checker timings) removed — what must be
-/// byte-stable across `--jobs` values and CI runs on the same toolchain.
-#[must_use]
-pub fn deterministic_view(v: &Json) -> Json {
-    match v {
-        Json::Obj(members) => Json::Obj(
-            members
-                .iter()
-                .filter(|(k, _)| k != "wall_us" && k != "cert_check_us")
-                .map(|(k, val)| (k.clone(), deterministic_view(val)))
-                .collect(),
-        ),
-        Json::Arr(items) => Json::Arr(items.iter().map(deterministic_view).collect()),
-        other => other.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quick_grid_is_small_and_full_grid_is_larger() {
-        assert_eq!(grid(true).len(), 16);
-        assert_eq!(grid(false).len(), 54);
-    }
+    use crate::bench::deterministic_view;
 
     #[test]
     fn every_bnb_cell_has_a_continuous_sibling_with_the_same_seed() {
-        for cells in [grid(true), grid(false)] {
-            let bnb: Vec<_> = cells
+        let cells = grid();
+        let bnb: Vec<_> = cells
+            .iter()
+            .filter(|c| c.backend == SolverChoice::BranchAndBound)
+            .collect();
+        assert_eq!(bnb.len() * 2, cells.len());
+        for b in bnb {
+            let sibling = cells
                 .iter()
-                .filter(|c| c.backend == SolverChoice::BranchAndBound)
-                .collect();
-            assert_eq!(bnb.len() * 2, cells.len());
-            for b in bnb {
-                let sibling = cells
-                    .iter()
-                    .find(|c| c.name() == format!("{}_continuous", b.name()))
-                    .expect("continuous sibling exists");
-                assert_eq!(sibling.seed, b.seed);
-                assert_eq!(sibling.deadline_frac, b.deadline_frac);
-            }
-        }
-    }
-
-    #[test]
-    fn quick_grid_is_a_subset_of_the_full_grid() {
-        let full: Vec<String> = grid(false).iter().map(Cell::name).collect();
-        for c in grid(true) {
-            assert!(
-                full.contains(&c.name()),
-                "{} missing from full grid",
-                c.name()
-            );
+                .find(|c| c.name() == format!("{}_continuous", b.name()))
+                .expect("continuous sibling exists");
+            assert_eq!(sibling.seed, b.seed);
+            assert_eq!(sibling.deadline_frac, b.deadline_frac);
         }
     }
 

@@ -20,8 +20,8 @@
 //!             [--deadline 1..5]
 //! dvsc loadtest [--addr HOST:PORT] [--clients N] [--requests M]
 //!               [--benchmark NAME]
-//! dvsc bench-solver [--quick] [--jobs N] [--out FILE]
-//! dvsc bench-replay [--quick] [--jobs N] [--out FILE]
+//! dvsc bench-solver [--jobs N] [--out FILE]
+//! dvsc bench-replay [--jobs N] [--out FILE]
 //! ```
 //!
 //! `compile` runs profile → filter → MILP → schedule on a built-in
@@ -66,18 +66,20 @@
 //!
 //! `bench-solver` runs the pinned MILP benchmark grid (CFG sizes ×
 //! ladder shapes × deadline tightnesses × solver backends) and writes
-//! `BENCH_solver.json`:
-//! wall-clock percentiles per cell plus the deterministic solver search
-//! counters CI diffs against the committed baseline. `bench-replay` does
-//! the same for the `dvs-replay` bytecode interpreter: each cell scores a
-//! batch of schedules on the cycle-level simulator and on compiled
-//! bytecode, checks 1e-6 agreement, and writes `BENCH_replay.json` with
-//! the per-cell speedup the validator gates on.
+//! `BENCH_solver.json`: wall-clock percentiles per cell plus the
+//! deterministic solver search counters the committed baseline pins.
+//! `bench-replay` does the same for the `dvs-replay` bytecode
+//! interpreter: each cell scores a batch of schedules on the cycle-level
+//! simulator and on compiled bytecode, checks 1e-6 agreement, and writes
+//! `BENCH_replay.json` with the per-cell speedup. Both exit 1 if the
+//! report breaks an invariant of `bench::check_report` (a failed cell,
+//! a disagreement, an increasing incumbent trajectory, ...).
 //!
 //! `--metrics` prints a pipeline metrics summary (counters, gauges,
 //! histograms) after the run; `--trace-out FILE` writes a Chrome
 //! trace-event JSON file loadable in `chrome://tracing` or Perfetto.
 
+use compile_time_dvs::bench::check_report;
 use compile_time_dvs::check::{run_check, CheckConfig, Tolerances};
 use compile_time_dvs::compiler::{analyze_params, emit_instrumented, DeadlineScheme, DvsCompiler};
 use compile_time_dvs::ir;
@@ -87,8 +89,9 @@ use compile_time_dvs::runtime::Pool;
 use compile_time_dvs::serve;
 use compile_time_dvs::sim::Machine;
 use compile_time_dvs::verify;
-use compile_time_dvs::vf::{AlphaPower, TransitionModel, VoltageLadder};
+use compile_time_dvs::vf::{TransitionModel, VoltageLadder};
 use compile_time_dvs::workloads::Benchmark;
+use compile_time_dvs::{bench_replay, bench_solver};
 use std::process::ExitCode;
 
 #[derive(Clone)]
@@ -118,7 +121,6 @@ struct Args {
     requests: usize,
     timeout_secs: Option<f64>,
     client_op: Option<String>,
-    quick: bool,
     out: Option<String>,
     solver: String,
 }
@@ -144,8 +146,8 @@ fn usage() -> ExitCode {
          [--deadline 1..5]\n  \
          dvsc loadtest [--addr HOST:PORT] [--clients N] [--requests M] \
          [--benchmark <name>]\n  \
-         dvsc bench-solver [--quick] [--jobs N] [--out FILE]\n  \
-         dvsc bench-replay [--quick] [--jobs N] [--out FILE]\n  \
+         dvsc bench-solver [--jobs N] [--out FILE]\n  \
+         dvsc bench-replay [--jobs N] [--out FILE]\n  \
          dvsc --timeout <secs> ...   (bounds compile/verify/check; request \
          deadline for client/loadtest)\n  \
          dvsc --version"
@@ -189,7 +191,6 @@ fn parse(argv: &[String]) -> Result<(String, Args), String> {
         requests: 100,
         timeout_secs: None,
         client_op: None,
-        quick: false,
         out: None,
         solver: "auto".to_string(),
     };
@@ -286,7 +287,6 @@ fn parse(argv: &[String]) -> Result<(String, Args), String> {
             }
             "--json" => args.json = true,
             "--deny" => args.deny = true,
-            "--quick" => args.quick = true,
             "--out" | "-o" => args.out = Some(value(flag, &mut it)?.clone()),
             "--dot" => args.dot = Some(value(flag, &mut it)?.clone()),
             "--mutate" => args.mutate = Some(number(flag, value(flag, &mut it)?)?),
@@ -310,21 +310,6 @@ fn finalize_obs(args: &Args) -> Result<(), ExitCode> {
         print!("{}", obs::MetricsSnapshot::capture().summary_table());
     }
     Ok(())
-}
-
-fn find_benchmark(name: &str) -> Option<Benchmark> {
-    Benchmark::all()
-        .into_iter()
-        .find(|b| b.name() == name || b.name().starts_with(name))
-}
-
-fn ladder(levels: usize) -> Option<VoltageLadder> {
-    let law = AlphaPower::paper();
-    if levels == 3 {
-        Some(VoltageLadder::xscale3(&law))
-    } else {
-        VoltageLadder::interpolated(&law, levels).ok()
-    }
 }
 
 fn main() -> ExitCode {
@@ -360,8 +345,8 @@ fn main() -> ExitCode {
         "serve" => run_serve(&args),
         "client" => run_client(&args),
         "loadtest" => run_loadtest(&args),
-        "bench-solver" => run_bench_solver(&args),
-        "bench-replay" => run_bench_replay(&args),
+        "bench-solver" => run_bench(&args, bench_solver::run_bench_solver, "BENCH_solver.json"),
+        "bench-replay" => run_bench(&args, bench_replay::run_bench_replay, "BENCH_replay.json"),
         other => {
             eprintln!("error: unknown subcommand `{other}`");
             return usage();
@@ -712,102 +697,27 @@ fn run_loadtest(args: &Args) -> u8 {
     u8::from(report.errors > 0)
 }
 
-/// `dvsc bench-solver`: run the pinned MILP benchmark grid and write the
-/// `BENCH_solver.json` baseline document.
-fn run_bench_solver(args: &Args) -> u8 {
-    use compile_time_dvs::bench_solver::{run_bench_solver, BenchSolverConfig};
-    let config = BenchSolverConfig {
-        quick: args.quick,
-        jobs: args.jobs,
-    };
-    let report = run_bench_solver(&config);
-    let path = args.out.as_deref().unwrap_or("BENCH_solver.json");
+/// `dvsc bench-solver` and `dvsc bench-replay`: run a pinned benchmark
+/// grid, write its report (by default over the committed baseline) and
+/// exit 1 on any problem [`check_report`] names.
+fn run_bench(args: &Args, run: fn(usize) -> obs::json::Json, default_out: &str) -> u8 {
+    let report = run(args.jobs);
+    let path = args.out.as_deref().unwrap_or(default_out);
     if let Err(e) = std::fs::write(path, report.pretty() + "\n") {
         eprintln!("cannot write {path}: {e}");
         return 1;
     }
-    let total = |k: &str| {
-        report
-            .get("totals")
-            .and_then(|t| t.get(k))
-            .and_then(obs::json::Json::as_u64)
-            .unwrap_or(0)
-    };
-    let errors = report
-        .get("cases")
-        .and_then(obs::json::Json::as_arr)
-        .map_or(0, |cs| {
-            cs.iter().filter(|c| c.get("error").is_some()).count()
-        });
-    println!(
-        "bench-solver ({} mode): {} cases, {} B&B nodes, {} LP iterations, {} pivots",
-        report
-            .get("mode")
-            .and_then(obs::json::Json::as_str)
-            .unwrap_or("?"),
-        total("cases"),
-        total("nodes"),
-        total("lp_iterations"),
-        total("pivots")
-    );
+    for key in ["totals", "speedup"] {
+        if let Some(v) = report.get(key) {
+            println!("{key}: {}", v.dump());
+        }
+    }
     println!("wrote {path}");
-    if errors > 0 {
-        eprintln!("error: {errors} case(s) failed to solve");
-        return 1;
+    let problems = check_report(&report);
+    for p in &problems {
+        eprintln!("error: {p}");
     }
-    0
-}
-
-/// `dvsc bench-replay`: score the bytecode interpreter against the
-/// cycle-level simulator on the pinned grid and write the
-/// `BENCH_replay.json` baseline document.
-fn run_bench_replay(args: &Args) -> u8 {
-    use compile_time_dvs::bench_replay::{run_bench_replay, BenchReplayConfig};
-    let config = BenchReplayConfig {
-        quick: args.quick,
-        jobs: args.jobs,
-    };
-    let report = run_bench_replay(&config);
-    let path = args.out.as_deref().unwrap_or("BENCH_replay.json");
-    if let Err(e) = std::fs::write(path, report.pretty() + "\n") {
-        eprintln!("cannot write {path}: {e}");
-        return 1;
-    }
-    let agree = report
-        .get("totals")
-        .and_then(|t| t.get("agreement_ok"))
-        .and_then(obs::json::Json::as_bool)
-        .unwrap_or(false);
-    println!(
-        "bench-replay ({} mode): {} cases, {} trace insts, median speedup {:.1}x, \
-         agreement {}",
-        report
-            .get("mode")
-            .and_then(obs::json::Json::as_str)
-            .unwrap_or("?"),
-        report
-            .get("totals")
-            .and_then(|t| t.get("cases"))
-            .and_then(obs::json::Json::as_u64)
-            .unwrap_or(0),
-        report
-            .get("totals")
-            .and_then(|t| t.get("trace_insts"))
-            .and_then(obs::json::Json::as_u64)
-            .unwrap_or(0),
-        report
-            .get("speedup")
-            .and_then(|s| s.get("median"))
-            .and_then(obs::json::Json::as_f64)
-            .unwrap_or(0.0),
-        if agree { "ok" } else { "FAILED" }
-    );
-    println!("wrote {path}");
-    if !agree {
-        eprintln!("error: bytecode and simulator disagreed beyond 1e-6");
-        return 1;
-    }
-    0
+    u8::from(!problems.is_empty())
 }
 
 fn run_compile(args: &Args) -> u8 {
@@ -815,16 +725,15 @@ fn run_compile(args: &Args) -> u8 {
         eprintln!("compile requires --benchmark");
         return 2;
     };
-    let Some(b) = find_benchmark(name) else {
-        eprintln!("unknown benchmark `{name}` (try `dvsc list`)");
+    let Ok(b) = Benchmark::find(name).map_err(|e| eprintln!("{e} (try `dvsc list`)")) else {
         return 2;
     };
     if !(1..=5).contains(&args.deadline_index) {
         eprintln!("--deadline must be 1..5");
         return 2;
     }
-    let Some(ladder) = ladder(args.levels) else {
-        eprintln!("bad --levels");
+    let Ok(ladder) = VoltageLadder::paper(args.levels).map_err(|e| eprintln!("bad --levels: {e}"))
+    else {
         return 2;
     };
 
@@ -1088,10 +997,10 @@ fn verify_one(b: Benchmark, ladder: &VoltageLadder, args: &Args, want_dot: bool)
 /// diagnostic (or fails to compile at all).
 fn run_verify(args: &Args) -> u8 {
     let benches: Vec<Benchmark> = match &args.benchmark {
-        Some(name) => match find_benchmark(name) {
-            Some(b) => vec![b],
-            None => {
-                eprintln!("unknown benchmark `{name}` (try `dvsc list`)");
+        Some(name) => match Benchmark::find(name) {
+            Ok(b) => vec![b],
+            Err(e) => {
+                eprintln!("{e} (try `dvsc list`)");
                 return 2;
             }
         },
@@ -1105,8 +1014,8 @@ fn run_verify(args: &Args) -> u8 {
         eprintln!("--dot requires --benchmark (one CFG per overlay)");
         return 2;
     }
-    let Some(ladder) = ladder(args.levels) else {
-        eprintln!("bad --levels");
+    let Ok(ladder) = VoltageLadder::paper(args.levels).map_err(|e| eprintln!("bad --levels: {e}"))
+    else {
         return 2;
     };
 
@@ -1237,12 +1146,11 @@ fn run_analyze(args: &Args) -> u8 {
         eprintln!("analyze requires --benchmark");
         return 2;
     };
-    let Some(b) = find_benchmark(name) else {
-        eprintln!("unknown benchmark `{name}` (try `dvsc list`)");
+    let Ok(b) = Benchmark::find(name).map_err(|e| eprintln!("{e} (try `dvsc list`)")) else {
         return 2;
     };
-    let Some(ladder) = ladder(args.levels) else {
-        eprintln!("bad --levels");
+    let Ok(ladder) = VoltageLadder::paper(args.levels).map_err(|e| eprintln!("bad --levels: {e}"))
+    else {
         return 2;
     };
     let cfg = b.build_cfg();

@@ -3,6 +3,7 @@
 //! Each subsystem is reachable as a module (`compiler`, `sim`, ...); the
 //! [`prelude`] flattens the handful of cross-crate types almost every user
 //! touches into one import.
+pub mod bench;
 pub mod bench_replay;
 pub mod bench_solver;
 

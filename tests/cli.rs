@@ -129,6 +129,19 @@ fn bad_arguments_fail_cleanly() {
     assert!(!out.status.success());
     let out = dvsc().args(["frobnicate"]).output().expect("dvsc runs");
     assert!(!out.status.success());
+    // A prefix of both mpeg/decode and mpg123 resolves to neither.
+    let out = dvsc()
+        .args(["compile", "--benchmark", "mp"])
+        .output()
+        .expect("dvsc runs");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("ambiguous benchmark `mp`")
+            && err.contains("mpeg/decode")
+            && err.contains("mpg123"),
+        "stderr: {err}"
+    );
 }
 
 #[test]

@@ -231,11 +231,14 @@ fn zero_queue_depth_sheds_and_bad_requests_are_rejected() {
     assert!(!shed.ok);
     assert_eq!(shed.kind.as_deref(), Some("busy"), "shed must say busy");
 
-    let bad = client
-        .request(&compile_request("no-such-benchmark", 3))
-        .expect("bad-request reply still arrives");
-    assert!(!bad.ok);
-    assert_eq!(bad.kind.as_deref(), Some("bad_request"));
+    // An unknown name, and a prefix of both mpeg/decode and mpg123.
+    for name in ["no-such-benchmark", "mp"] {
+        let bad = client
+            .request(&compile_request(name, 3))
+            .expect("bad-request reply still arrives");
+        assert!(!bad.ok);
+        assert_eq!(bad.kind.as_deref(), Some("bad_request"), "{name}");
+    }
 
     let stats = client.request(&Request::Stats).expect("stats");
     let shed_count = stats

@@ -1,12 +1,9 @@
-//! Contract tests for per-request tracing and the pinned solver
-//! benchmark: a cold solve's trace tree must show the request passing
-//! through admission, the queue and the solver; a warm hit must show the
-//! cache short-circuit and *no* solve span; the daemon's trace ring must
-//! replay completed trees as Chrome trace events; and the bench-solver
-//! search counters must be byte-identical whatever `--jobs` fans the
-//! cells out over.
+//! Contract tests for per-request tracing: a cold solve's trace tree must
+//! show the request passing through admission, the queue and the solver;
+//! a warm hit must show the cache short-circuit and *no* solve span; and
+//! the daemon's trace ring must replay completed trees as Chrome trace
+//! events.
 
-use compile_time_dvs::bench_solver::{deterministic_view, run_bench_solver, BenchSolverConfig};
 use compile_time_dvs::obs::json::Json;
 use compile_time_dvs::serve::{Client, Request, ServeConfig, Server, SolveOp, SolveRequest};
 use std::time::Duration;
@@ -153,84 +150,4 @@ fn cold_solve_trace_has_queue_and_solve_spans() {
         .request(&Request::Shutdown)
         .expect("graceful shutdown");
     handle.join().expect("server thread").expect("clean run");
-}
-
-/// The solver benchmark's deterministic view (everything except wall
-/// clock) must be byte-identical whether cells run sequentially or fanned
-/// over four workers — that is what lets CI diff `BENCH_solver.json`
-/// counters against the committed baseline.
-#[test]
-fn bench_solver_counters_are_independent_of_jobs() {
-    let quick =
-        |jobs| deterministic_view(&run_bench_solver(&BenchSolverConfig { quick: true, jobs }));
-    let sequential = quick(1).dump();
-    let parallel = quick(4).dump();
-    assert_eq!(
-        sequential, parallel,
-        "bench-solver counters changed with the cell fan-out"
-    );
-    let report = Json::parse(&sequential).expect("report is valid JSON");
-    assert_eq!(
-        report.get("schema").and_then(Json::as_str),
-        Some("dvs-bench-solver.v1")
-    );
-    let cases = report
-        .get("cases")
-        .and_then(Json::as_arr)
-        .expect("report has cases");
-    assert_eq!(
-        cases.len(),
-        16,
-        "quick grid is 8 coordinates x 2 solver backends"
-    );
-    let backends: Vec<&str> = cases
-        .iter()
-        .map(|c| c.get("backend").and_then(Json::as_str).expect("backend"))
-        .collect();
-    assert_eq!(backends.iter().filter(|b| **b == "bnb").count(), 8);
-    assert_eq!(backends.iter().filter(|b| **b == "continuous").count(), 8);
-    for case in cases {
-        assert!(
-            case.get("error").is_none(),
-            "bench cell failed: {}",
-            case.dump()
-        );
-        // Continuous cells carry the exact continuous optimum next to the
-        // branch-and-bound LP relaxation of the same model; the two
-        // backends must agree on continuous ladders to 1e-6.
-        if case.get("backend").and_then(Json::as_str) == Some("continuous") {
-            let exact = case
-                .get("continuous_objective")
-                .and_then(Json::as_f64)
-                .expect("continuous_objective");
-            let lp = case
-                .get("bnb_relaxation_objective")
-                .and_then(Json::as_f64)
-                .expect("bnb_relaxation_objective");
-            assert!(
-                (exact - lp).abs() <= 1e-6 * exact.abs().max(1.0),
-                "backends disagree on a continuous ladder: yds={exact} lp={lp}"
-            );
-        }
-        // Incumbent trajectories are minimization objectives: each new
-        // incumbent must improve (or tie) the last.
-        let incumbents = case
-            .get("stats")
-            .and_then(|s| s.get("incumbents"))
-            .and_then(Json::as_arr)
-            .expect("case stats carry incumbents");
-        assert!(!incumbents.is_empty(), "solved case must have an incumbent");
-        let objs: Vec<f64> = incumbents
-            .iter()
-            .map(|i| {
-                i.get("objective")
-                    .and_then(Json::as_f64)
-                    .expect("objective")
-            })
-            .collect();
-        assert!(
-            objs.windows(2).all(|w| w[1] <= w[0] + 1e-9),
-            "incumbent trajectory must be monotone nonincreasing: {objs:?}"
-        );
-    }
 }
