@@ -55,6 +55,9 @@ pub struct CertifyOutcome {
     pub encoded: String,
     /// The independent checker's verdict and proof-shape statistics.
     pub report: dvs_cert::CheckReport,
+    /// Wall-clock microseconds the prover took (nondeterministic;
+    /// excluded from canonical serializations).
+    pub prove_us: f64,
     /// Wall-clock microseconds the independent check took
     /// (nondeterministic; excluded from canonical serializations).
     pub check_us: f64,
@@ -459,11 +462,15 @@ impl<'a> MilpFormulation<'a> {
         let solve_time = t0.elapsed();
         dvs_obs::gauge("pass.solve.wall_us", solve_time.as_secs_f64() * 1e6);
 
+        // The prover hands back an unchecked proof; this is its one check,
+        // and the pass turns a rejecting report into `PassError::Certify`.
         let certificate = if self.certify {
+            let tp = Instant::now();
             let cert = {
                 let _span = dvs_obs::span!("pass.certify");
                 dvs_milp::certify_solution(&built.model, &opts, &sol)?
             };
+            let prove_us = tp.elapsed().as_secs_f64() * 1e6;
             let encoded = cert.encode();
             let tc = Instant::now();
             let report = {
@@ -478,6 +485,7 @@ impl<'a> MilpFormulation<'a> {
             Some(CertifyOutcome {
                 encoded,
                 report,
+                prove_us,
                 check_us,
             })
         } else {

@@ -195,8 +195,8 @@ impl CompileResult {
             .as_ref()
             .map_or(Json::Null, dvs_verify::VerifyReport::to_json);
         // The encoded certificate is byte-stable, so its length and the
-        // checker's report are canonical; the check's wall time is not and
-        // stays out.
+        // checker's report are canonical; the prove and check wall times
+        // are not and stay out.
         let certificate = self.milp.certificate.as_ref().map_or(Json::Null, |c| {
             Json::obj([
                 ("bytes", Json::from(c.encoded.len() as u64)),
@@ -997,10 +997,11 @@ mod tests {
         assert!(!cert.encoded.is_empty());
         assert!(cert.report.bound_leaves >= 1, "proof must bound some leaf");
         // The canonical JSON carries the certificate size and report but
-        // never the check's wall time.
+        // never the prove or check wall time.
         let dump = r.to_json().dump();
         assert!(dump.contains("\"certificate\""));
         assert!(!dump.contains("check_us"));
+        assert!(!dump.contains("prove_us"));
         // Without the flag no certificate is produced (and the JSON member
         // is null).
         let off = compiler();

@@ -81,16 +81,23 @@ struct Job {
 
 /// What one executed solve produced: the result body plus the timings
 /// the worker side measured, which the connection thread turns into
-/// `queue-wait` and `solve` trace spans (plus a `cert-check` span for
-/// certify solves).
+/// `queue-wait` and `solve` trace spans (plus `cert-prove` and
+/// `cert-check` spans for certify solves).
 #[derive(Clone)]
 struct SolveOutcome {
     body: Result<String, String>,
     queue_wait_us: f64,
     solve_us: f64,
-    /// Wall time of the independent certificate check, when the solve
-    /// was a [`SolveOp::Certify`].
-    cert_check_us: Option<f64>,
+    /// Wall times of the certificate prover and of the independent check,
+    /// when the solve was a [`SolveOp::Certify`].
+    cert_us: Option<CertTimes>,
+}
+
+/// Worker-measured wall times of a certify solve's two certificate stages.
+#[derive(Clone, Copy)]
+struct CertTimes {
+    prove_us: f64,
+    check_us: f64,
 }
 
 /// The rendezvous between one in-flight solve and its waiters. The slot
@@ -426,17 +433,16 @@ fn handle_solve(state: &State, req: &SolveRequest, started: Instant) -> String {
                         queue_start + outcome.queue_wait_us,
                         outcome.solve_us,
                     );
-                    // The independent certificate check runs at the tail of
-                    // the solve; surface it as its own span so `dvsc client
-                    // trace certify` shows where the verification time went.
-                    if let Some(cert_us) = outcome.cert_check_us {
+                    // The prover and then the independent check run at the
+                    // tail of the solve; surface each as its own span so
+                    // `dvsc client trace certify` shows where the
+                    // certification time went.
+                    if let Some(cert) = outcome.cert_us {
                         let solve_end = queue_start + outcome.queue_wait_us + outcome.solve_us;
-                        tr.record(
-                            ROOT_SPAN,
-                            "cert-check",
-                            (solve_end - cert_us).max(0.0),
-                            cert_us,
-                        );
+                        let check_start = (solve_end - cert.check_us).max(0.0);
+                        let prove_start = (check_start - cert.prove_us).max(0.0);
+                        tr.record(ROOT_SPAN, "cert-prove", prove_start, cert.prove_us);
+                        tr.record(ROOT_SPAN, "cert-check", check_start, cert.check_us);
                     }
                     if dvs_obs::enabled() {
                         dvs_obs::histogram("serve.queue_wait_us", outcome.queue_wait_us);
@@ -585,15 +591,15 @@ fn dispatcher(state: &State) {
             let _d = dvs_obs::enter_domain(domain);
             let queue_wait_us = us_since(job.enqueued);
             let solve_start = Instant::now();
-            let (body, cert_check_us) = match execute_solve(&job.request) {
-                Ok(s) => (Ok(s.body), s.cert_check_us),
+            let (body, cert_us) = match execute_solve(&job.request) {
+                Ok(s) => (Ok(s.body), s.cert_us),
                 Err(e) => (Err(e), None),
             };
             let outcome = SolveOutcome {
                 body,
                 queue_wait_us,
                 solve_us: us_since(solve_start),
-                cert_check_us,
+                cert_us,
             };
             (job.key, job.canonical, outcome)
         });
@@ -708,14 +714,14 @@ fn cached_bytecode(
 /// that ride the trace tree but never the (cacheable) body.
 struct Solved {
     body: String,
-    cert_check_us: Option<f64>,
+    cert_us: Option<CertTimes>,
 }
 
 impl Solved {
     fn plain(body: String) -> Solved {
         Solved {
             body,
-            cert_check_us: None,
+            cert_us: None,
         }
     }
 }
@@ -778,7 +784,10 @@ fn execute_solve(req: &SolveRequest) -> Result<Solved, String> {
             ]);
             Ok(Solved {
                 body,
-                cert_check_us: Some(cert.check_us),
+                cert_us: Some(CertTimes {
+                    prove_us: cert.prove_us,
+                    check_us: cert.check_us,
+                }),
             })
         }
         SolveOp::Verify => {

@@ -792,12 +792,13 @@ fn run_compile(args: &Args) -> u8 {
     if let Some(cert) = &result.milp.certificate {
         println!(
             "certificate: accepted by independent checker ({} bound / {} farkas / {} empty \
-             leaves, {} branch nodes, {} bytes, checked in {:.0} µs)",
+             leaves, {} branch nodes, {} bytes, proved in {:.1} ms, checked in {:.0} µs)",
             cert.report.bound_leaves,
             cert.report.farkas_leaves,
             cert.report.empty_leaves,
             cert.report.branch_nodes,
             cert.encoded.len(),
+            cert.prove_us / 1e3,
             cert.check_us,
         );
     }

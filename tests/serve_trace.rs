@@ -25,8 +25,12 @@ fn spawn_server() -> (
 }
 
 fn compile_request(trace_id: Option<u64>) -> Request {
+    solve_request(SolveOp::Compile, trace_id)
+}
+
+fn solve_request(op: SolveOp, trace_id: Option<u64>) -> Request {
     Request::Solve(SolveRequest {
-        op: SolveOp::Compile,
+        op,
         benchmark: "ghostscript".to_string(),
         deadline_index: 3,
         levels: 3,
@@ -145,6 +149,59 @@ fn cold_solve_trace_has_queue_and_solve_spans() {
         assert!(ev.get("ts").and_then(Json::as_f64).is_some());
         assert!(ev.get("dur").and_then(Json::as_f64).is_some());
     }
+
+    client
+        .request(&Request::Shutdown)
+        .expect("graceful shutdown");
+    handle.join().expect("server thread").expect("clean run");
+}
+
+/// A certify solve's trace: the prover's `cert-prove` span and then the
+/// checker's `cert-check` span, both children of the root, lying inside
+/// `solve` in that order without overlapping.
+#[test]
+fn certify_trace_has_prove_then_check_inside_solve() {
+    let (addr, handle) = spawn_server();
+    let mut client = Client::connect(&addr, Some(Duration::from_secs(120))).expect("connect");
+
+    let reply = client
+        .request(&solve_request(SolveOp::Certify, Some(778)))
+        .expect("certify request");
+    assert!(reply.ok && !reply.cached, "{:?}", reply.error);
+    let spans = spans_of(reply.trace.as_ref().expect("reply carries a trace"));
+    assert_eq!(
+        names(&spans),
+        [
+            "request",
+            "cache-lookup",
+            "queue-wait",
+            "solve",
+            "cert-prove",
+            "cert-check",
+            "emit"
+        ],
+        "certify spans out of order or missing"
+    );
+    let span = |name: &str| {
+        let (_, parent, _, ts, dur) = spans
+            .iter()
+            .find(|s| s.2 == name)
+            .cloned()
+            .expect("span present");
+        assert_eq!(parent, 1, "{name} must be a child of the root");
+        (ts, ts + dur)
+    };
+    let (solve, prove, check) = (span("solve"), span("cert-prove"), span("cert-check"));
+    // The spans are placed backwards from the solve's end, so float
+    // rounding can move an edge by an ulp.
+    let eps = 1e-6 * solve.1;
+    assert!(
+        prove.1 > prove.0 && check.1 > check.0,
+        "empty certify spans"
+    );
+    assert!(solve.0 <= prove.0 + eps, "cert-prove starts before solve");
+    assert!(prove.1 <= check.0 + eps, "cert-prove overlaps cert-check");
+    assert!(check.1 <= solve.1 + eps, "cert-check ends after solve");
 
     client
         .request(&Request::Shutdown)
