@@ -1,5 +1,5 @@
 use dvs_ir::Cfg;
-use dvs_sim::{Machine, Trace};
+use dvs_sim::{Machine, RunStats, Trace};
 use dvs_vf::OperatingPoint;
 
 /// The paper's Fig. 16 deadline-selection scheme.
@@ -30,23 +30,44 @@ pub struct DeadlineScheme {
     pub t_fast_us: f64,
 }
 
+/// The paper's 200/600/800 MHz XScale reference points, slowest first:
+/// the runtimes at these three points place the five deadlines.
+fn reference_points() -> [OperatingPoint; 3] {
+    [
+        OperatingPoint::new(0.7, 200.0),
+        OperatingPoint::new(1.3, 600.0),
+        OperatingPoint::new(1.65, 800.0),
+    ]
+}
+
 impl DeadlineScheme {
     /// Measures the three reference runtimes of `trace` at the paper's
     /// 200/600/800 MHz XScale points, with one [`Machine::run_points`]
     /// call: one walk of the caches and predictor, timed at each point.
     #[must_use]
     pub fn measure(machine: &Machine, cfg: &Cfg, trace: &Trace) -> Self {
-        let points = [
-            OperatingPoint::new(0.7, 200.0),
-            OperatingPoint::new(1.3, 600.0),
-            OperatingPoint::new(1.65, 800.0),
-        ];
-        let runs = machine.run_points(cfg, trace, &points);
-        DeadlineScheme {
-            t_slow_us: runs[0].total_time_us,
-            t_mid_us: runs[1].total_time_us,
-            t_fast_us: runs[2].total_time_us,
-        }
+        let runs = machine.run_points(cfg, trace, &reference_points());
+        Self::from_runs(&runs).expect("runs at every reference point")
+    }
+
+    /// Reads the three reference runtimes out of runs that already timed
+    /// the trace, such as a profile's per-mode runs; `None` unless the
+    /// runs hold all three reference points exactly. On the paper's
+    /// 3-level ladder this equals [`DeadlineScheme::measure`] bit for bit,
+    /// without its walk.
+    #[must_use]
+    pub fn from_runs(runs: &[RunStats]) -> Option<Self> {
+        let time_at = |point: OperatingPoint| {
+            runs.iter()
+                .find(|r| r.point == point)
+                .map(|r| r.total_time_us)
+        };
+        let [slow, mid, fast] = reference_points();
+        Some(DeadlineScheme {
+            t_slow_us: time_at(slow)?,
+            t_mid_us: time_at(mid)?,
+            t_fast_us: time_at(fast)?,
+        })
     }
 
     /// Builds the scheme from known runtimes (µs).
@@ -135,6 +156,11 @@ mod tests {
             "D5 = {}",
             d[4] / 1000.0
         );
+    }
+
+    #[test]
+    fn runs_without_the_reference_points_give_no_scheme() {
+        assert_eq!(DeadlineScheme::from_runs(&[]), None);
     }
 
     #[test]

@@ -1,10 +1,16 @@
 //! The content-addressed solve cache.
 //!
-//! Keys are 64-bit [`dvs_compiler::fingerprint::Fnv64`] digests of the
-//! canonical request encoding; because 64 bits can collide in principle,
-//! every entry also stores the canonical string itself and a lookup only
-//! hits when the strings match — a collision degrades to a miss, never to
-//! a wrong answer.
+//! It holds two kinds of entry under one LRU and one byte budget: result
+//! bodies, keyed by the whole request, and [`Stage`]s, keyed by
+//! (benchmark, ladder). A stage is what every request on that pair
+//! shares whatever its deadline, op or regulator, so a cold request whose
+//! stage is resident pays only for its own solve.
+//!
+//! Keys are 64-bit [`dvs_compiler::fingerprint::Fnv64`] digests of a
+//! canonical encoding; because 64 bits can collide in principle, every
+//! entry also stores the canonical string itself and a lookup only hits
+//! when the strings match — a collision degrades to a miss, never to a
+//! wrong answer.
 //!
 //! Eviction is least-recently-used under a byte budget. Recency is
 //! tracked with a lazy stamp deque: every touch pushes `(stamp, key)` and
@@ -12,18 +18,79 @@
 //! longer matches the entry's) are discarded when they surface during
 //! eviction, so touches are O(1) and eviction is amortized O(1).
 
+use dvs_compiler::DeadlineScheme;
+use dvs_ir::{BlockModeCost, Cfg, LocalPath, Profile};
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::mem::size_of;
+use std::sync::Arc;
 
 /// Fixed per-entry bookkeeping cost charged against the byte budget, on
-/// top of the canonical-request and result-body strings.
+/// top of the canonical string and the value.
 const ENTRY_OVERHEAD_BYTES: usize = 64;
 
+/// The deadline-independent part of a solve request: the profile of a
+/// benchmark's default input on one ladder, and the deadline scheme that
+/// places its five deadlines. Neither depends on the deadline, the op or
+/// the regulator.
+#[derive(Debug)]
+pub struct Stage {
+    profile: Profile,
+    scheme: DeadlineScheme,
+    /// Estimated heap bytes of the two, charged against the cache budget.
+    bytes: usize,
+}
+
+impl Stage {
+    /// Wraps a profile of `cfg` and the scheme measured on the same trace,
+    /// estimating the bytes the stage holds.
+    #[must_use]
+    pub fn new(cfg: &Cfg, profile: Profile, scheme: DeadlineScheme) -> Stage {
+        let per_block = size_of::<Vec<BlockModeCost>>()
+            + profile.num_modes() * size_of::<BlockModeCost>()
+            + size_of::<u64>();
+        // B-tree nodes run about two-thirds full.
+        let per_path = size_of::<(LocalPath, u64)>() * 3 / 2;
+        let bytes = size_of::<Stage>()
+            + profile.num_blocks() * per_block
+            + cfg.num_edges() * size_of::<u64>()
+            + profile.local_paths().count() * per_path;
+        Stage {
+            profile,
+            scheme,
+            bytes,
+        }
+    }
+
+    /// Per-block time and energy per mode, and the edge and path counts.
+    #[must_use]
+    pub fn profile(&self) -> &Profile {
+        &self.profile
+    }
+
+    /// The reference runtimes the deadlines are placed between.
+    #[must_use]
+    pub fn scheme(&self) -> &DeadlineScheme {
+        &self.scheme
+    }
+
+    /// The estimated bytes the stage holds, its charge in the cache.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.bytes
+    }
+}
+
+enum Value {
+    /// A result body (a serialized JSON value).
+    Body(String),
+    Stage(Arc<Stage>),
+}
+
 struct Entry {
-    /// Canonical request string — the collision guard.
+    /// Canonical string — the collision guard.
     canonical: String,
-    /// The cached result body (a serialized JSON value).
-    body: String,
+    value: Value,
     /// Recency stamp; only the deque record carrying this exact stamp is
     /// live, older records for the same key are stale.
     stamp: u64,
@@ -31,20 +98,29 @@ struct Entry {
 
 impl Entry {
     fn cost(&self) -> usize {
-        self.canonical.len() + self.body.len() + ENTRY_OVERHEAD_BYTES
+        let value = match &self.value {
+            Value::Body(body) => body.len(),
+            Value::Stage(stage) => stage.heap_bytes(),
+        };
+        self.canonical.len() + value + ENTRY_OVERHEAD_BYTES
     }
 }
 
 /// Monotonic counters describing cache behaviour since construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that returned a stored body.
+    /// Body lookups that returned a stored body.
     pub hits: u64,
-    /// Lookups that found nothing (or a colliding digest).
+    /// Body lookups that found nothing (or a colliding digest).
     pub misses: u64,
-    /// Entries removed to satisfy the byte budget.
+    /// Stage lookups that returned a stored stage.
+    pub stage_hits: u64,
+    /// Stage lookups that found nothing (or a colliding digest).
+    pub stage_misses: u64,
+    /// Entries of either kind removed to satisfy the byte budget.
     pub evictions: u64,
-    /// Bodies stored (excluding over-budget bodies that were skipped).
+    /// Entries of either kind stored (excluding over-budget entries that
+    /// were skipped).
     pub insertions: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -54,7 +130,7 @@ pub struct CacheStats {
     pub capacity_bytes: usize,
 }
 
-/// An LRU, byte-budgeted map from request digest to result body.
+/// An LRU, byte-budgeted map from digest to result body or [`Stage`].
 ///
 /// Not internally synchronized — the server wraps it in a `Mutex`.
 pub struct SolveCache {
@@ -66,6 +142,8 @@ pub struct SolveCache {
     capacity_bytes: usize,
     hits: u64,
     misses: u64,
+    stage_hits: u64,
+    stage_misses: u64,
     evictions: u64,
     insertions: u64,
 }
@@ -82,7 +160,7 @@ impl std::fmt::Debug for SolveCache {
 
 impl SolveCache {
     /// An empty cache that will hold at most `capacity_bytes` of entries
-    /// (canonical keys + bodies + fixed per-entry overhead).
+    /// (canonical keys + values + fixed per-entry overhead).
     #[must_use]
     pub fn new(capacity_bytes: usize) -> Self {
         SolveCache {
@@ -93,6 +171,8 @@ impl SolveCache {
             capacity_bytes,
             hits: 0,
             misses: 0,
+            stage_hits: 0,
+            stage_misses: 0,
             evictions: 0,
             insertions: 0,
         }
@@ -104,40 +184,88 @@ impl SolveCache {
         recency.push_back((*next, key));
     }
 
-    /// Looks up `key`, verifying the canonical string, and refreshes the
-    /// entry's recency on a hit. Records the hit/miss in both the local
-    /// stats and the `serve.cache.*` dvs-obs counters.
+    /// Reads the entry under `key` through `read` when its canonical
+    /// string matches, refreshing its recency if `read` finds a value.
+    fn lookup<T>(
+        &mut self,
+        key: u64,
+        canonical: &str,
+        read: impl FnOnce(&Value) -> Option<T>,
+    ) -> Option<T> {
+        let e = self
+            .entries
+            .get_mut(&key)
+            .filter(|e| e.canonical == canonical)?;
+        let found = read(&e.value)?;
+        Self::touch(&mut e.stamp, &mut self.next_stamp, &mut self.recency, key);
+        Some(found)
+    }
+
+    /// Looks up the body under `key`, verifying the canonical string, and
+    /// refreshes the entry's recency on a hit. Records the hit/miss in
+    /// both the local stats and the `serve.cache.*` dvs-obs counters.
     pub fn get(&mut self, key: u64, canonical: &str) -> Option<String> {
-        match self.entries.get_mut(&key) {
-            Some(e) if e.canonical == canonical => {
-                Self::touch(&mut e.stamp, &mut self.next_stamp, &mut self.recency, key);
-                self.hits += 1;
-                if dvs_obs::enabled() {
-                    dvs_obs::counter("serve.cache.hits", 1);
-                }
-                Some(e.body.clone())
+        let body = self.lookup(key, canonical, |v| match v {
+            Value::Body(body) => Some(body.clone()),
+            Value::Stage(_) => None,
+        });
+        if body.is_some() {
+            self.hits += 1;
+            if dvs_obs::enabled() {
+                dvs_obs::counter("serve.cache.hits", 1);
             }
-            _ => {
-                self.misses += 1;
-                if dvs_obs::enabled() {
-                    dvs_obs::counter("serve.cache.misses", 1);
-                }
-                None
+        } else {
+            self.misses += 1;
+            if dvs_obs::enabled() {
+                dvs_obs::counter("serve.cache.misses", 1);
             }
         }
+        body
+    }
+
+    /// [`SolveCache::get`] for a stage; counted in `stage_hits` and
+    /// `stage_misses` and the `serve.stage.*` dvs-obs counters.
+    pub fn get_stage(&mut self, key: u64, canonical: &str) -> Option<Arc<Stage>> {
+        let stage = self.lookup(key, canonical, |v| match v {
+            Value::Stage(stage) => Some(Arc::clone(stage)),
+            Value::Body(_) => None,
+        });
+        if stage.is_some() {
+            self.stage_hits += 1;
+            if dvs_obs::enabled() {
+                dvs_obs::counter("serve.stage.hits", 1);
+            }
+        } else {
+            self.stage_misses += 1;
+            if dvs_obs::enabled() {
+                dvs_obs::counter("serve.stage.misses", 1);
+            }
+        }
+        stage
     }
 
     /// Stores `body` under `key`, evicting least-recently-used entries
     /// until the budget holds. A body too large to ever fit is skipped
-    /// (the cache stays as it was); re-inserting an existing key replaces
-    /// its body and refreshes its recency.
+    /// (the cache keeps every other entry, but drops what `key` held);
+    /// re-inserting an existing key replaces its value and refreshes its
+    /// recency.
     pub fn insert(&mut self, key: u64, canonical: &str, body: String) {
+        self.store(key, canonical, Value::Body(body));
+    }
+
+    /// [`SolveCache::insert`] for a stage, charged at
+    /// [`Stage::heap_bytes`].
+    pub fn insert_stage(&mut self, key: u64, canonical: &str, stage: Arc<Stage>) {
+        self.store(key, canonical, Value::Stage(stage));
+    }
+
+    fn store(&mut self, key: u64, canonical: &str, value: Value) {
         if let Some(old) = self.entries.remove(&key) {
             self.used_bytes -= old.cost();
         }
         let entry = Entry {
             canonical: canonical.to_string(),
-            body,
+            value,
             stamp: 0,
         };
         if entry.cost() > self.capacity_bytes {
@@ -191,6 +319,8 @@ impl SolveCache {
         CacheStats {
             hits: self.hits,
             misses: self.misses,
+            stage_hits: self.stage_hits,
+            stage_misses: self.stage_misses,
             evictions: self.evictions,
             insertions: self.insertions,
             entries: self.entries.len(),

@@ -6,16 +6,19 @@
 //! turns that purity into a long-running daemon:
 //!
 //! * **Protocol** ([`protocol`]) — a length-prefixed JSON frame protocol
-//!   over TCP: `ping`, `stats`, `shutdown`, and `compile`/`verify` solve
-//!   requests.
+//!   over TCP: `ping`, `stats`, `shutdown`, `traces`, and
+//!   `compile`/`verify`/`evaluate`/`certify` solve requests.
 //! * **Content-addressed cache** ([`cache`]) — requests are canonically
 //!   serialized (resolved benchmark name + deadline index + the
 //!   compiler's semantic config digest) and FNV-1a-hashed; a hit returns
 //!   the stored [`dvs_compiler::CompileResult`] JSON byte-identically,
-//!   without touching the MILP. LRU eviction under a byte budget.
-//! * **Batching and coalescing** ([`server`]) — concurrent identical
-//!   requests collapse onto one in-flight solve; distinct requests are
-//!   batched and fanned out over a [`dvs_runtime::Pool`].
+//!   without touching the MILP. Beside the bodies, the same LRU and byte
+//!   budget hold one [`Stage`] per (benchmark, ladder): the profile and
+//!   deadline scheme every request on that pair shares, so a cold request
+//!   pays only for its own deadline and op.
+//! * **Worker loops and coalescing** ([`server`]) — concurrent identical
+//!   requests collapse onto one in-flight solve; distinct requests go to
+//!   whichever of the `jobs` workers is free.
 //! * **Admission control** — a bounded pending queue sheds overload with
 //!   an explicit `busy` reply, per-request deadlines abandon waits (the
 //!   solve still completes and populates the cache), and a `shutdown`
@@ -30,8 +33,8 @@
 //!   pure function of the global request index, making results
 //!   comparable across client counts.
 //!
-//! Everything is observable through `dvs-obs`: `serve.cache.*` counters,
-//! the `serve.batch.size` histogram, the `runtime.pool.queued` gauge, and
+//! Everything is observable through `dvs-obs`: `serve.cache.*` and
+//! `serve.stage.*` counters, the `serve.queue_wait_us` histogram, and
 //! load-test latencies under the registered `serve.loadtest` domain.
 //!
 //! ```no_run
@@ -61,7 +64,7 @@ pub mod protocol;
 pub mod server;
 pub mod trace;
 
-pub use cache::{CacheStats, SolveCache};
+pub use cache::{CacheStats, SolveCache, Stage};
 pub use client::{Client, Reply};
 pub use loadtest::{run_loadtest, LatencyStats, LoadtestConfig, LoadtestReport};
 pub use protocol::{Request, SolveOp, SolveRequest};

@@ -127,8 +127,8 @@ pub enum SolveOp {
     Verify,
     /// Compile (validation off) plus a `dvs-replay` bytecode evaluation
     /// of the emitted schedule, returning measured time/energy and the
-    /// bytecode shape. The compiled bytecode is itself content-addressed
-    /// and shared across requests that differ only in deadline or solver.
+    /// bytecode shape. Each request compiles its own bytecode from the
+    /// trace; only the result body is cached.
     Evaluate,
     /// Compile (validation off) with the certified-optimality gate: the
     /// solver's proof is exported as a `dvs-cert` certificate, replayed by
@@ -165,7 +165,7 @@ pub struct SolveRequest {
     pub deadline_index: usize,
     /// Voltage-ladder levels (3 = the paper's XScale ladder).
     pub levels: usize,
-    /// Regulator capacitance in µF.
+    /// Regulator capacitance in µF: finite and at least 0.
     pub capacitance_uf: f64,
     /// Solver backend: `auto` (default), `bnb`/`branch-and-bound`, or
     /// `continuous` — part of the cache key, since the backend can change
@@ -208,6 +208,12 @@ impl SolveRequest {
             .map(|d| d.as_f64().ok_or("`capacitance_uf` must be a number"))
             .transpose()?
             .unwrap_or(0.05);
+        // JSON has no infinity, but `1e999` overflows to one.
+        if !capacitance_uf.is_finite() || capacitance_uf < 0.0 {
+            return Err(format!(
+                "`capacitance_uf` must be a finite number of at least 0 (got {capacitance_uf})"
+            ));
+        }
         let solver = v
             .get("solver")
             .map(|d| d.as_str().ok_or("`solver` must be a string"))
@@ -504,6 +510,18 @@ mod tests {
         assert!(Request::parse("{\"op\":\"compile\"}")
             .unwrap_err()
             .contains("`benchmark`"));
+        for cap in ["1e999", "-1e999", "-1", "-0.5"] {
+            let frame =
+                format!("{{\"op\":\"certify\",\"benchmark\":\"gsm\",\"capacitance_uf\":{cap}}}");
+            assert!(
+                Request::parse(&frame)
+                    .unwrap_err()
+                    .contains("`capacitance_uf`"),
+                "{cap}"
+            );
+        }
+        let zero = "{\"op\":\"compile\",\"benchmark\":\"gsm\",\"capacitance_uf\":0}";
+        assert!(Request::parse(zero).is_ok(), "zero capacitance stays valid");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The daemon: accept loop, admission control, batching dispatcher and
-//! the solve executor.
+//! The daemon: accept loop, admission control, worker loops and the
+//! solve executor.
 //!
 //! One OS thread per connection reads request frames; solve requests pass
 //! through a three-stage admission path under a single coordination lock:
@@ -12,23 +12,28 @@
 //!    pending queue, unless the queue is at `queue_depth`, in which case
 //!    the server replies `busy` instead of building unbounded backlog.
 //!
-//! A single dispatcher thread drains the pending queue in batches and
-//! fans each batch out over a [`dvs_runtime::Pool`], so distinct requests
-//! solve in parallel while every waiter of a coalesced request is paid by
-//! one solve. Shutdown (the `shutdown` request) stops admission, drains
+//! `jobs` worker threads each take the next pending solve as soon as they
+//! finish their last, so distinct requests solve in parallel while every
+//! waiter of a coalesced request is paid by one solve. A solve first
+//! fetches its [`Stage`] — the profile and deadline scheme of its
+//! (benchmark, ladder) — from the cache; on a miss it computes the stage,
+//! and a worker that misses a stage another worker is computing waits for
+//! it instead. Shutdown (the `shutdown` request) stops admission, drains
 //! the queue and in-flight solves, then stops the accept loop.
 
-use crate::cache::{CacheStats, SolveCache};
+use crate::cache::{CacheStats, SolveCache, Stage};
 use crate::protocol::{
     error_envelope, ok_envelope, ok_envelope_traced, read_frame, write_frame, Request, SolveOp,
     SolveRequest,
 };
 use crate::trace::{self, TraceCtx, ROOT_SPAN};
 use dvs_compiler::{DeadlineScheme, DvsCompiler};
+use dvs_ir::Cfg;
 use dvs_obs::json::Json;
-use dvs_sim::Machine;
+use dvs_sim::{Machine, Trace};
 use dvs_vf::{TransitionModel, VoltageLadder};
 use dvs_workloads::Benchmark;
+use std::cell::OnceCell;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -45,7 +50,7 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 pub struct ServeConfig {
     /// Listen address, e.g. `127.0.0.1:7411` (port `0` picks a free one).
     pub addr: String,
-    /// Worker threads for the solve pool (and the batch width).
+    /// Worker threads, each running one solve at a time.
     pub jobs: usize,
     /// Byte budget for the solve cache.
     pub cache_bytes: usize,
@@ -74,8 +79,8 @@ struct Job {
     key: u64,
     canonical: String,
     request: SolveRequest,
-    /// When the job entered the pending queue — the dispatcher derives
-    /// the `queue-wait` span from this.
+    /// When the job entered the pending queue — the worker that takes it
+    /// derives the `queue-wait` span from this.
     enqueued: Instant,
 }
 
@@ -100,19 +105,64 @@ struct CertTimes {
     check_us: f64,
 }
 
-/// The rendezvous between one in-flight solve and its waiters. The slot
-/// stays filled after completion so late joiners (admitted before the
-/// coordination lock observed the removal) still read the result.
-struct Inflight {
-    slot: Mutex<Option<SolveOutcome>>,
+/// The rendezvous between one computation and its waiters: an in-flight
+/// solve and the requests coalesced onto it, or a stage being computed
+/// and the workers that missed it meanwhile. The slot stays filled after
+/// completion so late joiners (admitted before the coordination lock
+/// observed the removal) still read the result.
+struct Rendezvous<T> {
+    slot: Mutex<Option<T>>,
     done: Condvar,
 }
 
-/// Everything the admission path mutates, under one lock so a lookup,
-/// a coalesce check and an enqueue are a single atomic decision.
+impl<T: Clone> Rendezvous<T> {
+    fn new() -> Arc<Self> {
+        Arc::new(Rendezvous {
+            slot: Mutex::new(None),
+            done: Condvar::new(),
+        })
+    }
+
+    fn fill(&self, value: T) {
+        *self.slot.lock().expect("rendezvous poisoned") = Some(value);
+        self.done.notify_all();
+    }
+
+    /// Blocks until the slot is filled, or until `timeout` elapses
+    /// (`None` result). Every waiter clones the value.
+    fn wait(&self, timeout: Option<Duration>) -> Option<T> {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut slot = self.slot.lock().expect("rendezvous poisoned");
+        loop {
+            if let Some(value) = slot.as_ref() {
+                return Some(value.clone());
+            }
+            match deadline {
+                None => slot = self.done.wait(slot).expect("rendezvous poisoned"),
+                Some(d) => {
+                    let now = Instant::now();
+                    if now >= d {
+                        return None;
+                    }
+                    let (guard, _) = self
+                        .done
+                        .wait_timeout(slot, d - now)
+                        .expect("rendezvous poisoned");
+                    slot = guard;
+                }
+            }
+        }
+    }
+}
+
+/// Everything the admission path and the workers mutate, under one lock
+/// so a lookup, a coalesce check and an enqueue are a single atomic
+/// decision.
 struct Coord {
     cache: SolveCache,
-    inflight: HashMap<u64, Arc<Inflight>>,
+    inflight: HashMap<u64, Arc<Rendezvous<SolveOutcome>>>,
+    /// Stages being computed, by stage key.
+    staging: HashMap<u64, Arc<Rendezvous<Arc<Stage>>>>,
     queue: VecDeque<Job>,
 }
 
@@ -133,7 +183,6 @@ struct State {
     jobs: usize,
     shutdown: AtomicBool,
     counters: Counters,
-    pool: dvs_runtime::Pool,
     domain: u32,
     started: Instant,
     /// Last [`TRACE_RING`] completed solve trace trees, oldest first.
@@ -176,8 +225,8 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Binds the listen socket and prepares the shared state (the solve
-    /// pool, the cache, the `serve.worker` dvs-obs domain).
+    /// Binds the listen socket and prepares the shared state (the cache,
+    /// the `serve.worker` dvs-obs domain).
     ///
     /// # Errors
     ///
@@ -191,6 +240,7 @@ impl Server {
                 coord: Mutex::new(Coord {
                     cache: SolveCache::new(config.cache_bytes),
                     inflight: HashMap::new(),
+                    staging: HashMap::new(),
                     queue: VecDeque::new(),
                 }),
                 work_ready: Condvar::new(),
@@ -198,7 +248,6 @@ impl Server {
                 jobs,
                 shutdown: AtomicBool::new(false),
                 counters: Counters::default(),
-                pool: dvs_runtime::Pool::new(jobs),
                 domain: dvs_obs::register_domain("serve.worker"),
                 started: Instant::now(),
                 traces: Mutex::new(VecDeque::with_capacity(TRACE_RING)),
@@ -217,8 +266,8 @@ impl Server {
     }
 
     /// Serves until a `shutdown` request drains the daemon. Blocks the
-    /// calling thread; connection handlers and the dispatcher run on
-    /// scoped threads that are joined before this returns.
+    /// calling thread; connection handlers and the workers run on scoped
+    /// threads that are joined before this returns.
     ///
     /// # Errors
     ///
@@ -228,7 +277,9 @@ impl Server {
         self.listener.set_nonblocking(true)?;
         let state = &self.state;
         std::thread::scope(|s| -> io::Result<()> {
-            s.spawn(|| dispatcher(state));
+            for _ in 0..state.jobs {
+                s.spawn(|| worker(state));
+            }
             loop {
                 if state.shutdown.load(Ordering::SeqCst) {
                     break;
@@ -244,7 +295,7 @@ impl Server {
                     Err(e) => return Err(e),
                 }
             }
-            // Wake the dispatcher so it can observe shutdown and exit.
+            // Wake the idle workers so they observe shutdown and exit.
             state.work_ready.notify_all();
             Ok(())
         })?;
@@ -329,9 +380,9 @@ enum Admission {
     /// Content-addressed cache hit: the stored body, answered in place.
     Hit(String),
     /// Joined an identical in-flight solve.
-    Join(Arc<Inflight>),
+    Join(Arc<Rendezvous<SolveOutcome>>),
     /// Admitted to the pending queue as a fresh solve.
-    Fresh(Arc<Inflight>),
+    Fresh(Arc<Rendezvous<SolveOutcome>>),
 }
 
 /// The admission path described in the module docs: cache → coalesce →
@@ -357,7 +408,7 @@ fn handle_solve(state: &State, req: &SolveRequest, started: Instant) -> String {
         let mut coord = state.coord.lock().expect("coord poisoned");
         // Checked under the coordination lock: `handle_shutdown` sets the
         // flag while holding it, so no job can slip into the queue after
-        // the dispatcher has observed shutdown and exited.
+        // the workers have observed shutdown and exited.
         if state.shutdown.load(Ordering::SeqCst) {
             return error_envelope(op, "shutting_down", "server is draining");
         }
@@ -381,10 +432,7 @@ fn handle_solve(state: &State, req: &SolveRequest, started: Instant) -> String {
                     &format!("pending queue full ({} solves waiting)", coord.queue.len()),
                 );
             }
-            let inf = Arc::new(Inflight {
-                slot: Mutex::new(None),
-                done: Condvar::new(),
-            });
+            let inf = Rendezvous::new();
             coord.inflight.insert(key, Arc::clone(&inf));
             coord.queue.push_back(Job {
                 key,
@@ -394,7 +442,7 @@ fn handle_solve(state: &State, req: &SolveRequest, started: Instant) -> String {
             });
             state.counters.solves.fetch_add(1, Ordering::Relaxed);
             drop(coord);
-            state.work_ready.notify_all();
+            state.work_ready.notify_one();
             Admission::Fresh(inf)
         }
     };
@@ -415,14 +463,14 @@ fn handle_solve(state: &State, req: &SolveRequest, started: Instant) -> String {
         }
         Admission::Fresh(inf) => (inf, None),
     };
-    match wait_inflight(&inflight, timeout) {
+    match inflight.wait(timeout) {
         Some(outcome) => {
             match join_span {
                 // A coalesced waiter only observed the join; the solve
                 // spans belong to the request that enqueued the job.
                 Some(join) => tr.end(join),
                 None => {
-                    // Place the dispatcher-measured spans on the request
+                    // Place the worker-measured spans on the request
                     // timeline by working backwards from the wakeup.
                     let queue_start =
                         (tr.now_us() - outcome.solve_us - outcome.queue_wait_us).max(0.0);
@@ -516,32 +564,6 @@ fn traces_json(state: &State) -> Json {
     ])
 }
 
-/// Blocks until the in-flight solve completes, or until `timeout`
-/// elapses (`None` result). Multiple waiters each clone the outcome.
-fn wait_inflight(inf: &Inflight, timeout: Option<Duration>) -> Option<SolveOutcome> {
-    let deadline = timeout.map(|t| Instant::now() + t);
-    let mut slot = inf.slot.lock().expect("inflight poisoned");
-    loop {
-        if let Some(result) = slot.as_ref() {
-            return Some(result.clone());
-        }
-        match deadline {
-            None => slot = inf.done.wait(slot).expect("inflight poisoned"),
-            Some(d) => {
-                let now = Instant::now();
-                if now >= d {
-                    return None;
-                }
-                let (guard, _) = inf
-                    .done
-                    .wait_timeout(slot, d - now)
-                    .expect("inflight poisoned");
-                slot = guard;
-            }
-        }
-    }
-}
-
 /// Sets the shutdown flag, waits for the pending queue and in-flight
 /// solves to drain, and acknowledges with the final counters.
 fn handle_shutdown(state: &State, started: Instant) -> String {
@@ -564,61 +586,48 @@ fn handle_shutdown(state: &State, started: Instant) -> String {
     ok_envelope("shutdown", false, us_since(started), &body)
 }
 
-/// The dispatcher: drains the pending queue in batches and fans each
-/// batch out over the pool, so distinct requests solve concurrently and
-/// every batch member's waiters are released as the batch lands.
-fn dispatcher(state: &State) {
-    loop {
-        let batch: Vec<Job> = {
-            let mut coord = state.coord.lock().expect("coord poisoned");
-            loop {
-                if !coord.queue.is_empty() {
-                    break coord.queue.drain(..).collect();
-                }
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                coord = state.work_ready.wait(coord).expect("coord poisoned");
-            }
+/// One worker loop: takes the next pending job as soon as the last one
+/// is done, solves it, caches the body and releases the job's waiters.
+fn worker(state: &State) {
+    let _domain = dvs_obs::enter_domain(state.domain);
+    while let Some(job) = next_job(state) {
+        let queue_wait_us = us_since(job.enqueued);
+        let solve_start = Instant::now();
+        let (body, cert_us) = match execute_solve(state, &job.request) {
+            Ok(s) => (Ok(s.body), s.cert_us),
+            Err(e) => (Err(e), None),
         };
-        if dvs_obs::enabled() {
-            dvs_obs::counter("serve.batches", 1);
-            #[allow(clippy::cast_precision_loss)]
-            dvs_obs::histogram("serve.batch.size", batch.len() as f64);
-        }
-        let domain = state.domain;
-        let results = state.pool.map(batch, |_, job| {
-            let _d = dvs_obs::enter_domain(domain);
-            let queue_wait_us = us_since(job.enqueued);
-            let solve_start = Instant::now();
-            let (body, cert_us) = match execute_solve(&job.request) {
-                Ok(s) => (Ok(s.body), s.cert_us),
-                Err(e) => (Err(e), None),
-            };
-            let outcome = SolveOutcome {
-                body,
-                queue_wait_us,
-                solve_us: us_since(solve_start),
-                cert_us,
-            };
-            (job.key, job.canonical, outcome)
-        });
-        let mut finished = Vec::with_capacity(results.len());
-        {
+        let outcome = SolveOutcome {
+            body,
+            queue_wait_us,
+            solve_us: us_since(solve_start),
+            cert_us,
+        };
+        let inflight = {
             let mut coord = state.coord.lock().expect("coord poisoned");
-            for (key, canonical, outcome) in results {
-                if let Ok(b) = &outcome.body {
-                    coord.cache.insert(key, &canonical, b.clone());
-                }
-                if let Some(inf) = coord.inflight.remove(&key) {
-                    finished.push((inf, outcome));
-                }
+            if let Ok(b) = &outcome.body {
+                coord.cache.insert(job.key, &job.canonical, b.clone());
             }
+            coord.inflight.remove(&job.key)
+        };
+        if let Some(inf) = inflight {
+            inf.fill(outcome);
         }
-        for (inf, outcome) in finished {
-            *inf.slot.lock().expect("inflight poisoned") = Some(outcome);
-            inf.done.notify_all();
+    }
+}
+
+/// Blocks until a job is pending and takes it; `None` once the daemon is
+/// shutting down and the queue is empty.
+fn next_job(state: &State) -> Option<Job> {
+    let mut coord = state.coord.lock().expect("coord poisoned");
+    loop {
+        if let Some(job) = coord.queue.pop_front() {
+            return Some(job);
         }
+        if state.shutdown.load(Ordering::SeqCst) {
+            return None;
+        }
+        coord = state.work_ready.wait(coord).expect("coord poisoned");
     }
 }
 
@@ -663,51 +672,58 @@ fn request_key(req: &SolveRequest) -> Result<(u64, String), String> {
     Ok((h.finish(), canonical))
 }
 
-/// Process-wide content-addressed store of compiled replay bytecode.
-///
-/// The bytecode depends only on the workload and the machine/ladder/
-/// regulator configuration — never on the deadline index or solver — so
-/// `evaluate` requests that differ only in those fields share one compile.
-/// Keys reuse the solve cache's canonical-string + FNV-1a discipline.
-fn cached_bytecode(
+/// A request's stage: from the cache, from the worker already computing
+/// it, or computed here and cached. The key is (benchmark, ladder) alone:
+/// the daemon always profiles the default input on
+/// `Machine::paper_default`, and the stage reads neither the deadline, the
+/// op nor the regulator.
+fn stage<'t>(
+    state: &State,
     b: Benchmark,
-    req: &SolveRequest,
     compiler: &DvsCompiler,
-    cfg: &dvs_ir::Cfg,
-    trace: &dvs_sim::Trace,
-    ladder: &VoltageLadder,
-) -> Arc<dvs_replay::ReplayBytecode> {
-    static STORE: std::sync::OnceLock<Mutex<HashMap<u64, Arc<dvs_replay::ReplayBytecode>>>> =
-        std::sync::OnceLock::new();
+    cfg: &Cfg,
+    trace: impl Fn() -> &'t Trace,
+) -> Arc<Stage> {
     let canonical = format!(
-        "dvs-serve.bytecode.v1 benchmark={} levels={} capacitance_uf={} config={:016x}",
+        "dvs-serve.stage.v1 benchmark={} levels={}",
         b.name(),
-        req.levels,
-        req.capacitance_uf,
-        compiler.config_digest()
+        compiler.ladder().len()
     );
     let mut h = dvs_compiler::fingerprint::Fnv64::new();
     h.write_str(&canonical);
     let key = h.finish();
-    let store = STORE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(code) = store.lock().expect("bytecode store poisoned").get(&key) {
-        dvs_obs::counter("serve.bytecode.hits", 1);
-        return Arc::clone(code);
+    let ours = {
+        let mut coord = state.coord.lock().expect("coord poisoned");
+        if let Some(stage) = coord.cache.get_stage(key, &canonical) {
+            return stage;
+        }
+        if let Some(theirs) = coord.staging.get(&key) {
+            let theirs = Arc::clone(theirs);
+            drop(coord);
+            return theirs
+                .wait(None)
+                .expect("an untimed wait returns the value");
+        }
+        let ours = Rendezvous::new();
+        coord.staging.insert(key, Arc::clone(&ours));
+        ours
+    };
+    let trace = trace();
+    let (profile, runs) = compiler.profile(cfg, trace);
+    // On a ladder holding the three reference points (every 3-level
+    // request) the profile has already timed them.
+    let scheme = DeadlineScheme::from_runs(&runs)
+        .unwrap_or_else(|| DeadlineScheme::measure(compiler.machine(), cfg, trace));
+    let stage = Arc::new(Stage::new(cfg, profile, scheme));
+    {
+        let mut coord = state.coord.lock().expect("coord poisoned");
+        coord
+            .cache
+            .insert_stage(key, &canonical, Arc::clone(&stage));
+        coord.staging.remove(&key);
     }
-    let code = Arc::new(dvs_replay::compile(
-        compiler.machine(),
-        cfg,
-        trace,
-        ladder,
-        compiler.transition(),
-    ));
-    dvs_obs::counter("serve.bytecode.compiles", 1);
-    store
-        .lock()
-        .expect("bytecode store poisoned")
-        .entry(key)
-        .or_insert_with(|| Arc::clone(&code))
-        .clone()
+    ours.fill(Arc::clone(&stage));
+    stage
 }
 
 /// A finished solve: the canonical JSON body plus worker-side timings
@@ -729,15 +745,18 @@ impl Solved {
 /// Runs one solve to its canonical JSON body. This is the expensive path
 /// (tens to hundreds of milliseconds per workload); everything above it
 /// exists to avoid re-entering it.
-fn execute_solve(req: &SolveRequest) -> Result<Solved, String> {
+fn execute_solve(state: &State, req: &SolveRequest) -> Result<Solved, String> {
     let b = Benchmark::find(&req.benchmark)?;
     let ladder = VoltageLadder::paper(req.levels).map_err(|e| e.to_string())?;
     let compiler = build_compiler(req, ladder.clone())?;
     let cfg = b.build_cfg();
-    let trace = b.trace(&cfg, &b.default_input());
-    let scheme = DeadlineScheme::measure(compiler.machine(), &cfg, &trace);
-    let deadline = scheme.deadline_us(req.deadline_index);
-    let (profile, _) = compiler.profile(&cfg, &trace);
+    // Built only if a stage miss, validation or the bytecode compile needs
+    // it; verify and certify on a resident stage never do.
+    let trace_cell = OnceCell::new();
+    let trace = || trace_cell.get_or_init(|| b.trace(&cfg, &b.default_input()));
+    let stage = stage(state, b, &compiler, &cfg, trace);
+    let profile = stage.profile();
+    let deadline = stage.scheme().deadline_us(req.deadline_index);
     let header = |extra: Vec<(String, Json)>| {
         let mut members = vec![
             ("benchmark".to_string(), Json::from(b.name())),
@@ -750,7 +769,7 @@ fn execute_solve(req: &SolveRequest) -> Result<Solved, String> {
     match req.op {
         SolveOp::Compile => {
             let result = compiler
-                .compile_and_validate(&cfg, &trace, &profile, deadline)
+                .compile_and_validate(&cfg, trace(), profile, deadline)
                 .map_err(|e| format!("compile failed: {e}"))?;
             Ok(Solved::plain(header(vec![(
                 "compile".to_string(),
@@ -759,7 +778,7 @@ fn execute_solve(req: &SolveRequest) -> Result<Solved, String> {
         }
         SolveOp::Certify => {
             let result = compiler
-                .compile(&cfg, &profile, deadline)
+                .compile(&cfg, profile, deadline)
                 .map_err(|e| format!("compile failed: {e}"))?;
             let cert = result
                 .milp
@@ -792,12 +811,12 @@ fn execute_solve(req: &SolveRequest) -> Result<Solved, String> {
         }
         SolveOp::Verify => {
             let result = compiler
-                .compile(&cfg, &profile, deadline)
+                .compile(&cfg, profile, deadline)
                 .map_err(|e| format!("compile failed: {e}"))?;
             let emitted = result.analysis.emitted_mask();
             let report = dvs_verify::verify(&dvs_verify::VerifyInput {
                 cfg: &cfg,
-                profile: &profile,
+                profile,
                 ladder: &ladder,
                 transition: compiler.transition(),
                 schedule: &result.milp.schedule,
@@ -811,9 +830,15 @@ fn execute_solve(req: &SolveRequest) -> Result<Solved, String> {
         }
         SolveOp::Evaluate => {
             let result = compiler
-                .compile(&cfg, &profile, deadline)
+                .compile(&cfg, profile, deadline)
                 .map_err(|e| format!("compile failed: {e}"))?;
-            let code = cached_bytecode(b, req, &compiler, &cfg, &trace, &ladder);
+            let code = dvs_replay::compile(
+                compiler.machine(),
+                &cfg,
+                trace(),
+                &ladder,
+                compiler.transition(),
+            );
             let run = code.replay(&result.milp.schedule);
             let stats = code.stats();
             Ok(Solved::plain(header(vec![(
@@ -858,6 +883,8 @@ fn stats_json(state: &State) -> Json {
             Json::obj([
                 ("hits", Json::from(cache.hits)),
                 ("misses", Json::from(cache.misses)),
+                ("stage_hits", Json::from(cache.stage_hits)),
+                ("stage_misses", Json::from(cache.stage_misses)),
                 ("evictions", Json::from(cache.evictions)),
                 ("insertions", Json::from(cache.insertions)),
                 ("entries", Json::from(cache.entries)),
@@ -882,7 +909,6 @@ fn stats_json(state: &State) -> Json {
                 ("depth", Json::from(state.queue_depth)),
                 ("pending", Json::from(pending)),
                 ("inflight", Json::from(inflight)),
-                ("pool_queued", Json::from(state.pool.queued())),
             ]),
         ),
         ("jobs", Json::from(state.jobs)),

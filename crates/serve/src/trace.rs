@@ -94,10 +94,10 @@ impl TraceCtx {
         }
     }
 
-    /// Records a span whose timing was measured elsewhere — the
-    /// dispatcher observes queue wait and solve time on the worker side
-    /// and ships them back with the result, so the connection thread
-    /// places them on the request timeline after the fact.
+    /// Records a span whose timing was measured elsewhere — the worker
+    /// that runs a solve observes its queue wait and solve time and ships
+    /// them back with the result, so the connection thread places them on
+    /// the request timeline after the fact.
     pub fn record(&mut self, parent: u64, name: &'static str, ts_us: f64, dur_us: f64) -> u64 {
         self.push(parent, name, ts_us, dur_us.max(0.0))
     }

@@ -227,6 +227,9 @@ fn parse(argv: &[String]) -> Result<(String, Args), String> {
             "--levels" | "-l" => args.levels = number(flag, value(flag, &mut it)?)?,
             "--capacitance" | "-c" => {
                 args.capacitance_uf = number(flag, value(flag, &mut it)?)?;
+                if !args.capacitance_uf.is_finite() || args.capacitance_uf < 0.0 {
+                    return Err("--capacitance must be a finite number of at least 0".into());
+                }
             }
             "--emit" | "-e" => args.emit = Some(value(flag, &mut it)?.clone()),
             "--no-validate" => args.validate = false,
@@ -419,7 +422,7 @@ fn run_serve(args: &Args) -> u8 {
         Ok(s) => {
             println!(
                 "drained: {} requests, {} solves, {} coalesced, {} shed, {} timeouts; \
-                 cache {} hits / {} misses / {} evictions",
+                 cache {} hits / {} misses / {} evictions; stages {} hits / {} misses",
                 s.requests,
                 s.solves,
                 s.coalesced,
@@ -427,7 +430,9 @@ fn run_serve(args: &Args) -> u8 {
                 s.timeouts,
                 s.cache.hits,
                 s.cache.misses,
-                s.cache.evictions
+                s.cache.evictions,
+                s.cache.stage_hits,
+                s.cache.stage_misses
             );
             0
         }

@@ -142,6 +142,23 @@ fn bad_arguments_fail_cleanly() {
             && err.contains("mpg123"),
         "stderr: {err}"
     );
+    // A regulator capacitance must be finite and at least 0.
+    for cap in ["inf", "-1"] {
+        let out = dvsc()
+            .args([
+                "compile",
+                "--benchmark",
+                "ghostscript",
+                "--capacitance",
+                cap,
+                "--certify",
+            ])
+            .output()
+            .expect("dvsc runs");
+        assert_eq!(out.status.code(), Some(2), "--capacitance {cap}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--capacitance"), "stderr: {err}");
+    }
 }
 
 #[test]

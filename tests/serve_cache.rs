@@ -1,15 +1,20 @@
 //! End-to-end contract tests for the `dvs-serve` daemon: the cache must
 //! be invisible in the results (a warm hit returns byte-identical JSON to
 //! a cold solve, which in turn matches a direct in-process compile), the
-//! load generator's answers must be independent of concurrency, and the
+//! load generator's answers must be independent of concurrency, the
 //! admission-control edges (shed, per-request timeout, bad request) must
-//! fail with their documented machine-readable kinds.
+//! fail with their documented machine-readable kinds, two workers must
+//! run two cold solves at once, and the cache must hold result bodies and
+//! profile stages within one byte budget.
 
+use compile_time_dvs::check::{gen_cfg, gen_ladder, gen_trace, Gen};
 use compile_time_dvs::obs::json::Json;
 use compile_time_dvs::prelude::*;
 use compile_time_dvs::serve::{
-    run_loadtest, Client, LoadtestConfig, Request, ServeConfig, Server, SolveOp, SolveRequest,
+    run_loadtest, Client, LoadtestConfig, Reply, Request, ServeConfig, Server, SolveCache, SolveOp,
+    SolveRequest, Stage,
 };
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Binds a daemon on an ephemeral port and runs it on its own thread.
@@ -239,6 +244,19 @@ fn zero_queue_depth_sheds_and_bad_requests_are_rejected() {
         assert!(!bad.ok);
         assert_eq!(bad.kind.as_deref(), Some("bad_request"), "{name}");
     }
+    // `1e999` overflows to an infinite capacitance; a negative one is no
+    // regulator either. Both are refused before admission.
+    for cap in ["1e999", "-1"] {
+        let frame = format!(
+            "{{\"op\":\"certify\",\"benchmark\":\"ghostscript\",\"capacitance_uf\":{cap}}}"
+        );
+        let raw = client
+            .request_raw(&frame)
+            .expect("bad-request reply still arrives");
+        let bad = Reply::parse(&raw).expect("reply parses");
+        assert!(!bad.ok);
+        assert_eq!(bad.kind.as_deref(), Some("bad_request"), "{cap}");
+    }
 
     let stats = client.request(&Request::Stats).expect("stats");
     let shed_count = stats
@@ -304,9 +322,9 @@ fn per_request_timeout_abandons_wait_but_populates_cache() {
 
 /// The `evaluate` op scores the emitted schedule through the bytecode
 /// fast path: results carry measured time/energy plus the bytecode shape,
-/// repeats are cache hits, and requests differing only in deadline share
-/// one compiled bytecode (identical shape counters prove it was the same
-/// trace compilation).
+/// and repeats are cache hits. Each request compiles its own bytecode;
+/// requests differing only in deadline report the same shape because the
+/// compile is a deterministic function of the trace and the ladder.
 #[test]
 fn evaluate_scores_schedules_and_shares_bytecode_across_deadlines() {
     let (addr, handle) = spawn_server(ServeConfig::default());
@@ -361,6 +379,68 @@ fn evaluate_scores_schedules_and_shares_bytecode_across_deadlines() {
     handle.join().expect("server thread").expect("clean run");
 }
 
+/// `(queue.pending, queue.inflight)` from one `stats` reply.
+fn queue_state(client: &mut Client) -> (u64, u64) {
+    let stats = client.request(&Request::Stats).expect("stats");
+    let queue = stats.result.as_ref().and_then(|r| r.get("queue"));
+    let field = |k: &str| {
+        queue
+            .and_then(|q| q.get(k))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("stats carries queue.{k}"))
+    };
+    (field("pending"), field("inflight"))
+}
+
+/// Two workers run two cold solves at once: a short solve sent while a
+/// long one is running is answered first, instead of waiting for the
+/// long one to finish.
+#[test]
+fn a_second_worker_takes_a_cold_solve_while_the_first_is_busy() {
+    let (addr, handle) = spawn_server(ServeConfig {
+        jobs: 2,
+        ..ServeConfig::default()
+    });
+    let started = Instant::now();
+    let long = std::thread::spawn({
+        let addr = addr.clone();
+        move || {
+            let reply = connect(&addr)
+                .request(&Request::Solve(SolveRequest {
+                    levels: 13,
+                    ..solve_request_fields("ghostscript", 3)
+                }))
+                .expect("13-level compile");
+            (reply, started.elapsed())
+        }
+    });
+    let mut client = connect(&addr);
+    while queue_state(&mut client) != (0, 1) {
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "the 13-level compile never started"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let short = client
+        .request(&Request::Solve(SolveRequest {
+            op: SolveOp::Verify,
+            ..solve_request_fields("ghostscript", 3)
+        }))
+        .expect("3-level verify");
+    let short_done = started.elapsed();
+    let (long, long_done) = long.join().expect("long client");
+    assert!(short.ok && long.ok, "{:?} {:?}", short.error, long.error);
+    assert!(
+        short_done < long_done,
+        "the verify ({short_done:?}) waited for the compile ({long_done:?})"
+    );
+    client
+        .request(&Request::Shutdown)
+        .expect("graceful shutdown");
+    handle.join().expect("server thread").expect("clean run");
+}
+
 fn solve_request_fields(benchmark: &str, deadline_index: usize) -> SolveRequest {
     SolveRequest {
         op: SolveOp::Compile,
@@ -371,5 +451,72 @@ fn solve_request_fields(benchmark: &str, deadline_index: usize) -> SolveRequest 
         solver: "auto".to_string(),
         timeout_ms: None,
         trace_id: None,
+    }
+}
+
+/// Random interleavings of body and stage inserts and lookups, under
+/// random budgets, never leave the cache over its budget. An entry larger
+/// than the whole budget is skipped; any other insert is resident right
+/// after it.
+#[test]
+fn bodies_and_stages_share_one_budget() {
+    let profiler = ModeProfiler::new(Machine::paper_default());
+    let stages: Vec<Arc<Stage>> = (0..6)
+        .map(|seed| {
+            let g = &mut Gen::from_seed(0x57a9e + seed);
+            let cfg = gen_cfg(g, 16);
+            let trace = gen_trace(g, &cfg);
+            let (profile, runs) = profiler.profile(&cfg, &trace, &gen_ladder(g));
+            let t = runs[0].total_time_us;
+            Arc::new(Stage::new(
+                &cfg,
+                profile,
+                DeadlineScheme::from_times(3.0 * t, 2.0 * t, t),
+            ))
+        })
+        .collect();
+    let largest = stages.iter().map(|s| s.heap_bytes()).max().unwrap_or(0) as u64;
+    for seed in 0..300 {
+        let g = &mut Gen::from_seed(seed);
+        let mut cache = SolveCache::new(g.below(4 * largest) as usize);
+        for step in 0..100 {
+            let key = g.below(16);
+            let canonical = format!("entry-{key}");
+            let before = cache.stats();
+            let ctx = format!("seed {seed} step {step}");
+            match g.below(4) {
+                0 => {
+                    let bytes = g.below(2 * largest) as usize;
+                    cache.insert(key, &canonical, "x".repeat(bytes));
+                    let stored = cache.stats().insertions > before.insertions;
+                    assert!(bytes <= before.capacity_bytes || !stored, "{ctx}");
+                    assert_eq!(cache.get(key, &canonical).is_some(), stored, "{ctx}");
+                }
+                1 => {
+                    let stage = g.choose(&stages);
+                    cache.insert_stage(key, &canonical, Arc::clone(stage));
+                    let stored = cache.stats().insertions > before.insertions;
+                    assert!(
+                        stage.heap_bytes() <= before.capacity_bytes || !stored,
+                        "{ctx}"
+                    );
+                    assert_eq!(cache.get_stage(key, &canonical).is_some(), stored, "{ctx}");
+                }
+                2 => {
+                    let _ = cache.get(key, &canonical);
+                }
+                _ => {
+                    let _ = cache.get_stage(key, &canonical);
+                }
+            }
+            let after = cache.stats();
+            assert!(
+                after.used_bytes <= after.capacity_bytes,
+                "{ctx}: {} bytes over a budget of {}",
+                after.used_bytes,
+                after.capacity_bytes
+            );
+            assert_eq!(after.entries == 0, after.used_bytes == 0, "{ctx}");
+        }
     }
 }

@@ -477,7 +477,8 @@ fn ladders() -> Vec<VoltageLadder> {
 
 /// Checks one (program, trace) against the oracle on every ladder: the
 /// profiler's runs and profile, a lone `run` per point, and the deadline
-/// scheme. Returns how many ladder points were checked.
+/// scheme, both measured and read from the profile's runs. Returns how
+/// many ladder points were checked.
 fn check_program(machine: &Machine, cfg: &Cfg, trace: &Trace, ctx: &str) -> usize {
     let profiler = ModeProfiler::new(machine.clone());
     // Ladders share points (the 7-level points are among the 13-level
@@ -514,20 +515,31 @@ fn check_program(machine: &Machine, cfg: &Cfg, trace: &Trace, ctx: &str) -> usiz
             "{ctx}: {}-level profile",
             ladder.len()
         );
+        let from_runs = DeadlineScheme::from_runs(&runs);
         if ladder.len() == 3 {
             let want = DeadlineScheme::from_times(
                 oracle[0].total_time_us,
                 oracle[1].total_time_us,
                 oracle[2].total_time_us,
             );
-            let got = DeadlineScheme::measure(machine, cfg, trace);
-            for (w, g) in [
-                (want.t_slow_us, got.t_slow_us),
-                (want.t_mid_us, got.t_mid_us),
-                (want.t_fast_us, got.t_fast_us),
-            ] {
-                assert_eq!(w.to_bits(), g.to_bits(), "{ctx}: deadline scheme");
+            let measured = DeadlineScheme::measure(machine, cfg, trace);
+            let from_runs = from_runs.expect("the 3-level ladder holds the reference points");
+            for got in [measured, from_runs] {
+                for (w, g) in [
+                    (want.t_slow_us, got.t_slow_us),
+                    (want.t_mid_us, got.t_mid_us),
+                    (want.t_fast_us, got.t_fast_us),
+                ] {
+                    assert_eq!(w.to_bits(), g.to_bits(), "{ctx}: deadline scheme");
+                }
             }
+        } else {
+            assert_eq!(
+                from_runs,
+                None,
+                "{ctx}: the {}-level ladder lacks a reference point",
+                ladder.len()
+            );
         }
     }
     checked
