@@ -70,6 +70,19 @@ impl DeadlineScheme {
         })
     }
 
+    /// The scheme of a trace whose profile timed it in `runs`: read from
+    /// them when they hold the three reference points (every 3-level
+    /// ladder), else measured with one more walk.
+    #[must_use]
+    pub fn from_runs_or_measure(
+        runs: &[RunStats],
+        machine: &Machine,
+        cfg: &Cfg,
+        trace: &Trace,
+    ) -> Self {
+        Self::from_runs(runs).unwrap_or_else(|| Self::measure(machine, cfg, trace))
+    }
+
     /// Builds the scheme from known runtimes (µs).
     #[must_use]
     pub fn from_times(t_slow_us: f64, t_mid_us: f64, t_fast_us: f64) -> Self {

@@ -50,7 +50,10 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 pub struct ServeConfig {
     /// Listen address, e.g. `127.0.0.1:7411` (port `0` picks a free one).
     pub addr: String,
-    /// Worker threads, each running one solve at a time.
+    /// Worker threads, each running one solve at a time. A worker that
+    /// profiles a stage times its operating points on every available
+    /// core (`Machine::run_points`), so it briefly uses more than one
+    /// thread.
     pub jobs: usize,
     /// Byte budget for the solve cache.
     pub cache_bytes: usize,
@@ -710,10 +713,7 @@ fn stage<'t>(
     };
     let trace = trace();
     let (profile, runs) = compiler.profile(cfg, trace);
-    // On a ladder holding the three reference points (every 3-level
-    // request) the profile has already timed them.
-    let scheme = DeadlineScheme::from_runs(&runs)
-        .unwrap_or_else(|| DeadlineScheme::measure(compiler.machine(), cfg, trace));
+    let scheme = DeadlineScheme::from_runs_or_measure(&runs, compiler.machine(), cfg, trace);
     let stage = Arc::new(Stage::new(cfg, profile, scheme));
     {
         let mut coord = state.coord.lock().expect("coord poisoned");

@@ -3,6 +3,9 @@ use crate::record::{Recording, FRONTEND_DEPTH};
 use crate::{DataLevel, EnergyBreakdown, EnergyModel, SimConfig, Trace};
 use dvs_ir::Cfg;
 use dvs_vf::OperatingPoint;
+use std::collections::{BTreeMap, VecDeque};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Per-basic-block accumulation over one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -121,9 +124,12 @@ impl std::fmt::Display for RunStats {
 ///
 /// A call walks the caches, TLBs and branch predictor once
 /// ([`Machine::record`]) and then times every requested operating point
-/// over that record. A timing pass does work per instruction bounded by
-/// its operand count and its unit pool's size, plus one bit per busy cycle
-/// and one word-level popcount per 64 cycles of off-chip miss service.
+/// over that record, the points concurrently on the available cores
+/// ([`Machine::run_points`]). A timing pass does work per instruction
+/// bounded by its operand count and its unit pool's size, plus one bit per
+/// busy cycle and one word-level popcount per 64 cycles of off-chip miss
+/// service; it keeps one byte per cycle between the fetch cycle and the
+/// latest issue for the compute classification.
 #[derive(Debug, Clone)]
 pub struct Machine {
     config: SimConfig,
@@ -176,22 +182,68 @@ impl Machine {
     /// its own cycle-domain timing pass over that record. Each result
     /// equals what a separate [`Machine::run`] at that point reports.
     ///
+    /// The passes share nothing but the read-only record, so they run
+    /// concurrently: the caller and up to
+    /// `min(points.len(), available_parallelism()) - 1` scoped helper
+    /// threads each take the next untimed point until none is left. With
+    /// one point or one CPU the caller times every point and spawns no
+    /// thread. Helpers record their `sim.run` spans in the caller's
+    /// `dvs_obs` domain; the per-run counters are recorded on the caller
+    /// after the join, in `points` order.
+    ///
     /// # Panics
     ///
-    /// Panics if the trace references blocks outside `cfg`.
+    /// Panics if the trace references blocks outside `cfg`, and re-raises
+    /// a panic from any thread's pass.
     #[must_use]
     pub fn run_points(&self, cfg: &Cfg, trace: &Trace, points: &[OperatingPoint]) -> Vec<RunStats> {
         let rec = self.record(cfg, trace);
         let charge = Charge::of(&rec, &self.energy, cfg.num_blocks());
-        points
-            .iter()
-            .map(|&point| {
+        // Hands out point indices. It publishes no data (the record is
+        // read-only, and every result returns through a join), so relaxed
+        // ordering suffices.
+        let next = AtomicUsize::new(0);
+        // Times the next untimed point until none is left.
+        let take_points = || {
+            let mut timed = Vec::new();
+            loop {
+                let ix = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&point) = points.get(ix) else {
+                    return timed;
+                };
                 let _span = dvs_obs::span!("sim.run");
-                let stats = self.time(&rec, &charge, point);
-                stats.record_metrics();
-                stats
-            })
-            .collect()
+                timed.push((ix, self.time(&rec, &charge, point)));
+            }
+        };
+        // One point needs no helper, nor the CPU count.
+        let helpers = if points.len() > 1 {
+            let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+            points.len().min(cpus) - 1
+        } else {
+            0
+        };
+        let domain = dvs_obs::current_domain();
+        let mut timed = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..helpers)
+                .map(|_| {
+                    s.spawn(|| {
+                        let _domain = dvs_obs::enter_domain(domain);
+                        take_points()
+                    })
+                })
+                .collect();
+            let mut timed = take_points();
+            for h in handles {
+                timed.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+            timed
+        });
+        timed.sort_unstable_by_key(|&(ix, _)| ix);
+        let runs: Vec<RunStats> = timed.into_iter().map(|(_, run)| run).collect();
+        for run in &runs {
+            run.record_metrics();
+        }
+        runs
     }
 
     /// One cycle-domain timing pass over `rec` at `point`.
@@ -498,29 +550,51 @@ impl Charge {
 /// may still mark a cycle that already has compute issued in it. The log
 /// therefore sums compute latency per cycle and classifies a cycle only
 /// once no later mark can reach it, which keeps it as long as the distance
-/// from fetch to the latest issue. The counts are integers, so grouping
-/// them by cycle does not change the sums.
+/// from fetch to the latest issue: millions of cycles on a run whose fetch
+/// waits on memory while issue runs ahead. Each cycle's sum is one byte;
+/// a sum of [`ComputeLog::SPILLED`] or more keeps the byte at that value
+/// and its exact sum in a map keyed by cycle. (A unit issues at most once
+/// per cycle, so the paper machine sums at most 4 x 1 + 20 + 2 + 4 + 12 =
+/// 42 in one cycle; the bundled workloads reach 22.) The counts are
+/// integers, so grouping them by cycle does not change the sums.
 #[derive(Default)]
 struct ComputeLog {
     /// The first cycle not yet classified.
     first: usize,
-    /// Compute latency issued in each cycle from `first` on.
-    latency_at: std::collections::VecDeque<u32>,
+    /// Compute latency issued in each cycle from `first` on, up to
+    /// [`ComputeLog::SPILLED`].
+    latency_at: VecDeque<u8>,
+    /// The sums of the cycles whose byte reads [`ComputeLog::SPILLED`].
+    spilled: BTreeMap<usize, u64>,
     overlap: u64,
     dependent: u64,
 }
 
 impl ComputeLog {
+    /// The byte of a cycle whose sum lives in `spilled`.
+    const SPILLED: u8 = u8::MAX;
+
     /// Logs a compute instruction issued at `issue`, which is never before
     /// the cycles already classified.
     fn log(&mut self, issue: f64, latency: u32) {
-        let ix = issue.max(0.0) as usize - self.first;
+        let cycle = issue.max(0.0) as usize;
+        let ix = cycle - self.first;
         if ix >= self.latency_at.len() {
             self.latency_at.resize(ix + 1, 0);
         }
-        self.latency_at[ix] = self.latency_at[ix]
-            .checked_add(latency)
-            .expect("one cycle's compute latency fits u32");
+        let at = &mut self.latency_at[ix];
+        let sum = u64::from(latency)
+            + match *at {
+                Self::SPILLED => self.spilled[&cycle],
+                small => u64::from(small),
+            };
+        match u8::try_from(sum) {
+            Ok(small) if small < Self::SPILLED => *at = small,
+            _ => {
+                *at = Self::SPILLED;
+                self.spilled.insert(cycle, sum);
+            }
+        }
     }
 
     /// Classifies every cycle before `open`, the earliest cycle a later
@@ -530,14 +604,16 @@ impl ComputeLog {
             return;
         }
         let settled = (open - self.first).min(self.latency_at.len());
-        for (c, lat) in (self.first..).zip(self.latency_at.drain(..settled)) {
-            if lat == 0 {
-                continue;
-            }
+        for (c, at) in (self.first..).zip(self.latency_at.drain(..settled)) {
+            let lat = match at {
+                0 => continue,
+                Self::SPILLED => self.spilled.remove(&c).expect("a spilled cycle's sum"),
+                small => u64::from(small),
+            };
             if mem_active.get(c) {
-                self.overlap += u64::from(lat);
+                self.overlap += lat;
             } else {
-                self.dependent += u64::from(lat);
+                self.dependent += lat;
             }
         }
         // Either every cycle before `open` was drained, or the ones past

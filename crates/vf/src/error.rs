@@ -22,6 +22,14 @@ pub enum VfError {
         /// Number of levels requested.
         levels: usize,
     },
+    /// More levels than [`crate::VoltageLadder::paper`] builds (see
+    /// [`crate::VoltageLadder::MAX_PAPER_LEVELS`]).
+    LadderTooLarge {
+        /// Number of levels requested.
+        levels: usize,
+        /// The largest ladder allowed.
+        max: usize,
+    },
     /// Operating points must be strictly increasing in both voltage and
     /// frequency.
     NonMonotonicLadder,
@@ -49,6 +57,9 @@ impl fmt::Display for VfError {
             }
             VfError::LadderTooSmall { levels } => {
                 write!(f, "a voltage ladder needs at least 2 levels, got {levels}")
+            }
+            VfError::LadderTooLarge { levels, max } => {
+                write!(f, "a voltage ladder has at most {max} levels, got {levels}")
             }
             VfError::NonMonotonicLadder => {
                 write!(f, "operating points must increase in voltage and frequency")

@@ -21,6 +21,12 @@ pub struct VoltageLadder {
 }
 
 impl VoltageLadder {
+    /// The most levels [`VoltageLadder::paper`] builds, well above the 3,
+    /// 7 and 13 the paper studies. The size arrives from outside the
+    /// program (`dvsc --levels`, a daemon request's `levels`), and every
+    /// level costs a simulator timing pass and MILP columns.
+    pub const MAX_PAPER_LEVELS: usize = 32;
+
     /// Builds a ladder from explicit points, which must be strictly
     /// increasing in both voltage and frequency.
     ///
@@ -86,8 +92,16 @@ impl VoltageLadder {
     ///
     /// # Errors
     ///
-    /// [`VfError::LadderTooSmall`] if `levels < 2`.
+    /// [`VfError::LadderTooSmall`] if `levels < 2`, and
+    /// [`VfError::LadderTooLarge`] if `levels` exceeds
+    /// [`VoltageLadder::MAX_PAPER_LEVELS`].
     pub fn paper(levels: usize) -> Result<Self, VfError> {
+        if levels > Self::MAX_PAPER_LEVELS {
+            return Err(VfError::LadderTooLarge {
+                levels,
+                max: Self::MAX_PAPER_LEVELS,
+            });
+        }
         let law = AlphaPower::paper();
         if levels == 3 {
             Ok(VoltageLadder::xscale3(&law))
@@ -341,6 +355,14 @@ mod tests {
             );
         }
         assert!(VoltageLadder::paper(1).is_err());
+        let max = VoltageLadder::MAX_PAPER_LEVELS;
+        assert_eq!(VoltageLadder::paper(max).map(|l| l.len()), Ok(max));
+        for levels in [max + 1, 100_000, 35_184_372_088_832, usize::MAX] {
+            assert_eq!(
+                VoltageLadder::paper(levels),
+                Err(VfError::LadderTooLarge { levels, max })
+            );
+        }
     }
 
     #[test]

@@ -744,21 +744,8 @@ fn run_compile(args: &Args) -> u8 {
 
     let cfg = b.build_cfg();
     let trace = b.trace(&cfg, &b.default_input());
-    let machine = Machine::paper_default();
-    let scheme = DeadlineScheme::measure(&machine, &cfg, &trace);
-    let deadline = scheme.deadline_us(args.deadline_index);
-    println!(
-        "{}: t200={:.1} t600={:.1} t800={:.1} µs; deadline D{} = {:.1} µs",
-        b.name(),
-        scheme.t_slow_us,
-        scheme.t_mid_us,
-        scheme.t_fast_us,
-        args.deadline_index,
-        deadline
-    );
-
     let compiler = match DvsCompiler::builder(
-        machine,
+        Machine::paper_default(),
         ladder,
         TransitionModel::with_capacitance_uf(args.capacitance_uf),
     )
@@ -776,7 +763,18 @@ fn run_compile(args: &Args) -> u8 {
             return 2;
         }
     };
-    let (profile, _) = compiler.profile(&cfg, &trace);
+    let (profile, runs) = compiler.profile(&cfg, &trace);
+    let scheme = DeadlineScheme::from_runs_or_measure(&runs, compiler.machine(), &cfg, &trace);
+    let deadline = scheme.deadline_us(args.deadline_index);
+    println!(
+        "{}: t200={:.1} t600={:.1} t800={:.1} µs; deadline D{} = {:.1} µs",
+        b.name(),
+        scheme.t_slow_us,
+        scheme.t_mid_us,
+        scheme.t_fast_us,
+        args.deadline_index,
+        deadline
+    );
     let result = match compiler.compile_and_validate(&cfg, &trace, &profile, deadline) {
         Ok(r) => r,
         Err(e) => {
@@ -902,14 +900,14 @@ fn verify_one(b: Benchmark, ladder: &VoltageLadder, args: &Args, want_dot: bool)
         let cfg = b.build_cfg();
         let trace = b.trace(&cfg, &b.default_input());
         let machine = Machine::paper_default();
-        let scheme = DeadlineScheme::measure(&machine, &cfg, &trace);
-        let deadline = scheme.deadline_us(args.deadline_index);
         let transition = TransitionModel::with_capacitance_uf(args.capacitance_uf);
         let compiler = DvsCompiler::builder(machine.clone(), ladder.clone(), transition)
             .validation(false)
             .build()
             .map_err(|e| format!("bad compiler settings: {e}"))?;
-        let (profile, _) = compiler.profile(&cfg, &trace);
+        let (profile, runs) = compiler.profile(&cfg, &trace);
+        let scheme = DeadlineScheme::from_runs_or_measure(&runs, &machine, &cfg, &trace);
+        let deadline = scheme.deadline_us(args.deadline_index);
         let result = compiler
             .compile(&cfg, &profile, deadline)
             .map_err(|e| format!("compile failed: {e}"))?;
@@ -1161,11 +1159,13 @@ fn run_analyze(args: &Args) -> u8 {
     };
     let cfg = b.build_cfg();
     let trace = b.trace(&cfg, &b.default_input());
-    let machine = Machine::paper_default();
-    let scheme = DeadlineScheme::measure(&machine, &cfg, &trace);
-    let compiler = match DvsCompiler::builder(machine, ladder.clone(), TransitionModel::free())
-        .jobs(args.jobs)
-        .build()
+    let compiler = match DvsCompiler::builder(
+        Machine::paper_default(),
+        ladder.clone(),
+        TransitionModel::free(),
+    )
+    .jobs(args.jobs)
+    .build()
     {
         Ok(c) => c,
         Err(e) => {
@@ -1174,6 +1174,7 @@ fn run_analyze(args: &Args) -> u8 {
         }
     };
     let (_, runs) = compiler.profile(&cfg, &trace);
+    let scheme = DeadlineScheme::from_runs_or_measure(&runs, compiler.machine(), &cfg, &trace);
     let params = analyze_params(&runs);
     println!(
         "{}: Noverlap={:.0} Ndependent={:.0} Ncache={:.0} cycles, tinvariant={:.1} µs",

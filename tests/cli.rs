@@ -37,6 +37,7 @@ fn compile_ghostscript_and_emit_listing() {
             "4",
             "--capacitance",
             "0.01",
+            "--metrics",
             "--emit",
         ])
         .arg(&tmp)
@@ -50,10 +51,24 @@ fn compile_ghostscript_and_emit_listing() {
     );
     assert!(text.contains("MILP:"), "summary printed:\n{text}");
     assert!(text.contains("validated:"), "validation printed");
+    // The 3-level profile times the deadline scheme's reference points,
+    // so the compile walks the trace twice (profile, validation) and
+    // times three points.
+    assert_eq!(metric_value(&text, "sim.walks"), 2.0);
+    assert_eq!(metric_value(&text, "sim.runs"), 3.0);
     let listing = std::fs::read_to_string(&tmp).expect("listing written");
     assert!(listing.contains("; program: ghostscript"));
     assert!(listing.contains("band_head:"));
     let _ = std::fs::remove_file(&tmp);
+}
+
+/// The value of the `--metrics` table line that starts with `name`.
+fn metric_value(text: &str, name: &str) -> f64 {
+    let line = text
+        .lines()
+        .find(|l| l.trim_start().starts_with(name))
+        .unwrap_or_else(|| panic!("metric {name} missing in:\n{text}"));
+    line.split_whitespace().nth(1).unwrap().parse().unwrap()
 }
 
 /// Replaces the wall-clock `… ms solve` figure with `<ms>`.
@@ -159,6 +174,17 @@ fn bad_arguments_fail_cleanly() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("--capacitance"), "stderr: {err}");
     }
+    // Ladders far too large to build (the first overflows a `Vec`'s
+    // capacity, the second asks for 512 TiB) are refused before any work.
+    for levels in ["1152921504606846976", "35184372088832"] {
+        let out = dvsc()
+            .args(["compile", "--benchmark", "gsm", "--levels", levels])
+            .output()
+            .expect("dvsc runs");
+        assert_eq!(out.status.code(), Some(2), "--levels {levels}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("bad --levels"), "stderr: {err}");
+    }
 }
 
 #[test]
@@ -232,17 +258,10 @@ fn metrics_and_trace_out_capture_the_pipeline() {
     let text = String::from_utf8_lossy(&out.stdout);
 
     // The metrics summary must report non-zero work in every stage.
-    let metric_value = |name: &str| -> f64 {
-        let line = text
-            .lines()
-            .find(|l| l.trim_start().starts_with(name))
-            .unwrap_or_else(|| panic!("metric {name} missing in:\n{text}"));
-        line.split_whitespace().nth(1).unwrap().parse().unwrap()
-    };
-    assert!(metric_value("milp.pivots") > 0.0);
-    assert!(metric_value("sim.cycles") > 0.0);
-    assert!(metric_value("pass.solve.wall_us") > 0.0);
-    assert!(metric_value("pass.profile.wall_us") > 0.0);
+    assert!(metric_value(&text, "milp.pivots") > 0.0);
+    assert!(metric_value(&text, "sim.cycles") > 0.0);
+    assert!(metric_value(&text, "pass.solve.wall_us") > 0.0);
+    assert!(metric_value(&text, "pass.profile.wall_us") > 0.0);
 
     // The trace must be a JSON array of complete events.
     let trace = std::fs::read_to_string(&tmp).expect("trace written");

@@ -2,8 +2,11 @@
 //! experiment harness or `compile_grid` with `--jobs 4` has to produce
 //! byte-identical reports and identical chosen schedules to `--jobs 1`.
 //! (Timing-column experiments like fig18 are excluded — wall-clock varies
-//! run to run even sequentially.)
+//! run to run even sequentially.) It must be invisible in the metrics too:
+//! a profile's timing passes, spread over threads, count in the caller's
+//! `dvs_obs` domain.
 
+use compile_time_dvs::obs;
 use compile_time_dvs::prelude::*;
 use dvs_bench::{run_experiment, scaled_capacitance_uf, Context};
 
@@ -72,4 +75,36 @@ fn compile_grid_is_deterministic_across_jobs() {
             _ => panic!("D{}: feasibility differs between jobs=1 and jobs=4", i + 1),
         }
     }
+}
+
+#[test]
+fn profile_timing_passes_count_in_the_callers_domain() {
+    let b = Benchmark::Ghostscript;
+    let cfg = b.build_cfg();
+    let trace = b.trace(&cfg, &b.default_input());
+    let compiler = DvsCompiler::builder(
+        Machine::paper_default(),
+        VoltageLadder::paper(13).expect("13 levels"),
+        TransitionModel::free(),
+    )
+    .build()
+    .expect("valid settings");
+    // A fresh domain: the other tests in this binary may record while
+    // this one runs, but never into it.
+    obs::enable();
+    let domain = obs::register_domain("profile-passes");
+    {
+        let _domain = obs::enter_domain(domain);
+        let _ = compiler.profile(&cfg, &trace);
+    }
+    obs::disable();
+    let m = obs::MetricsSnapshot::capture_domain(domain);
+    let run_spans = m.spans.iter().find(|s| s.name == "sim.run");
+    assert_eq!(m.counter("sim.walks"), 1, "one walk of the hierarchy");
+    assert_eq!(m.counter("sim.runs"), 13, "one timing pass per mode");
+    assert_eq!(
+        run_spans.map_or(0, |s| s.count),
+        13,
+        "every pass's span, whatever thread ran it"
+    );
 }

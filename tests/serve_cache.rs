@@ -245,17 +245,21 @@ fn zero_queue_depth_sheds_and_bad_requests_are_rejected() {
         assert_eq!(bad.kind.as_deref(), Some("bad_request"), "{name}");
     }
     // `1e999` overflows to an infinite capacitance; a negative one is no
-    // regulator either. Both are refused before admission.
-    for cap in ["1e999", "-1"] {
-        let frame = format!(
-            "{{\"op\":\"certify\",\"benchmark\":\"ghostscript\",\"capacitance_uf\":{cap}}}"
-        );
+    // regulator either. A ladder of 2^45 levels would size a 512 TiB
+    // allocation, and one of 100,000 would cost as many timing passes.
+    // All are refused before admission.
+    for body in [
+        "\"op\":\"certify\",\"benchmark\":\"ghostscript\",\"capacitance_uf\":1e999",
+        "\"op\":\"certify\",\"benchmark\":\"ghostscript\",\"capacitance_uf\":-1",
+        "\"op\":\"compile\",\"benchmark\":\"gsm\",\"levels\":35184372088832",
+        "\"op\":\"compile\",\"benchmark\":\"gsm\",\"levels\":100000",
+    ] {
         let raw = client
-            .request_raw(&frame)
+            .request_raw(&format!("{{{body}}}"))
             .expect("bad-request reply still arrives");
         let bad = Reply::parse(&raw).expect("reply parses");
         assert!(!bad.ok);
-        assert_eq!(bad.kind.as_deref(), Some("bad_request"), "{cap}");
+        assert_eq!(bad.kind.as_deref(), Some("bad_request"), "{body}");
     }
 
     let stats = client.request(&Request::Stats).expect("stats");

@@ -9,15 +9,19 @@
 //! field must match it bit for bit, on the six workloads at every input
 //! and ladder and on random programs under two machine configurations
 //! that exercise the rarer paths (prefetch, ungated clock, a wide TLB
-//! penalty, windows and pools narrow enough that every ring wraps).
+//! penalty, windows and pools narrow enough that every ring wraps), and on
+//! a machine wide enough that one cycle's compute latency overflows the
+//! byte a timing pass keeps per cycle.
 
 use compile_time_dvs::check::{gen_cfg, gen_ladder, gen_trace, Gen};
 use compile_time_dvs::compiler::DeadlineScheme;
-use compile_time_dvs::ir::{BlockId, BlockModeCost, Cfg, Opcode, Profile, ProfileBuilder};
+use compile_time_dvs::ir::{
+    BlockId, BlockModeCost, Cfg, CfgBuilder, Inst, Opcode, Profile, ProfileBuilder, Reg,
+};
 use compile_time_dvs::runtime::Pool;
 use compile_time_dvs::sim::{
     BlockStats, BranchPredictor, ClockGating, DataLevel, EnergyBreakdown, EnergyModel, Machine,
-    MemoryHierarchy, ModeProfiler, RunStats, SimConfig, Trace,
+    MemoryHierarchy, ModeProfiler, RunStats, SimConfig, Trace, TraceBuilder,
 };
 use compile_time_dvs::vf::{AlphaPower, OperatingPoint, VoltageLadder};
 use compile_time_dvs::workloads::Benchmark;
@@ -611,4 +615,52 @@ fn random_programs_on_stress_machines_match_the_oracle_bit_for_bit() {
         saw, [true; 3],
         "the sweep must reach DRAM, stall and mispredict"
     );
+}
+
+#[test]
+fn a_cycle_with_more_compute_latency_than_a_byte_matches_the_oracle() {
+    // 32 FP dividers, and a loop body in which one integer divide feeds 32
+    // FP divides: once the I-cache is warm, all 32 issue in the cycle the
+    // divide completes, 32 x 12 = 384 cycles of compute latency in one
+    // cycle, more than a timing pass keeps in its byte per cycle.
+    let wide = SimConfig {
+        fp_div: 32,
+        ..SimConfig::default()
+    };
+    assert_eq!(Opcode::FpDiv.base_latency(), 12);
+    let machine = Machine::new(wide, EnergyModel::default());
+    let mut b = CfgBuilder::new("divide-fan-out");
+    let entry = b.block("entry");
+    let body = b.block("body");
+    let exit = b.block("exit");
+    b.push(body, Inst::alu(Opcode::IntDiv, Reg(1), &[Reg(2)]));
+    for i in 0..32 {
+        b.push(body, Inst::alu(Opcode::FpDiv, Reg(3 + i), &[Reg(1)]));
+    }
+    b.edge(entry, body);
+    b.edge(body, body);
+    b.edge(body, exit);
+    let cfg = b.finish(entry, exit).expect("valid cfg");
+    let mut tb = TraceBuilder::new(&cfg);
+    tb.step(entry, vec![]);
+    for _ in 0..50 {
+        tb.step(body, vec![]);
+    }
+    tb.step(exit, vec![]);
+    let trace = tb.finish().expect("valid trace");
+    let law = AlphaPower::paper();
+    let points: Vec<OperatingPoint> = VoltageLadder::interpolated(&law, 13)
+        .unwrap()
+        .iter()
+        .map(|(_, p)| p)
+        .collect();
+    for (point, got) in points.iter().zip(machine.run_points(&cfg, &trace, &points)) {
+        let want = oracle_run(&machine, &cfg, &trace, *point);
+        assert_eq!(
+            want.overlap_cycles + want.dependent_cycles,
+            50.0 * (20.0 + 32.0 * 12.0),
+            "every divide's latency is counted once"
+        );
+        assert_bit_identical(&want, &got, &format!("divide fan-out at {point}"));
+    }
 }
