@@ -39,13 +39,13 @@ pub struct Edge {
 ///
 /// * every block is reachable from `entry` and reaches `exit`;
 /// * `entry` has no predecessors and `exit` no successors;
-/// * edges are unique and labels are unique.
+/// * edges are unique, each edge's id is its index, and labels are unique.
 ///
 /// The graph is immutable after construction, so analyses can cache dense
 /// per-block/per-edge tables indexed by [`BlockId`]/[`EdgeId`].
 ///
 /// Serialization stores only the definitional data (blocks, edges, entry,
-/// exit); adjacency and lookup tables are rebuilt — and the invariants
+/// exit); the adjacency lists are rebuilt — and the invariants
 /// revalidated — on deserialization.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cfg {
@@ -56,7 +56,6 @@ pub struct Cfg {
     pred: Vec<Vec<EdgeId>>,
     entry: BlockId,
     exit: BlockId,
-    edge_lookup: HashMap<(BlockId, BlockId), EdgeId>,
 }
 
 fn malformed(what: impl Into<String>) -> IrError {
@@ -159,17 +158,19 @@ impl Cfg {
             return Err(IrError::Empty);
         }
         let n = blocks.len();
-        let mut succ = vec![Vec::new(); n];
+        let mut succ: Vec<Vec<EdgeId>> = vec![Vec::new(); n];
         let mut pred = vec![Vec::new(); n];
-        let mut edge_lookup = HashMap::new();
-        for e in &edges {
+        for (i, e) in edges.iter().enumerate() {
+            if e.id.0 != i {
+                return Err(malformed(format!("edge {i} carries id {}", e.id)));
+            }
             if e.src.0 >= n {
                 return Err(IrError::UnknownBlock(e.src));
             }
             if e.dst.0 >= n {
                 return Err(IrError::UnknownBlock(e.dst));
             }
-            if edge_lookup.insert((e.src, e.dst), e.id).is_some() {
+            if succ[e.src.0].iter().any(|s| edges[s.0].dst == e.dst) {
                 return Err(IrError::DuplicateEdge(e.src, e.dst));
             }
             succ[e.src.0].push(e.id);
@@ -183,7 +184,6 @@ impl Cfg {
             pred,
             entry,
             exit,
-            edge_lookup,
         };
         cfg.validate()?;
         Ok(cfg)
@@ -310,10 +310,15 @@ impl Cfg {
         self.pred[b.0].iter().map(move |&e| self.edges[e.0].src)
     }
 
-    /// The edge `a -> b`, if present.
+    /// The edge `a -> b`, if present: a scan of `a`'s out-edges, which is
+    /// as short as `a` has successors (at most 4 in the bundled workloads).
     #[must_use]
     pub fn edge_between(&self, a: BlockId, b: BlockId) -> Option<EdgeId> {
-        self.edge_lookup.get(&(a, b)).copied()
+        self.succ
+            .get(a.0)?
+            .iter()
+            .copied()
+            .find(|e| self.edges[e.0].dst == b)
     }
 
     /// Looks up a block by label.
@@ -422,7 +427,7 @@ impl Cfg {
     }
 
     /// Serializes the definitional data (blocks, edges, entry, exit) to a
-    /// JSON value. Adjacency and lookup tables are *not* stored; they are
+    /// JSON value. The adjacency lists are *not* stored; they are
     /// rebuilt — and the graph invariants revalidated — by [`Cfg::from_json`].
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -468,7 +473,7 @@ impl Cfg {
 
     /// Rebuilds a graph from the JSON produced by [`Cfg::to_json`], running
     /// the full structural validation (`entry`/`exit` discipline,
-    /// reachability, unique edges and labels).
+    /// reachability, unique edges and labels, edge ids in order).
     pub fn from_json(j: &Json) -> Result<Self, IrError> {
         let name = j
             .get("name")
@@ -647,8 +652,8 @@ mod tests {
         let json = g.to_json_string();
         let back = Cfg::from_json_str(&json).expect("deserializes");
         assert_eq!(g, back);
-        // The rebuilt graph answers adjacency queries (the lookup table is
-        // not serialized; it must be reconstructed).
+        // The rebuilt graph answers adjacency queries (the adjacency lists
+        // are not serialized; they must be reconstructed).
         let t = back.block_by_label("t").unwrap();
         assert!(back.edge_between(back.entry(), t).is_some());
         assert_eq!(back.successors(back.entry()).count(), 2);
@@ -667,6 +672,19 @@ mod tests {
         assert!(matches!(
             Cfg::from_json_str(json),
             Err(IrError::UnknownBlock(_))
+        ));
+        // Edge ids must be the edges' indices: the adjacency lists hold ids.
+        let json = r#"{
+            "name": "bad",
+            "blocks": [{"id": 0, "label": "a", "insts": []},
+                       {"id": 1, "label": "b", "insts": []}],
+            "edges": [{"id": 1, "src": 0, "dst": 1}],
+            "entry": 0,
+            "exit": 1
+        }"#;
+        assert!(matches!(
+            Cfg::from_json_str(json),
+            Err(IrError::Malformed(_))
         ));
         // Outright broken JSON fails with a parse error, not a panic.
         assert!(matches!(

@@ -342,25 +342,38 @@ impl ProfileBuilder {
         for &e in &edges {
             self.edge_counts[e.0] += 1;
         }
-        if edges.is_empty() {
+        let (Some(&first), Some(&last)) = (edges.first(), edges.last()) else {
             *self
                 .path_counts
                 .entry(LocalPath::whole(cfg.entry()))
                 .or_insert(0) += 1;
             return Ok(());
-        }
+        };
         *self
             .path_counts
-            .entry(LocalPath::from_start(cfg, edges[0]))
+            .entry(LocalPath::from_start(cfg, first))
             .or_insert(0) += 1;
+        // Interior paths are tallied per in-edge, each as a short list of
+        // (out-edge, count) no longer than its block's out-degree, and go
+        // into the map once per distinct path rather than once per step.
+        let mut tallies: Vec<Vec<(EdgeId, u64)>> = vec![Vec::new(); cfg.num_edges()];
         for w in edges.windows(2) {
-            let p =
-                LocalPath::interior(cfg, w[0], w[1]).expect("consecutive walk edges share a block");
-            *self.path_counts.entry(p).or_insert(0) += 1;
+            let outs = &mut tallies[w[0].0];
+            match outs.iter_mut().find(|(out, _)| *out == w[1]) {
+                Some((_, n)) => *n += 1,
+                None => outs.push((w[1], 1)),
+            }
+        }
+        for (enter, outs) in tallies.iter().enumerate() {
+            for &(exit, n) in outs {
+                let p = LocalPath::interior(cfg, EdgeId(enter), exit)
+                    .expect("consecutive walk edges share a block");
+                *self.path_counts.entry(p).or_insert(0) += n;
+            }
         }
         *self
             .path_counts
-            .entry(LocalPath::to_end(cfg, *edges.last().expect("non-empty")))
+            .entry(LocalPath::to_end(cfg, last))
             .or_insert(0) += 1;
         Ok(())
     }

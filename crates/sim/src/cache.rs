@@ -47,6 +47,60 @@ impl CacheStats {
     }
 }
 
+/// Resident tags of a set-associative store under true LRU.
+///
+/// Set `s` keeps its tags most-recently-used first in
+/// `tags[s * ways..][..fill[s]]`: one flat array for every set, so a cold
+/// store is two allocations and an access reorders its set in place.
+#[derive(Debug, Clone)]
+struct LruSets {
+    ways: usize,
+    tags: Vec<u64>,
+    fill: Vec<usize>,
+}
+
+impl LruSets {
+    fn new(sets: usize, ways: usize) -> Self {
+        LruSets {
+            ways,
+            tags: vec![0; sets * ways],
+            fill: vec![0; sets],
+        }
+    }
+
+    /// Makes `tag` the most recent of `set`, filling it (and evicting the
+    /// least recent tag of a full set) when absent. A store of zero ways
+    /// never holds a tag.
+    fn touch(&mut self, set: usize, tag: u64) -> AccessOutcome {
+        let n = self.fill[set];
+        let ways = &mut self.tags[set * self.ways..][..self.ways];
+        // The way `tag` ends up replacing after the shift below: its own
+        // way on a hit, else the first free way or the least recent one.
+        let (outcome, last) = match ways[..n].iter().position(|&t| t == tag) {
+            Some(pos) => (AccessOutcome::Hit, pos),
+            None if n < self.ways => {
+                self.fill[set] = n + 1;
+                (AccessOutcome::Miss, n)
+            }
+            None if n == 0 => return AccessOutcome::Miss,
+            None => (AccessOutcome::Miss, n - 1),
+        };
+        for i in (0..last).rev() {
+            ways[i + 1] = ways[i];
+        }
+        ways[0] = tag;
+        outcome
+    }
+
+    fn contains(&self, set: usize, tag: u64) -> bool {
+        self.tags[set * self.ways..][..self.fill[set]].contains(&tag)
+    }
+
+    fn clear(&mut self) {
+        self.fill.fill(0);
+    }
+}
+
 /// A set-associative cache with true-LRU replacement.
 ///
 /// Tags only — the simulator needs hit/miss behaviour, not data. Sets are
@@ -55,11 +109,11 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct CacheSim {
     config: CacheConfig,
-    /// `sets[s]` is an MRU-ordered list of resident tags.
-    sets: Vec<Vec<u64>>,
+    sets: LruSets,
     stats: CacheStats,
     block_shift: u32,
     index_mask: u64,
+    index_bits: u32,
 }
 
 impl CacheSim {
@@ -67,12 +121,14 @@ impl CacheSim {
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
         let num_sets = config.num_sets();
+        let index_mask = num_sets as u64 - 1;
         CacheSim {
             config,
-            sets: vec![Vec::with_capacity(config.ways); num_sets],
+            sets: LruSets::new(num_sets, config.ways),
             stats: CacheStats::default(),
             block_shift: config.block_bytes.trailing_zeros(),
-            index_mask: num_sets as u64 - 1,
+            index_mask,
+            index_bits: index_mask.count_ones(),
         }
     }
 
@@ -82,35 +138,28 @@ impl CacheSim {
         self.config
     }
 
+    /// The set and tag of the line holding `addr`.
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line = addr >> self.block_shift;
+        ((line & self.index_mask) as usize, line >> self.index_bits)
+    }
+
     /// Accesses the byte address, updating LRU state and filling on miss.
     pub fn access(&mut self, addr: u64) -> AccessOutcome {
         self.stats.accesses += 1;
-        let line = addr >> self.block_shift;
-        let set_ix = (line & self.index_mask) as usize;
-        let tag = line >> self.index_mask.count_ones();
-        let set = &mut self.sets[set_ix];
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
-            // Move to MRU position.
-            let t = set.remove(pos);
-            set.insert(0, t);
-            AccessOutcome::Hit
-        } else {
-            if set.len() == self.config.ways {
-                set.pop();
-            }
-            set.insert(0, tag);
+        let (set, tag) = self.locate(addr);
+        let outcome = self.sets.touch(set, tag);
+        if outcome == AccessOutcome::Miss {
             self.stats.misses += 1;
-            AccessOutcome::Miss
         }
+        outcome
     }
 
     /// Probes without updating state or statistics.
     #[must_use]
     pub fn probe(&self, addr: u64) -> bool {
-        let line = addr >> self.block_shift;
-        let set_ix = (line & self.index_mask) as usize;
-        let tag = line >> self.index_mask.count_ones();
-        self.sets[set_ix].contains(&tag)
+        let (set, tag) = self.locate(addr);
+        self.sets.contains(set, tag)
     }
 
     /// Running statistics.
@@ -121,21 +170,17 @@ impl CacheSim {
 
     /// Empties the cache and zeroes statistics.
     pub fn reset(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.sets.clear();
         self.stats = CacheStats::default();
     }
 }
 
 /// A fully-associative TLB with LRU replacement, reused for both I and D
-/// sides.
+/// sides: one set of `entries` ways, searched from its most recent page.
 #[derive(Debug, Clone)]
 pub struct TlbSim {
-    entries: usize,
     page_shift: u32,
-    /// MRU-ordered resident page numbers.
-    pages: Vec<u64>,
+    pages: LruSets,
     stats: CacheStats,
 }
 
@@ -144,9 +189,8 @@ impl TlbSim {
     #[must_use]
     pub fn new(entries: usize, page_bytes: u64) -> Self {
         TlbSim {
-            entries,
             page_shift: page_bytes.trailing_zeros(),
-            pages: Vec::with_capacity(entries),
+            pages: LruSets::new(1, entries),
             stats: CacheStats::default(),
         }
     }
@@ -154,19 +198,11 @@ impl TlbSim {
     /// Translates `addr`, returning whether the page was resident.
     pub fn access(&mut self, addr: u64) -> AccessOutcome {
         self.stats.accesses += 1;
-        let page = addr >> self.page_shift;
-        if let Some(pos) = self.pages.iter().position(|&p| p == page) {
-            let p = self.pages.remove(pos);
-            self.pages.insert(0, p);
-            AccessOutcome::Hit
-        } else {
-            if self.pages.len() == self.entries {
-                self.pages.pop();
-            }
-            self.pages.insert(0, page);
+        let outcome = self.pages.touch(0, addr >> self.page_shift);
+        if outcome == AccessOutcome::Miss {
             self.stats.misses += 1;
-            AccessOutcome::Miss
         }
+        outcome
     }
 
     /// Running statistics.

@@ -11,6 +11,7 @@
 //! rather than cycles; instruction latencies convert through the period of
 //! whichever mode the surrounding block was assigned.
 
+use crate::machine::{first_free, later, next_slot};
 use crate::{DataLevel, EnergyModel, Machine, Trace, FRONTEND_DEPTH};
 use dvs_ir::Cfg;
 use dvs_vf::{ModeId, TransitionModel, VoltageLadder};
@@ -108,8 +109,9 @@ impl Machine {
         let mut fetch_slots = 0usize;
         let mut mem_free = 0.0f64;
         let mut prev_commit = 0.0f64;
-        let mut inst_index = 0usize;
-        let mut mem_index = 0usize;
+        // Ring positions of the current instruction (window and commit
+        // rings) and of the next memory instruction (LSQ ring).
+        let (mut window_ix, mut commit_ix, mut lsq_ix) = (0usize, 0usize, 0usize);
         let mut pending_redirect = 0.0f64;
 
         let mut cap_weighted_uj = 0.0f64; // Σ cap·V² accumulated per block mode
@@ -131,7 +133,7 @@ impl Machine {
                 if target != current {
                     let st = transition.mode_time_us(ladder, current, target);
                     let se = transition.mode_energy_uj(ladder, current, target);
-                    let barrier = fetch_us.max(prev_commit) + st;
+                    let barrier = later(fetch_us, prev_commit) + st;
                     fetch_us = barrier;
                     fetch_slots = 0;
                     transitions += 1;
@@ -146,8 +148,11 @@ impl Machine {
             let period = point.period_us();
             let vv = point.voltage * point.voltage;
             let mem_lat_us = cfgm.mem_latency_us;
+            let l1_uj = EnergyModel::cap_to_uj(em.l1_nf, point.voltage);
+            let l2_uj = EnergyModel::cap_to_uj(em.l2_nf, point.voltage);
+            let bpred_uj = EnergyModel::cap_to_uj(em.bpred_nf, point.voltage);
 
-            fetch_us = fetch_us.max(pending_redirect);
+            fetch_us = later(fetch_us, pending_redirect);
             if pending_redirect > 0.0 {
                 fetch_slots = 0;
                 pending_redirect = 0.0;
@@ -156,18 +161,18 @@ impl Machine {
             for inst in table.block(dyn_block.block.index()) {
                 if inst.starts_line {
                     let a = fetches.next().expect("one fetch per line start");
-                    cap_weighted_uj += EnergyModel::cap_to_uj(em.l1_nf, point.voltage);
+                    cap_weighted_uj += l1_uj;
                     match a.level {
                         DataLevel::L1 => {}
                         DataLevel::L2 => {
-                            cap_weighted_uj += EnergyModel::cap_to_uj(em.l2_nf, point.voltage);
+                            cap_weighted_uj += l2_uj;
                             fetch_us += f64::from(a.cycles - cfgm.l1_latency) * period;
                         }
                         DataLevel::Memory => {
-                            cap_weighted_uj += EnergyModel::cap_to_uj(em.l2_nf, point.voltage);
+                            cap_weighted_uj += l2_uj;
                             dram_uj += em.dram_uj_per_access;
                             let ready = fetch_us + f64::from(a.cycles) * period;
-                            let start = ready.max(mem_free);
+                            let start = later(ready, mem_free);
                             let end = start + mem_lat_us;
                             mem_free = end;
                             fetch_us = end;
@@ -183,50 +188,44 @@ impl Machine {
                 fetch_slots += 1;
 
                 let dispatch_ready = fetch_time + FRONTEND_DEPTH * period;
-                let window_gate = window_ring[inst_index % cfgm.ruu_size];
+                let window_gate = window_ring[window_ix];
 
                 let mut src_ready = 0.0f64;
                 for &s in table.srcs(inst) {
-                    src_ready = src_ready.max(reg_ready[usize::from(s)]);
+                    src_ready = later(src_ready, reg_ready[usize::from(s)]);
                 }
 
                 let pool = usize::from(inst.pool);
-                let (lo, hi) = (table.fu_offsets[pool], table.fu_offsets[pool + 1]);
-                let (mut unit_ix, mut unit_free) = (lo, fu_free[lo]);
-                for (j, &t) in fu_free[lo..hi].iter().enumerate().skip(1) {
-                    if t < unit_free {
-                        unit_free = t;
-                        unit_ix = lo + j;
-                    }
-                }
+                let (unit_ix, unit_free) =
+                    first_free(&fu_free, table.fu_offsets[pool], table.fu_offsets[pool + 1]);
 
-                let mut issue = dispatch_ready
-                    .max(window_gate)
-                    .max(src_ready)
-                    .max(unit_free);
+                let mut issue = later(
+                    later(dispatch_ready, window_gate),
+                    later(src_ready, unit_free),
+                );
                 if inst.is_mem {
-                    issue = issue.max(lsq_ring[mem_index % cfgm.lsq_size]);
+                    issue = later(issue, lsq_ring[lsq_ix]);
                 }
                 fu_free[unit_ix] = issue + f64::from(inst.occupancy) * period;
 
                 let mut complete = issue + f64::from(inst.latency) * period;
                 if inst.is_mem {
                     let a = data.next().expect("one data access per memory instruction");
-                    cap_weighted_uj += EnergyModel::cap_to_uj(em.l1_nf, point.voltage);
+                    cap_weighted_uj += l1_uj;
                     match a.level {
                         DataLevel::L1 | DataLevel::L2 => {
                             if a.level == DataLevel::L2 {
-                                cap_weighted_uj += EnergyModel::cap_to_uj(em.l2_nf, point.voltage);
+                                cap_weighted_uj += l2_uj;
                             }
                             if inst.is_load {
                                 complete = issue + (1.0 + f64::from(a.cycles)) * period;
                             }
                         }
                         DataLevel::Memory => {
-                            cap_weighted_uj += EnergyModel::cap_to_uj(em.l2_nf, point.voltage);
+                            cap_weighted_uj += l2_uj;
                             dram_uj += em.dram_uj_per_access;
                             let ready = issue + (1.0 + f64::from(a.cycles)) * period;
-                            let start = ready.max(mem_free);
+                            let start = later(ready, mem_free);
                             let end = start + mem_lat_us;
                             mem_free = end;
                             if inst.is_load {
@@ -237,30 +236,33 @@ impl Machine {
                 }
 
                 if inst.is_branch {
-                    cap_weighted_uj += EnergyModel::cap_to_uj(em.bpred_nf, point.voltage);
+                    cap_weighted_uj += bpred_uj;
                     if *branches.next().expect("one outcome per branch") {
-                        pending_redirect = pending_redirect
-                            .max(complete + f64::from(cfgm.mispredict_penalty) * period);
+                        pending_redirect = later(
+                            pending_redirect,
+                            complete + f64::from(cfgm.mispredict_penalty) * period,
+                        );
                     }
                 }
 
-                let commit = (complete + period)
-                    .max(prev_commit)
-                    .max(commit_ring[inst_index % cfgm.commit_width] + period);
+                let commit = later(
+                    later(complete + period, prev_commit),
+                    commit_ring[commit_ix] + period,
+                );
                 prev_commit = commit;
-                commit_ring[inst_index % cfgm.commit_width] = commit;
-                window_ring[inst_index % cfgm.ruu_size] = commit;
+                commit_ring[commit_ix] = commit;
+                window_ring[window_ix] = commit;
+                commit_ix = next_slot(commit_ix, commit_ring.len());
+                window_ix = next_slot(window_ix, window_ring.len());
                 if inst.is_mem {
-                    lsq_ring[mem_index % cfgm.lsq_size] = commit;
-                    mem_index += 1;
+                    lsq_ring[lsq_ix] = commit;
+                    lsq_ix = next_slot(lsq_ix, lsq_ring.len());
                 }
                 if let Some(d) = inst.dest {
                     reg_ready[usize::from(d)] = complete;
                 }
 
                 cap_weighted_uj += (inst.core_nf + inst.fu_nf) * vv * 1e-3;
-
-                inst_index += 1;
             }
         }
 

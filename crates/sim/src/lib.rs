@@ -49,7 +49,7 @@ pub use config::SimConfig;
 pub use dvs_exec::{EdgeSchedule, ScheduledRun};
 pub use energy::{ClockGating, EnergyBreakdown, EnergyModel};
 pub use hierarchy::{DataLevel, MemoryHierarchy};
-pub use machine::{BlockStats, Machine, RunStats};
+pub use machine::{BlockStats, Machine, RunStats, FAN_OUT_MIN_INSTS};
 pub use predictor::{BranchPredictor, PredictorConfig};
 pub use profiler::{ModeProfiler, ProgramParams};
 pub use record::{Access, InstOutcome, Recording, FRONTEND_DEPTH};

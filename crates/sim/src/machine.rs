@@ -3,7 +3,7 @@ use crate::record::{Recording, FRONTEND_DEPTH};
 use crate::{DataLevel, EnergyBreakdown, EnergyModel, SimConfig, Trace};
 use dvs_ir::Cfg;
 use dvs_vf::OperatingPoint;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -186,10 +186,11 @@ impl Machine {
     /// concurrently: the caller and up to
     /// `min(points.len(), available_parallelism()) - 1` scoped helper
     /// threads each take the next untimed point until none is left. With
-    /// one point or one CPU the caller times every point and spawns no
-    /// thread. Helpers record their `sim.run` spans in the caller's
-    /// `dvs_obs` domain; the per-run counters are recorded on the caller
-    /// after the join, in `points` order.
+    /// one point, one CPU or a trace of fewer than [`FAN_OUT_MIN_INSTS`]
+    /// dynamic instructions the caller times every point and spawns no
+    /// thread (nor asks for the CPU count). Helpers record their `sim.run`
+    /// spans in the caller's `dvs_obs` domain; the per-run counters are
+    /// recorded on the caller after the join, in `points` order.
     ///
     /// # Panics
     ///
@@ -215,8 +216,8 @@ impl Machine {
                 timed.push((ix, self.time(&rec, &charge, point)));
             }
         };
-        // One point needs no helper, nor the CPU count.
-        let helpers = if points.len() > 1 {
+        // One point or a short trace needs no helper, nor the CPU count.
+        let helpers = if points.len() > 1 && charge.committed >= FAN_OUT_MIN_INSTS {
             let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
             points.len().min(cpus) - 1
         } else {
@@ -278,11 +279,11 @@ impl Machine {
         let mut busy = BusyBitmap::default();
         let mut mem_active = BusyBitmap::default();
         let mut miss_intervals: Vec<(f64, f64)> = Vec::new();
-        let mut compute = ComputeLog::default();
+        let mut compute = ComputeLog::new();
 
         for dyn_block in rec.trace.blocks() {
             let b = dyn_block.block.index();
-            fetch_cycle = fetch_cycle.max(pending_redirect);
+            fetch_cycle = later(fetch_cycle, pending_redirect);
             if pending_redirect > 0.0 {
                 fetch_slots = 0;
                 pending_redirect = 0.0;
@@ -298,7 +299,7 @@ impl Machine {
                         DataLevel::L2 => fetch_cycle += f64::from(a.cycles - cfgm.l1_latency),
                         DataLevel::Memory => {
                             let ready = fetch_cycle + f64::from(a.cycles);
-                            let start = ready.max(mem_free);
+                            let start = later(ready, mem_free);
                             let end = start + mem_lat_cycles;
                             mem_free = end;
                             miss_intervals.push((start, end));
@@ -322,26 +323,19 @@ impl Machine {
                 // Source readiness.
                 let mut src_ready = 0.0f64;
                 for &s in table.srcs(inst) {
-                    src_ready = src_ready.max(reg_ready[usize::from(s)]);
+                    src_ready = later(src_ready, reg_ready[usize::from(s)]);
                 }
 
-                // Functional unit: the first unit to free up in the pool.
                 let pool = usize::from(inst.pool);
-                let (lo, hi) = (table.fu_offsets[pool], table.fu_offsets[pool + 1]);
-                let (mut unit_ix, mut unit_free) = (lo, fu_free[lo]);
-                for (j, &t) in fu_free[lo..hi].iter().enumerate().skip(1) {
-                    if t < unit_free {
-                        unit_free = t;
-                        unit_ix = lo + j;
-                    }
-                }
+                let (unit_ix, unit_free) =
+                    first_free(&fu_free, table.fu_offsets[pool], table.fu_offsets[pool + 1]);
 
-                let mut issue = dispatch_ready
-                    .max(window_gate)
-                    .max(src_ready)
-                    .max(unit_free);
+                let mut issue = later(
+                    later(dispatch_ready, window_gate),
+                    later(src_ready, unit_free),
+                );
                 if inst.is_mem {
-                    issue = issue.max(lsq_ring[lsq_ix]);
+                    issue = later(issue, lsq_ring[lsq_ix]);
                 }
                 // Unit occupancy: divides are unpipelined.
                 fu_free[unit_ix] = issue + f64::from(inst.occupancy);
@@ -359,7 +353,7 @@ impl Machine {
                         }
                         DataLevel::Memory => {
                             let ready = issue + 1.0 + f64::from(a.cycles);
-                            let start = ready.max(mem_free);
+                            let start = later(ready, mem_free);
                             let end = start + mem_lat_cycles;
                             mem_free = end;
                             miss_intervals.push((start, end));
@@ -374,14 +368,17 @@ impl Machine {
 
                 // Branch misprediction refills the front end.
                 if inst.is_branch && *branches.next().expect("one outcome per branch") {
-                    pending_redirect =
-                        pending_redirect.max(complete + f64::from(cfgm.mispredict_penalty));
+                    pending_redirect = later(
+                        pending_redirect,
+                        complete + f64::from(cfgm.mispredict_penalty),
+                    );
                 }
 
                 // In-order commit.
-                let commit = (complete + 1.0)
-                    .max(prev_commit)
-                    .max(commit_ring[commit_ix] + 1.0);
+                let commit = later(
+                    later(complete + 1.0, prev_commit),
+                    commit_ring[commit_ix] + 1.0,
+                );
                 prev_commit = commit;
                 commit_ring[commit_ix] = commit;
                 window_ring[window_ix] = commit;
@@ -403,10 +400,10 @@ impl Machine {
             // Every later mark of `mem_active` starts at or after the
             // current fetch cycle (a fetch miss at its ready time, a data
             // access at its issue), and the fetch cycle never decreases.
-            compute.settle(fetch_cycle.max(0.0) as usize, &mem_active);
+            compute.settle(fetch_cycle as usize, &mem_active);
 
             // Attribute elapsed time to this block invocation.
-            blocks[b].time_us += (prev_commit - block_mark).max(0.0) / f;
+            blocks[b].time_us += later(prev_commit - block_mark, 0.0) / f;
             block_mark = prev_commit;
         }
 
@@ -431,8 +428,8 @@ impl Machine {
             committed_insts: charge.committed,
             energy,
             blocks,
-            overlap_cycles: compute.overlap as f64,
-            dependent_cycles: compute.dependent as f64,
+            overlap_cycles: compute.overlap() as f64,
+            dependent_cycles: compute.dependent() as f64,
             stall_cycles: stall as f64,
             cache_hit_cycles: charge.cache_hit_cycles,
             l1d: rec.l1d,
@@ -444,13 +441,49 @@ impl Machine {
     }
 }
 
+/// The fewest dynamic instructions for which [`Machine::run_points`] times
+/// its points on helper threads.
+///
+/// A helper pays for itself once the pass it takes outlasts its spawn and
+/// join plus the `available_parallelism` call (which reads the cgroup CPU
+/// quota). On a 2-core x86-64 host, release build, those took 36 µs
+/// (median) and 17 µs, and a pass 35–55 ns per instruction. Timing a
+/// 32-instruction loop at 3 and at 13 points, helpers broke even at about
+/// 1,000 dynamic instructions; this bound leaves a factor of 4 for host
+/// noise. dvs-check's random programs run at most about 100 instructions
+/// and stay on the caller; the bundled traces (47,000 or more) fan out.
+pub const FAN_OUT_MIN_INSTS: u64 = 4096;
+
 /// The next position of a ring of `len` slots.
-fn next_slot(ix: usize, len: usize) -> usize {
+pub(crate) fn next_slot(ix: usize, len: usize) -> usize {
     if ix + 1 == len {
         0
     } else {
         ix + 1
     }
+}
+
+/// The later of two times. Every time a pass compares is finite and at
+/// least +0.0, where this plain compare-select returns the same bits as
+/// `f64::max` without its NaN handling.
+pub(crate) fn later(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// The unit of `fu_free[lo..hi]` that frees up first (the lowest index on
+/// a tie) and its free time, picked by compare-select rather than branches.
+pub(crate) fn first_free(fu_free: &[f64], lo: usize, hi: usize) -> (usize, f64) {
+    let (mut unit_ix, mut unit_free) = (lo, fu_free[lo]);
+    for (j, &t) in fu_free.iter().enumerate().take(hi).skip(lo + 1) {
+        let sooner = t < unit_free;
+        unit_ix = if sooner { j } else { unit_ix };
+        unit_free = if sooner { t } else { unit_free };
+    }
+    (unit_ix, unit_free)
 }
 
 /// The clock-independent part of a run: energy as switched capacitance,
@@ -551,38 +584,51 @@ impl Charge {
 /// therefore sums compute latency per cycle and classifies a cycle only
 /// once no later mark can reach it, which keeps it as long as the distance
 /// from fetch to the latest issue: millions of cycles on a run whose fetch
-/// waits on memory while issue runs ahead. Each cycle's sum is one byte;
-/// a sum of [`ComputeLog::SPILLED`] or more keeps the byte at that value
-/// and its exact sum in a map keyed by cycle. (A unit issues at most once
-/// per cycle, so the paper machine sums at most 4 x 1 + 20 + 2 + 4 + 12 =
-/// 42 in one cycle; the bundled workloads reach 22.) The counts are
-/// integers, so grouping them by cycle does not change the sums.
-#[derive(Default)]
+/// waits on memory while issue runs ahead. Each cycle's sum is one byte of
+/// a power-of-two ring indexed by cycle, zeroed as the cycle settles; a sum
+/// of [`ComputeLog::SPILLED`] or more keeps the byte at that value and its
+/// exact sum in a map keyed by cycle. (A unit issues at most once per
+/// cycle, so the paper machine sums at most 4 x 1 + 20 + 2 + 4 + 12 = 42 in
+/// one cycle; the bundled workloads reach 22.) The counts are integers, so
+/// grouping them by cycle does not change the sums.
 struct ComputeLog {
     /// The first cycle not yet classified.
     first: usize,
-    /// Compute latency issued in each cycle from `first` on, up to
-    /// [`ComputeLog::SPILLED`].
-    latency_at: VecDeque<u8>,
+    /// One past the latest cycle logged.
+    end: usize,
+    /// Compute latency issued in cycle `c` (`first <= c < end`), up to
+    /// [`ComputeLog::SPILLED`], at `ring[c % ring.len()]`; zero elsewhere.
+    ring: Vec<u8>,
     /// The sums of the cycles whose byte reads [`ComputeLog::SPILLED`].
     spilled: BTreeMap<usize, u64>,
-    overlap: u64,
-    dependent: u64,
+    /// Settled latency: `[dependent, overlap]`.
+    settled: [u64; 2],
 }
 
 impl ComputeLog {
     /// The byte of a cycle whose sum lives in `spilled`.
     const SPILLED: u8 = u8::MAX;
 
+    fn new() -> Self {
+        ComputeLog {
+            first: 0,
+            end: 0,
+            ring: vec![0; 64],
+            spilled: BTreeMap::new(),
+            settled: [0; 2],
+        }
+    }
+
     /// Logs a compute instruction issued at `issue`, which is never before
     /// the cycles already classified.
     fn log(&mut self, issue: f64, latency: u32) {
-        let cycle = issue.max(0.0) as usize;
-        let ix = cycle - self.first;
-        if ix >= self.latency_at.len() {
-            self.latency_at.resize(ix + 1, 0);
+        let cycle = issue as usize;
+        if cycle - self.first >= self.ring.len() {
+            self.grow(cycle - self.first + 1);
         }
-        let at = &mut self.latency_at[ix];
+        self.end = self.end.max(cycle + 1);
+        let mask = self.ring.len() - 1;
+        let at = &mut self.ring[cycle & mask];
         let sum = u64::from(latency)
             + match *at {
                 Self::SPILLED => self.spilled[&cycle],
@@ -597,28 +643,47 @@ impl ComputeLog {
         }
     }
 
+    /// Re-lays the open cycles out in a ring of at least `span` slots.
+    fn grow(&mut self, span: usize) {
+        let mut ring = vec![0; span.next_power_of_two()];
+        let (old, new) = (self.ring.len() - 1, ring.len() - 1);
+        for c in self.first..self.end {
+            ring[c & new] = self.ring[c & old];
+        }
+        self.ring = ring;
+    }
+
     /// Classifies every cycle before `open`, the earliest cycle a later
-    /// mark of `mem_active` can reach.
+    /// mark of `mem_active` can reach, one word of `mem_active` at a time.
     fn settle(&mut self, open: usize, mem_active: &BusyBitmap) {
-        if open <= self.first {
-            return;
-        }
-        let settled = (open - self.first).min(self.latency_at.len());
-        for (c, at) in (self.first..).zip(self.latency_at.drain(..settled)) {
-            let lat = match at {
-                0 => continue,
-                Self::SPILLED => self.spilled.remove(&c).expect("a spilled cycle's sum"),
-                small => u64::from(small),
-            };
-            if mem_active.get(c) {
-                self.overlap += lat;
-            } else {
-                self.dependent += lat;
+        let mask = self.ring.len() - 1;
+        let stop = open.min(self.end);
+        let mut c = self.first;
+        while c < stop {
+            let word = mem_active.word(c / 64);
+            let word_stop = stop.min((c / 64 + 1) * 64);
+            for c in c..word_stop {
+                let at = std::mem::take(&mut self.ring[c & mask]);
+                let lat = if at == Self::SPILLED {
+                    self.spilled.remove(&c).expect("a spilled cycle's sum")
+                } else {
+                    u64::from(at)
+                };
+                self.settled[((word >> (c % 64)) & 1) as usize] += lat;
             }
+            c = word_stop;
         }
-        // Either every cycle before `open` was drained, or the ones past
-        // the drained ones had nothing issued in them.
-        self.first = open;
+        self.first = self.first.max(open);
+    }
+
+    /// Latency issued while a memory operation was in flight.
+    fn overlap(&self) -> u64 {
+        self.settled[1]
+    }
+
+    /// Latency issued with no memory operation in flight.
+    fn dependent(&self) -> u64 {
+        self.settled[0]
     }
 }
 
@@ -631,7 +696,7 @@ struct BusyBitmap {
 
 impl BusyBitmap {
     fn mark(&mut self, cycle: f64) {
-        let c = cycle.max(0.0) as usize;
+        let c = cycle as usize;
         let w = c / 64;
         if w >= self.words.len() {
             self.words.resize(w + 1, 0);
@@ -641,8 +706,8 @@ impl BusyBitmap {
 
     /// Marks every cycle in `[start, end)`.
     fn mark_range(&mut self, start: f64, end: f64) {
-        let s = start.max(0.0) as usize;
-        let e = end.max(0.0) as usize;
+        let s = start as usize;
+        let e = end as usize;
         if e <= s {
             return;
         }
@@ -667,10 +732,9 @@ impl BusyBitmap {
         self.words.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 
-    fn get(&self, c: usize) -> bool {
-        self.words
-            .get(c / 64)
-            .is_some_and(|w| w & (1 << (c % 64)) != 0)
+    /// The marks of cycles `64 w..64 (w + 1)`, cycle `64 w` in bit 0.
+    fn word(&self, w: usize) -> u64 {
+        self.words.get(w).copied().unwrap_or(0)
     }
 
     /// Marked cycles in `[s, e)`, one popcount per word.
@@ -679,18 +743,17 @@ impl BusyBitmap {
             return 0;
         }
         let ones = |w: u64| w.count_ones() as usize;
-        let word = |w: usize| self.words.get(w).copied().unwrap_or(0);
         let (ws, wend) = (s / 64, (e - 1) / 64);
         let head = !0u64 << (s % 64);
         let tail = !0u64 >> (63 - (e - 1) % 64);
         if ws == wend {
-            return ones(word(ws) & head & tail);
+            return ones(self.word(ws) & head & tail);
         }
         let inner: usize = self.words[(ws + 1).min(self.words.len())..wend.min(self.words.len())]
             .iter()
             .map(|&w| ones(w))
             .sum();
-        ones(word(ws) & head) + inner + ones(word(wend) & tail)
+        ones(self.word(ws) & head) + inner + ones(self.word(wend) & tail)
     }
 
     /// Over the (disjoint, sorted) miss-service intervals, counts the idle
