@@ -50,9 +50,9 @@ pub struct Tolerances {
     /// Absolute tolerance on replayed vs predicted energy, µJ.
     pub replay_energy_abs_uj: f64,
     /// Relative tolerance of the bytecode replay vs the cycle-level
-    /// simulator. Tight by design: the interpreter reproduces the
-    /// simulator's float recurrence bit-for-bit on time and reassociates
-    /// only energy sums.
+    /// simulator. Tight by design: the interpreter runs the simulator's
+    /// own pipeline step, bit-for-bit on time, and reassociates only
+    /// energy sums.
     pub bytecode_rel: f64,
     /// Brute force enumerates at most this many assignments, else skips.
     pub brute_force_limit: u64,

@@ -1,71 +1,14 @@
-//! The compiled program: op encodings, mode tables and summary statistics.
+//! The compiled program: interned instruction sequences, the block-op
+//! stream, mode tables and summary statistics.
 
-// Access-kind encodings; 0 means "no access" (the `RawOp::default()`).
-/// Access hit L1 (energy only; timing folds into the base latency).
-pub(crate) const ACC_L1: u8 = 1;
-/// Access hit L2 (`cyc` carries the extra cycles).
-pub(crate) const ACC_L2: u8 = 2;
-/// Access went to main memory (`cyc` carries the cycle-domain prefix of the
-/// asynchronous DRAM visit).
-pub(crate) const ACC_MEM: u8 = 3;
+use dvs_sim::{Decoded, InstOutcome, SimConfig};
 
-pub(crate) const F_MEM: u8 = 1 << 0;
-pub(crate) const F_LOAD: u8 = 1 << 1;
-pub(crate) const F_WRITES: u8 = 1 << 2;
-pub(crate) const F_MISPREDICT: u8 = 1 << 3;
-pub(crate) const F_BRANCH: u8 = 1 << 4;
-
-/// Integer-exact op used while compiling: hashable so identical occurrence
-/// sequences intern to one variant. Never stored in the finished bytecode.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub(crate) struct RawOp {
-    /// `ACC_*` outcome of the instruction-cache line fetch (`ACC_NONE` when
-    /// this instruction reuses the previously fetched line).
-    pub icache: u8,
-    /// L2: extra cycles past L1; Memory: cycle-domain prefix before DRAM.
-    pub icache_cyc: u32,
-    /// `F_*` bits.
-    pub flags: u8,
-    /// Functional-unit pool (0 = ALU/AGU/branch, 1 = mul, 2 = div,
-    /// 3–5 = FP add/mul/div, 6 = nop).
-    pub pool_ix: u8,
-    /// Destination register (valid iff `F_WRITES`).
-    pub dest: u8,
-    /// Non-zero source registers, `nsrc` of them.
-    pub srcs: [u8; 3],
-    pub nsrc: u8,
-    /// Base latency in cycles.
-    pub latency: u32,
-    /// `ACC_*` outcome of the data access (valid iff `F_MEM`).
-    pub dcache: u8,
-    /// Cycle count reported by the hierarchy for the data access.
-    pub dcache_cyc: u32,
-}
-
-/// Interpreter-ready op: the `RawOp` with cycle counts pre-converted to f64
-/// and the unpipelined-divider occupancy resolved.
-#[derive(Clone, Copy)]
-pub(crate) struct InstOp {
-    pub icache: u8,
-    pub flags: u8,
-    pub pool_ix: u8,
-    pub dest: u8,
-    pub nsrc: u8,
-    pub srcs: [u8; 3],
-    pub dcache: u8,
-    pub icache_cyc: f64,
-    pub latency: f64,
-    /// Cycles the functional unit stays busy (latency for the unpipelined
-    /// dividers, one otherwise).
-    pub occupancy: f64,
-    pub dcache_cyc: f64,
-}
-
-/// A deduplicated per-occurrence instruction sequence plus its pre-summed
-/// switched capacitance (nF). At replay time the occurrence's processor
-/// energy is `nf_total · V² · 1e-3` µJ for whatever mode is then current.
+/// A deduplicated per-occurrence instruction sequence, each instruction
+/// as the pipeline step reads it, plus its pre-summed switched capacitance
+/// (nF). At replay time the occurrence's processor energy is
+/// `nf_total · V² · 1e-3` µJ for whatever mode is then current.
 pub(crate) struct Variant {
-    pub ops: Vec<InstOp>,
+    pub ops: Vec<(Decoded, InstOutcome)>,
     pub nf_total: f64,
 }
 
@@ -87,30 +30,18 @@ pub(crate) const ENTRY_EDGE: u32 = u32::MAX;
 /// Build with [`crate::compile`]; evaluate schedules with
 /// [`ReplayBytecode::replay`] / [`ReplayBytecode::replay_batch`].
 pub struct ReplayBytecode {
+    /// The machine every replay's pipeline models.
+    pub(crate) config: SimConfig,
     pub(crate) num_edges: usize,
-    pub(crate) num_modes: usize,
-    /// Per-mode clock period, µs.
-    pub(crate) period_us: Vec<f64>,
-    /// Per-mode supply voltage squared, V².
-    pub(crate) vv: Vec<f64>,
-    /// Row-major `modes × modes` regulator transition time, µs.
-    pub(crate) switch_time_us: Vec<f64>,
-    /// Row-major `modes × modes` regulator transition energy, µJ.
-    pub(crate) switch_energy_uj: Vec<f64>,
+    /// Per mode: clock period (µs) and supply voltage squared (V²).
+    pub(crate) modes: Vec<(f64, f64)>,
+    /// Row-major `modes × modes` regulator transition time (µs) and
+    /// energy (µJ).
+    pub(crate) switches: Vec<(f64, f64)>,
     /// Off-chip energy of the whole trace — schedule-independent.
     pub(crate) dram_energy_uj: f64,
     pub(crate) variants: Vec<Variant>,
     pub(crate) ops: Vec<BlockOp>,
-    /// Machine scalars the timing recurrence needs.
-    pub(crate) mem_latency_us: f64,
-    pub(crate) fetch_width: usize,
-    pub(crate) ruu_size: usize,
-    pub(crate) lsq_size: usize,
-    pub(crate) commit_width: usize,
-    pub(crate) mispredict_penalty: f64,
-    /// Flattened functional-unit pools: pool `p` occupies
-    /// `fu_offsets[p] .. fu_offsets[p + 1]` slots of the lane's free table.
-    pub(crate) fu_offsets: [usize; 8],
     /// Occurrence/instruction counts for [`ReplayStats`].
     pub(crate) trace_blocks: usize,
     pub(crate) trace_insts: usize,
@@ -146,7 +77,7 @@ impl ReplayBytecode {
             variants: self.variants.len(),
             variant_insts: self.variants.iter().map(|v| v.ops.len()).sum(),
             edges: self.num_edges,
-            modes: self.num_modes,
+            modes: self.modes.len(),
         }
     }
 
@@ -163,8 +94,8 @@ impl ReplayBytecode {
         assert!(!self.variants.is_empty(), "compiled traces are non-empty");
         let target = usize::try_from(seed % self.variants.len() as u64).expect("fits usize");
         let v = &mut self.variants[target];
-        for op in &mut v.ops {
-            op.latency += 1.0;
+        for (inst, _) in &mut v.ops {
+            *inst = inst.delayed(1);
         }
         v.nf_total += 0.01 * v.ops.len().max(1) as f64;
     }

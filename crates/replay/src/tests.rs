@@ -2,7 +2,7 @@ use dvs_ir::{Cfg, CfgBuilder, Inst, MemWidth, Opcode, Reg};
 use dvs_sim::{EdgeSchedule, EnergyModel, Machine, ScheduledRun, SimConfig, Trace, TraceBuilder};
 use dvs_vf::{AlphaPower, ModeId, TransitionModel, VoltageLadder};
 
-use crate::{compile, replay_each};
+use crate::compile;
 
 /// A loop nest with memory traffic, multiplies, a divide and branches —
 /// every op class the interpreter has a path for. Data addresses stride
@@ -179,8 +179,6 @@ fn batch_replay_is_bit_identical_to_individual_replays() {
     for (s, got) in schedules.iter().zip(&batch) {
         assert_eq!(*got, code.replay(s));
     }
-    let each = replay_each([&code, &code], &schedules[0]);
-    assert_eq!(each[0], each[1]);
 }
 
 #[test]

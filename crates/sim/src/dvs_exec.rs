@@ -1,18 +1,21 @@
 //! Re-execution of a trace under a compile-time DVS schedule.
 //!
 //! The MILP predicts time and energy from per-block profile averages; this
-//! module *validates* a schedule by re-running the dataflow timing model
-//! with the clock actually changing at mode-set points, charging the
-//! regulator's transition time and energy on every real mode change (a
-//! mode-set instruction whose value matches the current mode is silent, as
-//! in the paper).
+//! module *validates* a schedule by stepping the recorded trace through
+//! the same pipeline as the profile, with the clock actually changing at
+//! mode-set points, charging the regulator's transition time and energy
+//! on every real mode change (a mode-set instruction whose value matches
+//! the current mode is silent, as in the paper).
 //!
 //! Because the clock varies, the timeline here is kept in **microseconds**
 //! rather than cycles; instruction latencies convert through the period of
-//! whichever mode the surrounding block was assigned.
+//! whichever mode the surrounding block was assigned. [`ScheduledPass`]
+//! holds a pass in progress, for [`Machine::run_scheduled`] here and for
+//! the `dvs-replay` bytecode interpreter.
 
-use crate::machine::{first_free, later, next_slot};
-use crate::{DataLevel, EnergyModel, Machine, Trace, FRONTEND_DEPTH};
+use crate::pipeline::{Micros, Observe, Pipeline};
+use crate::record::Decoded;
+use crate::{Access, DataLevel, EnergyModel, InstOutcome, Machine, SimConfig, Trace};
 use dvs_ir::Cfg;
 use dvs_vf::{ModeId, TransitionModel, VoltageLadder};
 
@@ -37,16 +40,26 @@ impl EdgeSchedule {
         }
     }
 
-    /// Number of *static* mode-set points whose value differs from some
-    /// incoming context — an upper bound on distinct settings; dynamic
-    /// transition counting happens during execution.
-    #[must_use]
-    pub fn distinct_modes(&self) -> usize {
-        let mut modes: Vec<ModeId> = self.edge_modes.clone();
-        modes.push(self.initial);
-        modes.sort_unstable();
-        modes.dedup();
-        modes.len()
+    /// Checks that the schedule sets a mode on each of `edges` edges and
+    /// names only modes of a ladder of `modes` levels, the initial one
+    /// included.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "schedule must cover every edge" or "schedule names a
+    /// mode outside the ladder" if it does not.
+    pub fn check(&self, edges: usize, modes: usize) {
+        assert_eq!(
+            self.edge_modes.len(),
+            edges,
+            "schedule must cover every edge"
+        );
+        assert!(
+            std::iter::once(&self.initial)
+                .chain(&self.edge_modes)
+                .all(|m| m.index() < modes),
+            "schedule names a mode outside the ladder"
+        );
     }
 }
 
@@ -67,6 +80,117 @@ pub struct ScheduledRun {
     pub transition_time_us: f64,
 }
 
+/// A scheduled pass in progress: the pipeline timed in µs at the period
+/// of the mode in force, that mode, and what the run has charged so far.
+/// Feed it the trace's [`Recording::steps`](crate::Recording::steps) block
+/// by block, setting each arrival edge's mode first.
+#[derive(Debug, Clone)]
+pub struct ScheduledPass {
+    pipe: Pipeline,
+    mem_latency_us: f64,
+    mode: ModeId,
+    energy_uj: f64,
+    transitions: u64,
+    transition_energy_uj: f64,
+    transition_time_us: f64,
+}
+
+impl ScheduledPass {
+    /// A pass of `config`'s machine, at time zero in mode `initial`.
+    #[must_use]
+    pub fn new(config: &SimConfig, initial: ModeId) -> Self {
+        ScheduledPass {
+            pipe: Pipeline::new(config),
+            mem_latency_us: config.mem_latency_us,
+            mode: initial,
+            energy_uj: 0.0,
+            transitions: 0,
+            transition_energy_uj: 0.0,
+            transition_time_us: 0.0,
+        }
+    }
+
+    /// The mode in force.
+    #[must_use]
+    pub fn mode(&self) -> ModeId {
+        self.mode
+    }
+
+    /// Arrives over an edge that sets `target`. When that differs from the
+    /// mode in force, the regulator switches: `cost(from, to)` gives the
+    /// switch's time (µs) and energy (µJ); the pipeline drains, the front
+    /// end waits out the time, and the switch is counted and charged.
+    pub fn set_mode(&mut self, target: ModeId, cost: impl FnOnce(ModeId, ModeId) -> (f64, f64)) {
+        if target != self.mode {
+            let (time_us, energy_uj) = cost(self.mode, target);
+            self.pipe.switch(time_us);
+            self.transitions += 1;
+            self.transition_energy_uj += energy_uj;
+            self.transition_time_us += time_us;
+            self.mode = target;
+        }
+    }
+
+    /// Enters a block occurrence.
+    #[inline]
+    pub fn enter_block(&mut self) {
+        self.pipe.enter_block();
+    }
+
+    /// Times one instruction at the clock period `period_us`.
+    #[inline]
+    pub fn step(&mut self, period_us: f64, inst: &Decoded, out: &InstOutcome) {
+        let clock = Micros {
+            period_us,
+            mem_latency_us: self.mem_latency_us,
+        };
+        self.pipe.step(clock, inst, out, &mut ());
+    }
+
+    /// Charges `uj` µJ of on-chip energy.
+    pub fn charge(&mut self, uj: f64) {
+        self.energy_uj += uj;
+    }
+
+    /// The run so far, with `dram_energy_uj` of off-chip energy.
+    #[must_use]
+    pub fn finish(&self, dram_energy_uj: f64) -> ScheduledRun {
+        ScheduledRun {
+            time_us: self.pipe.time(),
+            processor_energy_uj: self.energy_uj + self.transition_energy_uj,
+            dram_energy_uj,
+            transitions: self.transitions,
+            transition_energy_uj: self.transition_energy_uj,
+            transition_time_us: self.transition_time_us,
+        }
+    }
+}
+
+/// The scheduled pass's per-access energy at the current block's voltage,
+/// summed in the order the accesses happen, with the run's other
+/// on-chip energy. Charged from inside the step, which matches each outcome
+/// anyway: matching them again after it timed the pass about 8 % slower.
+#[derive(Default)]
+struct AccessEnergy {
+    uj: f64,
+    dram_uj: f64,
+    l1_uj: f64,
+    l2_uj: f64,
+    dram_per_access_uj: f64,
+}
+
+impl Observe for AccessEnergy {
+    fn access(&mut self, a: Access) {
+        self.uj += self.l1_uj;
+        if a.level != DataLevel::L1 {
+            self.uj += self.l2_uj;
+        }
+        if a.level == DataLevel::Memory {
+            self.dram_uj += self.dram_per_access_uj;
+        }
+    }
+}
+
 impl Machine {
     /// Executes `trace` under `schedule`, switching the clock/voltage on
     /// edges whose assigned mode differs from the current one and charging
@@ -74,8 +198,9 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if `schedule.edge_modes` does not cover every CFG edge or if
-    /// the trace is inconsistent with `cfg`.
+    /// Panics if `schedule` does not fit `cfg` and `ladder`
+    /// ([`EdgeSchedule::check`]) or if the trace is inconsistent with
+    /// `cfg`.
     #[must_use]
     pub fn run_scheduled(
         &self,
@@ -85,42 +210,16 @@ impl Machine {
         schedule: &EdgeSchedule,
         transition: &TransitionModel,
     ) -> ScheduledRun {
-        assert_eq!(
-            schedule.edge_modes.len(),
-            cfg.num_edges(),
-            "schedule must cover every edge"
-        );
+        schedule.check(cfg.num_edges(), ladder.len());
         let rec = self.record(cfg, trace);
         let _span = dvs_obs::span!("sim.run_scheduled");
-        let cfgm = self.config();
         let em = self.energy_model();
-        let table = &rec.table;
-        let mut fetches = rec.fetches.iter();
-        let mut data = rec.data.iter();
-        let mut branches = rec.mispredicted.iter();
-
-        let mut reg_ready = [0.0f64; 64];
-        let mut fu_free = vec![0.0f64; table.fu_offsets[7]];
-        let mut window_ring = vec![0.0f64; cfgm.ruu_size];
-        let mut lsq_ring = vec![0.0f64; cfgm.lsq_size];
-        let mut commit_ring = vec![0.0f64; cfgm.commit_width];
-
-        let mut fetch_us = 0.0f64;
-        let mut fetch_slots = 0usize;
-        let mut mem_free = 0.0f64;
-        let mut prev_commit = 0.0f64;
-        // Ring positions of the current instruction (window and commit
-        // rings) and of the next memory instruction (LSQ ring).
-        let (mut window_ix, mut commit_ix, mut lsq_ix) = (0usize, 0usize, 0usize);
-        let mut pending_redirect = 0.0f64;
-
-        let mut cap_weighted_uj = 0.0f64; // Σ cap·V² accumulated per block mode
-        let mut dram_uj = 0.0f64;
-        let mut transitions = 0u64;
-        let mut transition_energy = 0.0f64;
-        let mut transition_time = 0.0f64;
-
-        let mut current = schedule.initial;
+        let mut pass = ScheduledPass::new(self.config(), schedule.initial);
+        let mut outcomes = rec.cursor();
+        let mut energy = AccessEnergy {
+            dram_per_access_uj: em.dram_uj_per_access,
+            ..AccessEnergy::default()
+        };
         let mut prev_block: Option<dvs_ir::BlockId> = None;
 
         for dyn_block in trace.blocks() {
@@ -129,156 +228,46 @@ impl Machine {
                 let e = cfg
                     .edge_between(pb, dyn_block.block)
                     .expect("trace follows CFG edges");
-                let target = schedule.edge_modes[e.index()];
-                if target != current {
-                    let st = transition.mode_time_us(ladder, current, target);
-                    let se = transition.mode_energy_uj(ladder, current, target);
-                    let barrier = later(fetch_us, prev_commit) + st;
-                    fetch_us = barrier;
-                    fetch_slots = 0;
-                    transitions += 1;
-                    transition_energy += se;
-                    transition_time += st;
-                    current = target;
-                }
+                pass.set_mode(schedule.edge_modes[e.index()], |from, to| {
+                    (
+                        transition.mode_time_us(ladder, from, to),
+                        transition.mode_energy_uj(ladder, from, to),
+                    )
+                });
             }
             prev_block = Some(dyn_block.block);
 
-            let point = ladder.point(current);
-            let period = point.period_us();
+            let point = ladder.point(pass.mode());
+            let clock = Micros {
+                period_us: point.period_us(),
+                mem_latency_us: pass.mem_latency_us,
+            };
             let vv = point.voltage * point.voltage;
-            let mem_lat_us = cfgm.mem_latency_us;
-            let l1_uj = EnergyModel::cap_to_uj(em.l1_nf, point.voltage);
-            let l2_uj = EnergyModel::cap_to_uj(em.l2_nf, point.voltage);
+            energy.l1_uj = EnergyModel::cap_to_uj(em.l1_nf, point.voltage);
+            energy.l2_uj = EnergyModel::cap_to_uj(em.l2_nf, point.voltage);
             let bpred_uj = EnergyModel::cap_to_uj(em.bpred_nf, point.voltage);
 
-            fetch_us = later(fetch_us, pending_redirect);
-            if pending_redirect > 0.0 {
-                fetch_slots = 0;
-                pending_redirect = 0.0;
-            }
-
-            for inst in table.block(dyn_block.block.index()) {
-                if inst.starts_line {
-                    let a = fetches.next().expect("one fetch per line start");
-                    cap_weighted_uj += l1_uj;
-                    match a.level {
-                        DataLevel::L1 => {}
-                        DataLevel::L2 => {
-                            cap_weighted_uj += l2_uj;
-                            fetch_us += f64::from(a.cycles - cfgm.l1_latency) * period;
-                        }
-                        DataLevel::Memory => {
-                            cap_weighted_uj += l2_uj;
-                            dram_uj += em.dram_uj_per_access;
-                            let ready = fetch_us + f64::from(a.cycles) * period;
-                            let start = later(ready, mem_free);
-                            let end = start + mem_lat_us;
-                            mem_free = end;
-                            fetch_us = end;
-                        }
-                    }
-                }
-
-                if fetch_slots >= cfgm.fetch_width {
-                    fetch_us += period;
-                    fetch_slots = 0;
-                }
-                let fetch_time = fetch_us;
-                fetch_slots += 1;
-
-                let dispatch_ready = fetch_time + FRONTEND_DEPTH * period;
-                let window_gate = window_ring[window_ix];
-
-                let mut src_ready = 0.0f64;
-                for &s in table.srcs(inst) {
-                    src_ready = later(src_ready, reg_ready[usize::from(s)]);
-                }
-
-                let pool = usize::from(inst.pool);
-                let (unit_ix, unit_free) =
-                    first_free(&fu_free, table.fu_offsets[pool], table.fu_offsets[pool + 1]);
-
-                let mut issue = later(
-                    later(dispatch_ready, window_gate),
-                    later(src_ready, unit_free),
-                );
-                if inst.is_mem {
-                    issue = later(issue, lsq_ring[lsq_ix]);
-                }
-                fu_free[unit_ix] = issue + f64::from(inst.occupancy) * period;
-
-                let mut complete = issue + f64::from(inst.latency) * period;
-                if inst.is_mem {
-                    let a = data.next().expect("one data access per memory instruction");
-                    cap_weighted_uj += l1_uj;
-                    match a.level {
-                        DataLevel::L1 | DataLevel::L2 => {
-                            if a.level == DataLevel::L2 {
-                                cap_weighted_uj += l2_uj;
-                            }
-                            if inst.is_load {
-                                complete = issue + (1.0 + f64::from(a.cycles)) * period;
-                            }
-                        }
-                        DataLevel::Memory => {
-                            cap_weighted_uj += l2_uj;
-                            dram_uj += em.dram_uj_per_access;
-                            let ready = issue + (1.0 + f64::from(a.cycles)) * period;
-                            let start = later(ready, mem_free);
-                            let end = start + mem_lat_us;
-                            mem_free = end;
-                            if inst.is_load {
-                                complete = end;
-                            }
-                        }
-                    }
-                }
-
+            pass.enter_block();
+            for inst in rec.table.block(dyn_block.block.index()) {
+                pass.pipe
+                    .step(clock, inst, &outcomes.next(inst), &mut energy);
                 if inst.is_branch {
-                    cap_weighted_uj += bpred_uj;
-                    if *branches.next().expect("one outcome per branch") {
-                        pending_redirect = later(
-                            pending_redirect,
-                            complete + f64::from(cfgm.mispredict_penalty) * period,
-                        );
-                    }
+                    energy.uj += bpred_uj;
                 }
-
-                let commit = later(
-                    later(complete + period, prev_commit),
-                    commit_ring[commit_ix] + period,
-                );
-                prev_commit = commit;
-                commit_ring[commit_ix] = commit;
-                window_ring[window_ix] = commit;
-                commit_ix = next_slot(commit_ix, commit_ring.len());
-                window_ix = next_slot(window_ix, window_ring.len());
-                if inst.is_mem {
-                    lsq_ring[lsq_ix] = commit;
-                    lsq_ix = next_slot(lsq_ix, lsq_ring.len());
-                }
-                if let Some(d) = inst.dest {
-                    reg_ready[usize::from(d)] = complete;
-                }
-
-                cap_weighted_uj += (inst.core_nf + inst.fu_nf) * vv * 1e-3;
+                energy.uj += inst.capacitance_nf() * vv * 1e-3;
             }
         }
 
+        // One charge of the whole sum: the pass's own starts at +0.0, so
+        // its bits are those of charging term by term.
+        pass.charge(energy.uj);
+        let run = pass.finish(energy.dram_uj);
         if dvs_obs::enabled() {
             dvs_obs::counter("sim.scheduled_runs", 1);
-            dvs_obs::counter("emit.mode_switches", transitions);
-            dvs_obs::histogram("sim.scheduled_time_us", prev_commit);
+            dvs_obs::counter("emit.mode_switches", run.transitions);
+            dvs_obs::histogram("sim.scheduled_time_us", run.time_us);
         }
-        ScheduledRun {
-            time_us: prev_commit,
-            processor_energy_uj: cap_weighted_uj + transition_energy,
-            dram_energy_uj: dram_uj,
-            transitions,
-            transition_energy_uj: transition_energy,
-            transition_time_us: transition_time,
-        }
+        run
     }
 }
 

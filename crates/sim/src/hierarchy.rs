@@ -2,7 +2,7 @@ use crate::cache::TlbSim;
 use crate::{AccessOutcome, CacheSim, CacheStats, SimConfig};
 
 /// Where a data access was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataLevel {
     /// L1 hit.
     L1,

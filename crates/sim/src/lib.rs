@@ -28,7 +28,9 @@
 //! * [`ScheduledRun`]: re-times a recorded trace under a per-edge DVS
 //!   schedule, charging regulator transition costs, to *validate* MILP
 //!   output against the simulator rather than against the MILP's own
-//!   objective.
+//!   objective. [`ScheduledPass`] is that pass in progress, which the
+//!   `dvs-replay` bytecode drives too. Every timing pass steps through
+//!   one pipeline recurrence, in cycles or in µs at each block's period.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +41,7 @@ mod dvs_exec;
 mod energy;
 mod hierarchy;
 mod machine;
+mod pipeline;
 mod predictor;
 mod profiler;
 mod record;
@@ -46,11 +49,12 @@ mod trace;
 
 pub use cache::{AccessOutcome, CacheConfig, CacheSim, CacheStats};
 pub use config::SimConfig;
-pub use dvs_exec::{EdgeSchedule, ScheduledRun};
+pub use dvs_exec::{EdgeSchedule, ScheduledPass, ScheduledRun};
 pub use energy::{ClockGating, EnergyBreakdown, EnergyModel};
 pub use hierarchy::{DataLevel, MemoryHierarchy};
 pub use machine::{BlockStats, Machine, RunStats, FAN_OUT_MIN_INSTS};
+pub use pipeline::FRONTEND_DEPTH;
 pub use predictor::{BranchPredictor, PredictorConfig};
 pub use profiler::{ModeProfiler, ProgramParams};
-pub use record::{Access, InstOutcome, Recording, FRONTEND_DEPTH};
+pub use record::{Access, Decoded, InstOutcome, Recording};
 pub use trace::{DynBlock, Trace, TraceBuilder};

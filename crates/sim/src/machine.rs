@@ -1,5 +1,6 @@
 use crate::cache::CacheStats;
-use crate::record::{Recording, FRONTEND_DEPTH};
+use crate::pipeline::{later, Cycles, Observe, Pipeline};
+use crate::record::{Decoded, Recording};
 use crate::{DataLevel, EnergyBreakdown, EnergyModel, SimConfig, Trace};
 use dvs_ir::Cfg;
 use dvs_vf::OperatingPoint;
@@ -249,175 +250,43 @@ impl Machine {
 
     /// One cycle-domain timing pass over `rec` at `point`.
     fn time(&self, rec: &Recording<'_>, charge: &Charge, point: OperatingPoint) -> RunStats {
-        let cfgm = &self.config;
-        let table = &rec.table;
         let f = point.frequency_mhz;
-        let mem_lat_cycles = cfgm.mem_latency_us * f;
-
-        let mut reg_ready = [0.0f64; 64];
-        // Free time of every functional unit, pools laid out by
-        // `fu_offsets`.
-        let mut fu_free = vec![0.0f64; table.fu_offsets[7]];
-        let mut window_ring = vec![0.0f64; cfgm.ruu_size];
-        let mut lsq_ring = vec![0.0f64; cfgm.lsq_size];
-        let mut commit_ring = vec![0.0f64; cfgm.commit_width];
-        let mut fetches = rec.fetches.iter();
-        let mut data = rec.data.iter();
-        let mut branches = rec.mispredicted.iter();
-
-        let mut fetch_cycle = 0.0f64;
-        let mut fetch_slots = 0usize;
-        let mut mem_free = 0.0f64;
-        let mut prev_commit = 0.0f64;
-        // Ring positions of the current instruction (window and commit
-        // rings) and of the next memory instruction (LSQ ring).
-        let (mut window_ix, mut commit_ix, mut lsq_ix) = (0usize, 0usize, 0usize);
+        let clock = Cycles {
+            mem_latency: self.config.mem_latency_us * f,
+        };
+        let mut pipe = Pipeline::new(&self.config);
+        let mut seen = Classify::default();
+        let mut outcomes = rec.cursor();
         let mut blocks = charge.blocks.clone();
-        let mut pending_redirect = 0.0f64;
         let mut block_mark = 0.0f64;
-
-        let mut busy = BusyBitmap::default();
-        let mut mem_active = BusyBitmap::default();
-        let mut miss_intervals: Vec<(f64, f64)> = Vec::new();
-        let mut compute = ComputeLog::new();
 
         for dyn_block in rec.trace.blocks() {
             let b = dyn_block.block.index();
-            fetch_cycle = later(fetch_cycle, pending_redirect);
-            if pending_redirect > 0.0 {
-                fetch_slots = 0;
-                pending_redirect = 0.0;
-            }
-
-            for inst in table.block(b) {
-                // Instruction-side cache behaviour: one access per line the
-                // block touches.
-                if inst.starts_line {
-                    let a = fetches.next().expect("one fetch per line start");
-                    match a.level {
-                        DataLevel::L1 => {}
-                        DataLevel::L2 => fetch_cycle += f64::from(a.cycles - cfgm.l1_latency),
-                        DataLevel::Memory => {
-                            let ready = fetch_cycle + f64::from(a.cycles);
-                            let start = later(ready, mem_free);
-                            let end = start + mem_lat_cycles;
-                            mem_free = end;
-                            miss_intervals.push((start, end));
-                            mem_active.mark_range(ready, end);
-                            fetch_cycle = end;
-                        }
-                    }
-                }
-
-                // Fetch bandwidth.
-                if fetch_slots >= cfgm.fetch_width {
-                    fetch_cycle += 1.0;
-                    fetch_slots = 0;
-                }
-                let fetch_time = fetch_cycle;
-                fetch_slots += 1;
-
-                let dispatch_ready = fetch_time + FRONTEND_DEPTH;
-                let window_gate = window_ring[window_ix];
-
-                // Source readiness.
-                let mut src_ready = 0.0f64;
-                for &s in table.srcs(inst) {
-                    src_ready = later(src_ready, reg_ready[usize::from(s)]);
-                }
-
-                let pool = usize::from(inst.pool);
-                let (unit_ix, unit_free) =
-                    first_free(&fu_free, table.fu_offsets[pool], table.fu_offsets[pool + 1]);
-
-                let mut issue = later(
-                    later(dispatch_ready, window_gate),
-                    later(src_ready, unit_free),
-                );
-                if inst.is_mem {
-                    issue = later(issue, lsq_ring[lsq_ix]);
-                }
-                // Unit occupancy: divides are unpipelined.
-                fu_free[unit_ix] = issue + f64::from(inst.occupancy);
-
-                // Completion.
-                let mut complete = issue + f64::from(inst.latency);
-                if inst.is_mem {
-                    let a = data.next().expect("one data access per memory instruction");
-                    match a.level {
-                        DataLevel::L1 | DataLevel::L2 => {
-                            mem_active.mark_range(issue, issue + 1.0 + f64::from(a.cycles));
-                            if inst.is_load {
-                                complete = issue + 1.0 + f64::from(a.cycles);
-                            }
-                        }
-                        DataLevel::Memory => {
-                            let ready = issue + 1.0 + f64::from(a.cycles);
-                            let start = later(ready, mem_free);
-                            let end = start + mem_lat_cycles;
-                            mem_free = end;
-                            miss_intervals.push((start, end));
-                            mem_active.mark_range(issue, end);
-                            if inst.is_load {
-                                complete = end;
-                            }
-                            // Store misses retire without waiting for DRAM.
-                        }
-                    }
-                }
-
-                // Branch misprediction refills the front end.
-                if inst.is_branch && *branches.next().expect("one outcome per branch") {
-                    pending_redirect = later(
-                        pending_redirect,
-                        complete + f64::from(cfgm.mispredict_penalty),
-                    );
-                }
-
-                // In-order commit.
-                let commit = later(
-                    later(complete + 1.0, prev_commit),
-                    commit_ring[commit_ix] + 1.0,
-                );
-                prev_commit = commit;
-                commit_ring[commit_ix] = commit;
-                window_ring[window_ix] = commit;
-                commit_ix = next_slot(commit_ix, commit_ring.len());
-                window_ix = next_slot(window_ix, window_ring.len());
-                if inst.is_mem {
-                    lsq_ring[lsq_ix] = commit;
-                    lsq_ix = next_slot(lsq_ix, lsq_ring.len());
-                }
-                if let Some(d) = inst.dest {
-                    reg_ready[usize::from(d)] = complete;
-                }
-
-                busy.mark(issue);
-                if inst.is_compute {
-                    compute.log(issue, inst.latency);
-                }
+            pipe.enter_block();
+            for inst in rec.table.block(b) {
+                pipe.step(clock, inst, &outcomes.next(inst), &mut seen);
             }
             // Every later mark of `mem_active` starts at or after the
             // current fetch cycle (a fetch miss at its ready time, a data
             // access at its issue), and the fetch cycle never decreases.
-            compute.settle(fetch_cycle as usize, &mem_active);
+            seen.compute.settle(pipe.fetch() as usize, &seen.mem_active);
 
             // Attribute elapsed time to this block invocation.
-            blocks[b].time_us += later(prev_commit - block_mark, 0.0) / f;
-            block_mark = prev_commit;
+            blocks[b].time_us += later(pipe.time() - block_mark, 0.0) / f;
+            block_mark = pipe.time();
         }
 
-        let total_cycles = prev_commit;
+        let total_cycles = pipe.time();
         // Stall time: idle cycles during off-chip miss service (this is the
         // absolute-time component, tinvariant).
-        let stall = busy.idle_within(&miss_intervals, total_cycles);
-        compute.settle(usize::MAX, &mem_active);
+        let stall = seen.busy.idle_within(&seen.miss_intervals, total_cycles);
+        seen.compute.settle(usize::MAX, &seen.mem_active);
         let mut energy = charge.energy;
         // Without perfect clock gating, every idle cycle still drives the
         // clock tree. Charged globally (not attributed to blocks): it is a
         // property of the gaps *between* work.
         if self.energy.gating == crate::ClockGating::Ungated {
-            let idle = (total_cycles - busy.count() as f64).max(0.0);
+            let idle = (total_cycles - seen.busy.count() as f64).max(0.0);
             energy.core_nf += idle * self.energy.clock_nf;
         }
 
@@ -428,8 +297,8 @@ impl Machine {
             committed_insts: charge.committed,
             energy,
             blocks,
-            overlap_cycles: compute.overlap() as f64,
-            dependent_cycles: compute.dependent() as f64,
+            overlap_cycles: seen.compute.overlap() as f64,
+            dependent_cycles: seen.compute.dependent() as f64,
             stall_cycles: stall as f64,
             cache_hit_cycles: charge.cache_hit_cycles,
             l1d: rec.l1d,
@@ -437,6 +306,35 @@ impl Machine {
             l2: rec.l2,
             mispredicts: rec.mispredicts,
             dram_accesses: charge.dram_accesses,
+        }
+    }
+}
+
+/// What the cycle-domain pass watches: the cycles in which some
+/// instruction issued, the cycles in which a memory operation was in
+/// flight, main memory's service intervals, and when compute issued.
+#[derive(Default)]
+struct Classify {
+    busy: BusyBitmap,
+    mem_active: BusyBitmap,
+    miss_intervals: Vec<(f64, f64)>,
+    compute: ComputeLog,
+}
+
+impl Observe for Classify {
+    fn miss(&mut self, from: f64, start: f64, end: f64) {
+        self.miss_intervals.push((start, end));
+        self.mem_active.mark_range(from, end);
+    }
+
+    fn hit(&mut self, issue: f64, done: f64) {
+        self.mem_active.mark_range(issue, done);
+    }
+
+    fn issued(&mut self, inst: &Decoded, issue: f64) {
+        self.busy.mark(issue);
+        if inst.is_compute {
+            self.compute.log(issue, inst.latency);
         }
     }
 }
@@ -453,38 +351,6 @@ impl Machine {
 /// noise. dvs-check's random programs run at most about 100 instructions
 /// and stay on the caller; the bundled traces (47,000 or more) fan out.
 pub const FAN_OUT_MIN_INSTS: u64 = 4096;
-
-/// The next position of a ring of `len` slots.
-pub(crate) fn next_slot(ix: usize, len: usize) -> usize {
-    if ix + 1 == len {
-        0
-    } else {
-        ix + 1
-    }
-}
-
-/// The later of two times. Every time a pass compares is finite and at
-/// least +0.0, where this plain compare-select returns the same bits as
-/// `f64::max` without its NaN handling.
-pub(crate) fn later(a: f64, b: f64) -> f64 {
-    if a > b {
-        a
-    } else {
-        b
-    }
-}
-
-/// The unit of `fu_free[lo..hi]` that frees up first (the lowest index on
-/// a tie) and its free time, picked by compare-select rather than branches.
-pub(crate) fn first_free(fu_free: &[f64], lo: usize, hi: usize) -> (usize, f64) {
-    let (mut unit_ix, mut unit_free) = (lo, fu_free[lo]);
-    for (j, &t) in fu_free.iter().enumerate().take(hi).skip(lo + 1) {
-        let sooner = t < unit_free;
-        unit_ix = if sooner { j } else { unit_ix };
-        unit_free = if sooner { t } else { unit_free };
-    }
-    (unit_ix, unit_free)
-}
 
 /// The clock-independent part of a run: energy as switched capacitance,
 /// per-block invocations and capacitance, and event counts. Computed once
@@ -505,50 +371,27 @@ impl Charge {
         let mut dram_accesses = 0u64;
         let mut committed = 0u64;
         let mut cache_hit_cycles = 0.0f64;
-        let mut fetches = rec.fetches.iter();
-        let mut data = rec.data.iter();
+        let mut outcomes = rec.cursor();
 
         for dyn_block in rec.trace.blocks() {
             let b = dyn_block.block.index();
             let mut block_cap = 0.0f64;
             for inst in rec.table.block(b) {
-                if inst.starts_line {
-                    let a = fetches.next().expect("one fetch per line start");
+                let out = outcomes.next(inst);
+                for a in [out.fetch, out.data].into_iter().flatten() {
                     energy.cache_nf += em.l1_nf;
                     block_cap += em.l1_nf;
-                    match a.level {
-                        DataLevel::L1 => {}
-                        DataLevel::L2 => {
-                            energy.cache_nf += em.l2_nf;
-                            block_cap += em.l2_nf;
-                        }
-                        DataLevel::Memory => {
-                            energy.cache_nf += em.l2_nf;
-                            energy.dram_uj += em.dram_uj_per_access;
-                            dram_accesses += 1;
-                            block_cap += em.l2_nf;
-                        }
+                    if a.level != DataLevel::L1 {
+                        energy.cache_nf += em.l2_nf;
+                        block_cap += em.l2_nf;
+                    }
+                    if a.level == DataLevel::Memory {
+                        energy.dram_uj += em.dram_uj_per_access;
+                        dram_accesses += 1;
                     }
                 }
-                if inst.is_mem {
-                    let a = data.next().expect("one data access per memory instruction");
-                    energy.cache_nf += em.l1_nf;
-                    block_cap += em.l1_nf;
-                    match a.level {
-                        DataLevel::L1 | DataLevel::L2 => {
-                            if a.level == DataLevel::L2 {
-                                energy.cache_nf += em.l2_nf;
-                                block_cap += em.l2_nf;
-                            }
-                            cache_hit_cycles += f64::from(a.cycles);
-                        }
-                        DataLevel::Memory => {
-                            energy.cache_nf += em.l2_nf;
-                            energy.dram_uj += em.dram_uj_per_access;
-                            dram_accesses += 1;
-                            block_cap += em.l2_nf;
-                        }
-                    }
+                if let Some(a) = out.data.filter(|a| a.level != DataLevel::Memory) {
+                    cache_hit_cycles += f64::from(a.cycles);
                 }
                 if inst.is_branch {
                     energy.bpred_nf += em.bpred_nf;
@@ -556,9 +399,9 @@ impl Charge {
                 }
                 committed += 1;
                 // Per-instruction energy.
-                energy.core_nf += inst.core_nf;
-                energy.fu_nf += inst.fu_nf;
-                block_cap += inst.core_nf + inst.fu_nf;
+                energy.core_nf += inst.core_nf();
+                energy.fu_nf += inst.fu_nf();
+                block_cap += inst.capacitance_nf();
             }
             let bstat = &mut blocks[b];
             bstat.invocations += 1;
@@ -605,11 +448,8 @@ struct ComputeLog {
     settled: [u64; 2],
 }
 
-impl ComputeLog {
-    /// The byte of a cycle whose sum lives in `spilled`.
-    const SPILLED: u8 = u8::MAX;
-
-    fn new() -> Self {
+impl Default for ComputeLog {
+    fn default() -> Self {
         ComputeLog {
             first: 0,
             end: 0,
@@ -618,6 +458,11 @@ impl ComputeLog {
             settled: [0; 2],
         }
     }
+}
+
+impl ComputeLog {
+    /// The byte of a cycle whose sum lives in `spilled`.
+    const SPILLED: u8 = u8::MAX;
 
     /// Logs a compute instruction issued at `issue`, which is never before
     /// the cycles already classified.

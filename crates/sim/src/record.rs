@@ -5,18 +5,18 @@
 //! paper's assumption 1, see [`Trace`]). [`Machine::record`] therefore
 //! walks the [`MemoryHierarchy`] and [`BranchPredictor`] over a trace once
 //! and keeps each dynamic instruction's outcomes, next to a table of the
-//! CFG's instructions decoded once. The timing passes read that record:
-//! [`Machine::run_points`] runs one cycle-domain pass per operating point,
-//! [`Machine::run_scheduled`] one µs-domain pass under a schedule, and the
-//! `dvs-replay` compiler turns it into bytecode.
+//! CFG's instructions decoded once. Every timing pass steps through that
+//! record: [`Machine::run_points`] one cycle-domain pass per operating
+//! point, [`Machine::run_scheduled`] one µs-domain pass under a schedule,
+//! and the `dvs-replay` compiler keeps its [`Recording::steps`] as
+//! bytecode.
 
+use crate::pipeline::pool_of;
 use crate::{
     BranchPredictor, CacheStats, DataLevel, EnergyModel, Machine, MemoryHierarchy, SimConfig, Trace,
 };
 use dvs_ir::{Cfg, Opcode};
 
-/// Pipeline front-end depth in cycles (fetch → decode → rename).
-pub const FRONTEND_DEPTH: f64 = 3.0;
 /// Bytes per instruction in the synthetic instruction encoding.
 const INST_BYTES: u64 = 4;
 /// Code bytes reserved per basic block (blocks get disjoint PC ranges).
@@ -26,9 +26,14 @@ const INST_BYTES: u64 = 4;
 /// never aliases *other* blocks' code.
 const BLOCK_STRIDE: u64 = 1024;
 
+/// The synthetic pc of instruction `ii` of block `b`.
+fn pc_of(b: usize, ii: usize) -> u64 {
+    b as u64 * BLOCK_STRIDE + (ii as u64 * INST_BYTES) % BLOCK_STRIDE
+}
+
 /// Where one cache access was satisfied, and its on-chip latency in cycles
 /// as [`MemoryHierarchy`] reported it (TLB penalty included).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Access {
     /// The level that satisfied the access.
     pub level: DataLevel,
@@ -43,7 +48,7 @@ impl From<(DataLevel, u32)> for Access {
 }
 
 /// The recorded outcomes of one dynamic instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InstOutcome {
     /// The I-cache access of the line this instruction opens; `None` when
     /// it sits on a line an earlier instruction of its block fetched.
@@ -54,35 +59,78 @@ pub struct InstOutcome {
     pub mispredicted: bool,
 }
 
-/// One static instruction, decoded for the timing passes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Decoded {
-    /// Synthetic pc: blocks get disjoint ranges of `BLOCK_STRIDE` bytes.
-    pc: u64,
+/// One static instruction, decoded once for the pipeline step: its unit
+/// pool, latencies, register operands, whether it opens an I-cache line,
+/// and its switched capacitance.
+///
+/// Two decoded instructions are equal when every field is, so equal
+/// instructions with equal outcomes time and charge alike wherever they
+/// sit in the CFG.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Decoded {
     /// The instruction opens a new I-cache line of its block.
-    pub starts_line: bool,
-    pub is_mem: bool,
-    pub is_load: bool,
-    pub is_branch: bool,
+    pub(crate) starts_line: bool,
+    pub(crate) is_mem: bool,
+    pub(crate) is_load: bool,
+    pub(crate) is_branch: bool,
     /// Neither a memory operation nor a nop: its latency counts towards
     /// the analytical model's `Noverlap`/`Ndependent`.
-    pub is_compute: bool,
+    pub(crate) is_compute: bool,
     /// Destination register (mod 64) of an instruction that writes one.
-    pub dest: Option<u8>,
-    /// Functional-unit pool, an index into [`StaticTable::fu_offsets`].
-    pub pool: u8,
+    pub(crate) dest: Option<u8>,
+    /// Functional-unit pool ([`pool_of`]).
+    pub(crate) pool: u8,
     /// Base latency, cycles.
-    pub latency: u32,
+    pub(crate) latency: u32,
     /// Cycles the unit stays busy: the latency for the unpipelined
     /// dividers, one otherwise.
-    pub occupancy: u32,
-    /// This instruction's sources are `StaticTable::srcs[src_lo..src_hi]`.
-    src_lo: usize,
-    src_hi: usize,
+    pub(crate) occupancy: u32,
+    /// Non-zero source registers (mod 64), `nsrc` of them.
+    srcs: [u8; 3],
+    nsrc: u8,
+    /// The bits of the front end, window, clock and register-file
+    /// capacitance (nF) and of the functional unit's, kept as bits so the
+    /// derived equality and hash compare them too.
+    nf_bits: [u64; 2],
+}
+
+impl Decoded {
+    /// The source registers the instruction reads.
+    #[inline]
+    pub(crate) fn srcs(&self) -> &[u8] {
+        &self.srcs[..usize::from(self.nsrc)]
+    }
+
+    /// Whether the instruction is a branch, which the predictor sees.
+    #[must_use]
+    pub fn is_branch(&self) -> bool {
+        self.is_branch
+    }
+
     /// Front end, window, clock and register-file capacitance, nF.
-    pub core_nf: f64,
+    pub(crate) fn core_nf(&self) -> f64 {
+        f64::from_bits(self.nf_bits[0])
+    }
+
     /// Functional-unit capacitance, nF.
-    pub fu_nf: f64,
+    pub(crate) fn fu_nf(&self) -> f64 {
+        f64::from_bits(self.nf_bits[1])
+    }
+
+    /// Switched capacitance of one execution, nF: the core's share and
+    /// the functional unit's.
+    #[must_use]
+    pub fn capacitance_nf(&self) -> f64 {
+        self.core_nf() + self.fu_nf()
+    }
+
+    /// Test support: the same instruction with `cycles` more latency.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn delayed(mut self, cycles: u32) -> Self {
+        self.latency += cycles;
+        self
+    }
 }
 
 /// The CFG's instructions decoded once: pools, latencies, register
@@ -94,11 +142,6 @@ pub(crate) struct StaticTable {
     starts: Vec<usize>,
     /// Per block: how many line fetches and branches one execution makes.
     events: Vec<(usize, usize)>,
-    /// Non-zero source registers (mod 64) of every instruction.
-    srcs: Vec<u8>,
-    /// Flattened functional-unit pools: pool `p` occupies
-    /// `fu_offsets[p]..fu_offsets[p + 1]` of one free-time array.
-    pub fu_offsets: [usize; 8],
 }
 
 impl StaticTable {
@@ -106,52 +149,47 @@ impl StaticTable {
         let mut insts = Vec::new();
         let mut starts = Vec::with_capacity(cfg.num_blocks() + 1);
         let mut events = Vec::with_capacity(cfg.num_blocks());
-        let mut srcs = Vec::new();
         let line_bytes = cfgm.l1i.block_bytes;
         for b in 0..cfg.num_blocks() {
             starts.push(insts.len());
-            let base_pc = b as u64 * BLOCK_STRIDE;
-            let mut next_line_pc = base_pc;
+            let mut next_line_pc = pc_of(b, 0);
             for (ii, inst) in cfg.block(dvs_ir::BlockId(b)).insts.iter().enumerate() {
-                let pc = base_pc + (ii as u64 * INST_BYTES) % BLOCK_STRIDE;
+                let pc = pc_of(b, ii);
                 let starts_line = pc >= next_line_pc;
                 if starts_line {
                     next_line_pc = (pc / line_bytes + 1) * line_bytes;
                 }
-                let src_lo = srcs.len();
-                srcs.extend(inst.srcs.iter().filter(|s| !s.is_zero()).map(|s| s.0 % 64));
-                let reads = (srcs.len() - src_lo) as f64;
+                let (mut srcs, mut nsrc) = ([0u8; 3], 0u8);
+                for s in inst.srcs.iter().filter(|s| !s.is_zero()) {
+                    assert!(nsrc < 3, "an instruction reads at most 3 registers");
+                    srcs[usize::from(nsrc)] = s.0 % 64;
+                    nsrc += 1;
+                }
                 let writes = if inst.writes_reg() { 1.0 } else { 0.0 };
                 let latency = inst.opcode.base_latency();
                 insts.push(Decoded {
-                    pc,
                     starts_line,
                     is_mem: inst.opcode.is_mem(),
                     is_load: inst.opcode == Opcode::Load,
                     is_branch: inst.opcode.is_branch(),
                     is_compute: !inst.opcode.is_mem() && inst.opcode != Opcode::Nop,
                     dest: inst.writes_reg().then_some(inst.dest.0 % 64),
-                    pool: match inst.opcode {
-                        Opcode::IntAlu | Opcode::Branch | Opcode::Load | Opcode::Store => 0,
-                        Opcode::IntMul => 1,
-                        Opcode::IntDiv => 2,
-                        Opcode::FpAdd => 3,
-                        Opcode::FpMul => 4,
-                        Opcode::FpDiv => 5,
-                        Opcode::Nop => 6,
-                    },
+                    pool: pool_of(inst.opcode),
                     latency,
                     occupancy: match inst.opcode {
                         Opcode::IntDiv | Opcode::FpDiv => latency,
                         _ => 1,
                     },
-                    src_lo,
-                    src_hi: srcs.len(),
-                    core_nf: em.frontend_nf
-                        + em.window_nf
-                        + em.clock_nf
-                        + em.regfile_nf * (reads + writes),
-                    fu_nf: em.fu_nf(inst.opcode),
+                    srcs,
+                    nsrc,
+                    nf_bits: [
+                        (em.frontend_nf
+                            + em.window_nf
+                            + em.clock_nf
+                            + em.regfile_nf * (f64::from(nsrc) + writes))
+                            .to_bits(),
+                        em.fu_nf(inst.opcode).to_bits(),
+                    ],
                 });
             }
             let block = &insts[starts[b]..];
@@ -161,36 +199,16 @@ impl StaticTable {
             ));
         }
         starts.push(insts.len());
-        let pools = [
-            cfgm.int_alus, // IntAlu/Branch/agen
-            cfgm.int_mult, // IntMul
-            cfgm.int_mult, // IntDiv shares the mult/div unit
-            cfgm.fp_adders,
-            cfgm.fp_mult,
-            cfgm.fp_div,
-            1, // Nop pseudo-pool
-        ];
-        let mut fu_offsets = [0usize; 8];
-        for (p, &n) in pools.iter().enumerate() {
-            fu_offsets[p + 1] = fu_offsets[p] + n.max(1);
-        }
         StaticTable {
             insts,
             starts,
             events,
-            srcs,
-            fu_offsets,
         }
     }
 
     /// Block `b`'s decoded instructions, in program order.
     pub fn block(&self, b: usize) -> &[Decoded] {
         &self.insts[self.starts[b]..self.starts[b + 1]]
-    }
-
-    /// The source registers `inst` reads.
-    pub fn srcs(&self, inst: &Decoded) -> &[u8] {
-        &self.srcs[inst.src_lo..inst.src_hi]
     }
 }
 
@@ -216,25 +234,64 @@ pub struct Recording<'a> {
 }
 
 impl Recording<'_> {
-    /// The outcomes of every dynamic instruction, in trace order: block by
-    /// block, and within a block in program order.
-    pub fn outcomes(&self) -> impl Iterator<Item = InstOutcome> + '_ {
-        let mut fetches = self.fetches.iter().copied();
-        let mut data = self.data.iter().copied();
-        let mut branches = self.mispredicted.iter().copied();
+    /// Reads the recorded outcomes in trace order, one instruction at a
+    /// time.
+    pub(crate) fn cursor(&self) -> Cursor<'_> {
+        Cursor {
+            fetches: self.fetches.iter(),
+            data: self.data.iter(),
+            branches: self.mispredicted.iter(),
+        }
+    }
+
+    /// Every dynamic instruction's decoded form, in trace order.
+    fn insts(&self) -> impl Iterator<Item = &Decoded> + '_ {
         self.trace
             .blocks()
             .iter()
             .flat_map(|d| self.table.block(d.block.index()))
-            .map(move |inst| InstOutcome {
-                fetch: if inst.starts_line {
-                    fetches.next()
-                } else {
-                    None
-                },
-                data: if inst.is_mem { data.next() } else { None },
-                mispredicted: inst.is_branch && branches.next() == Some(true),
-            })
+    }
+
+    /// The outcomes of every dynamic instruction, in trace order: block by
+    /// block, and within a block in program order.
+    pub fn outcomes(&self) -> impl Iterator<Item = InstOutcome> + '_ {
+        let mut cursor = self.cursor();
+        self.insts().map(move |inst| cursor.next(inst))
+    }
+
+    /// Every dynamic instruction as the pipeline step reads it, in trace
+    /// order: its decoded instruction and its outcomes, less the cycles of
+    /// a line fetch that hit L1, which no pass reads (they hold any I-TLB
+    /// miss penalty). Equal steps time and charge alike.
+    pub fn steps(&self) -> impl Iterator<Item = (Decoded, InstOutcome)> + '_ {
+        self.insts().zip(self.outcomes()).map(|(&inst, mut out)| {
+            if let Some(a) = out.fetch.as_mut().filter(|a| a.level == DataLevel::L1) {
+                a.cycles = 0;
+            }
+            (inst, out)
+        })
+    }
+}
+
+/// The recorded outcome streams, read one dynamic instruction at a time.
+pub(crate) struct Cursor<'r> {
+    fetches: std::slice::Iter<'r, Access>,
+    data: std::slice::Iter<'r, Access>,
+    branches: std::slice::Iter<'r, bool>,
+}
+
+impl Cursor<'_> {
+    /// The outcomes of the next dynamic instruction, which is `inst`.
+    pub fn next(&mut self, inst: &Decoded) -> InstOutcome {
+        InstOutcome {
+            fetch: inst
+                .starts_line
+                .then(|| *self.fetches.next().expect("one fetch per line start")),
+            data: inst
+                .is_mem
+                .then(|| *self.data.next().expect("one access per load or store")),
+            mispredicted: inst.is_branch && *self.branches.next().expect("one outcome per branch"),
+        }
     }
 }
 
@@ -244,9 +301,10 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if the trace references blocks outside `cfg` or a dynamic
+    /// Panics if the trace references blocks outside `cfg`, a dynamic
     /// block carries fewer addresses than its block has memory
-    /// instructions.
+    /// instructions, or an instruction reads more than the 3 registers
+    /// [`dvs_ir::Inst::srcs`] allows.
     #[must_use]
     pub fn record<'a>(&self, cfg: &Cfg, trace: &'a Trace) -> Recording<'a> {
         let _span = dvs_obs::span!("sim.record");
@@ -267,20 +325,21 @@ impl Machine {
         let mut mispredicted = Vec::with_capacity(n_branches);
 
         for dyn_block in trace.blocks() {
-            let base_pc = dyn_block.block.index() as u64 * BLOCK_STRIDE;
+            let b = dyn_block.block.index();
             let mut addrs = dyn_block.addrs.iter();
-            for inst in table.block(dyn_block.block.index()) {
+            for (ii, inst) in table.block(b).iter().enumerate() {
+                let pc = pc_of(b, ii);
                 if inst.starts_line {
-                    fetches.push(Access::from(hier.inst_access(inst.pc)));
+                    fetches.push(Access::from(hier.inst_access(pc)));
                 }
                 if inst.is_mem {
                     let addr = *addrs.next().expect("one address per memory instruction");
                     data.push(Access::from(hier.data_access(addr)));
                 }
                 if inst.is_branch {
-                    let target_pc = base_pc + BLOCK_STRIDE; // proxy target id
+                    let target_pc = pc_of(b + 1, 0); // proxy target id
                     let correct = pred.predict_and_update(
-                        inst.pc,
+                        pc,
                         dyn_block.taken,
                         if dyn_block.taken { target_pc } else { 0 },
                     );

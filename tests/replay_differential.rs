@@ -1,18 +1,26 @@
 //! Differential fuzzing of the `dvs-replay` bytecode runtime against the
 //! cycle-level simulator.
 //!
-//! Three contracts, mirroring `dvsc check`'s oracle discipline:
+//! Four contracts, mirroring `dvsc check`'s oracle discipline:
 //!
 //! 1. **Agreement** — over 300 seeded random programs (all generated
 //!    ladder shapes and regulator models, on both the paper-default and
 //!    the tiny-cache machine so L2 and DRAM paths are exercised), every
 //!    replayed schedule matches `Machine::run_scheduled` to 1e-6 relative
-//!    on all five result fields plus the exact transition count.
+//!    on all five result fields plus the exact transition count. The same
+//!    sweep holds replay to its own, tighter contract: `time_us`,
+//!    `transitions`, `transition_time_us`, `transition_energy_uj` and
+//!    `dram_energy_uj` bit for bit, and `processor_energy_uj` to 1e-12
+//!    relative (replay sums each variant's capacitance before scaling it
+//!    by `V²`, which reads about 1e-15).
 //! 2. **Determinism** — the per-seed result digest is byte-identical
 //!    whether the sweep fans out over 1 worker or 4.
 //! 3. **Sensitivity** — a seeded off-by-one cost fault injected into the
 //!    compiled bytecode is caught by the same 1e-6 comparison, proving
 //!    the oracle can actually fail.
+//! 4. **One schedule check** — a schedule naming a mode outside the
+//!    ladder, as its initial mode or on an edge, is rejected by the
+//!    simulator and the bytecode alike, with the same message.
 
 use compile_time_dvs::check::{gen_cfg, gen_ladder, gen_trace, gen_transition, Gen};
 use compile_time_dvs::ir::Cfg;
@@ -106,6 +114,36 @@ fn disagreements(got: &ScheduledRun, want: &ScheduledRun) -> Vec<String> {
     out
 }
 
+/// Replay's own contract: the five fields it keeps bit-identical, and
+/// processor energy to 1e-12 relative.
+fn contract_breaches(got: &ScheduledRun, want: &ScheduledRun) -> Vec<String> {
+    let mut out: Vec<String> = [
+        ("time_us", got.time_us, want.time_us),
+        ("dram_energy_uj", got.dram_energy_uj, want.dram_energy_uj),
+        (
+            "transition_energy_uj",
+            got.transition_energy_uj,
+            want.transition_energy_uj,
+        ),
+        (
+            "transition_time_us",
+            got.transition_time_us,
+            want.transition_time_us,
+        ),
+    ]
+    .into_iter()
+    .filter(|(_, g, w)| g.to_bits() != w.to_bits())
+    .map(|(name, g, w)| format!("{name}: bytecode {g:e} vs simulator {w:e}, not bit-identical"))
+    .collect();
+    let (g, w) = (got.processor_energy_uj, want.processor_energy_uj);
+    if (g - w).abs() > 1e-12 * w.abs() {
+        out.push(format!(
+            "processor_energy_uj: bytecode {g:e} vs simulator {w:e}, beyond 1e-12"
+        ));
+    }
+    out
+}
+
 /// Runs one seed and renders a deterministic digest line: every replayed
 /// field at full precision, plus any disagreement. The digest is what the
 /// jobs-independence test compares byte-for-byte.
@@ -132,7 +170,10 @@ fn run_seed(seed: u64) -> String {
             " [{i}] t={:.12e} e={:.12e} d={:.12e} n={}",
             run.time_us, run.processor_energy_uj, run.dram_energy_uj, run.transitions
         ));
-        for d in disagreements(run, &sim) {
+        for d in disagreements(run, &sim)
+            .into_iter()
+            .chain(contract_breaches(run, &sim))
+        {
             line.push_str(&format!(" MISMATCH[{i}] {d}"));
         }
     }
@@ -197,6 +238,52 @@ fn injected_bytecode_faults_are_caught_by_the_differential_oracle() {
         assert!(
             caught,
             "seed {seed}: injected off-by-one bytecode cost survived the 1e-6 oracle"
+        );
+    }
+}
+
+/// The message a call panics with.
+fn panic_message(f: impl FnOnce() -> ScheduledRun) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .expect_err("an out-of-ladder mode must be rejected");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .unwrap_or_default()
+}
+
+#[test]
+fn out_of_ladder_modes_are_rejected_alike_by_the_simulator_and_the_bytecode() {
+    let case = gen_case(2);
+    let blocks = case.trace.blocks();
+    assert!(blocks.len() >= 2, "the trace takes an edge");
+    let first_edge = case
+        .cfg
+        .edge_between(blocks[0].block, blocks[1].block)
+        .expect("trace follows CFG edges");
+    let code = replay::compile(
+        &case.machine,
+        &case.cfg,
+        &case.trace,
+        &case.ladder,
+        &case.transition,
+    );
+    let outside = ModeId(case.ladder.len());
+    let mut initial = EdgeSchedule::uniform(&case.cfg, ModeId(0));
+    initial.initial = outside;
+    let mut on_edge = EdgeSchedule::uniform(&case.cfg, ModeId(0));
+    on_edge.edge_modes[first_edge.index()] = outside;
+    for (what, bad) in [("initial mode", initial), ("edge mode", on_edge)] {
+        let sim = panic_message(|| {
+            case.machine
+                .run_scheduled(&case.cfg, &case.trace, &case.ladder, &bad, &case.transition)
+        });
+        let bytecode = panic_message(|| code.replay(&bad));
+        assert_eq!(sim, bytecode, "{what}: the two paths reject it differently");
+        assert!(
+            sim.contains("outside the ladder"),
+            "{what}: rejected with {sim:?}"
         );
     }
 }
