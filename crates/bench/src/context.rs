@@ -76,7 +76,7 @@ pub struct Context {
     pub machine: Machine,
     jobs: usize,
     benches: Cache<&'static str, Arc<BenchData>>,
-    profiles: Cache<(&'static str, usize), (Profile, Vec<RunStats>)>,
+    profiles: Cache<(&'static str, usize), (Profile, RunStats)>,
 }
 
 impl Context {
@@ -139,15 +139,18 @@ impl Context {
         .clone()
     }
 
-    /// Convenience: profile of `benchmark` on an `levels`-mode ladder.
-    /// Returns clones of the cached data to side-step borrow entanglement
-    /// in experiments that hold several benchmarks at once.
-    pub fn profile_of(&self, benchmark: Benchmark, levels: usize) -> (Profile, Vec<RunStats>) {
+    /// Convenience: profile of `benchmark` on an `levels`-mode ladder, and
+    /// the fastest mode's run, classified for the analytical model in the
+    /// same walk ([`ModeProfiler::profile_with_fastest`]). Returns clones
+    /// of the cached data to side-step borrow entanglement in experiments
+    /// that hold several benchmarks at once.
+    pub fn profile_of(&self, benchmark: Benchmark, levels: usize) -> (Profile, RunStats) {
         let cell = slot_of(&self.profiles, (benchmark.name(), levels));
         cell.get_or_init(|| {
             let bd = self.bench(benchmark);
             let ladder = ladder_of(levels);
-            ModeProfiler::new(self.machine.clone()).profile(&bd.cfg, &bd.trace, &ladder)
+            ModeProfiler::new(self.machine.clone())
+                .profile_with_fastest(&bd.cfg, &bd.trace, &ladder)
         })
         .clone()
     }

@@ -356,8 +356,8 @@ pub fn table1(ctx: &Context) -> Report {
         .flat_map(|b| [3usize, 7, 13].into_iter().map(move |l| (b, l)))
         .collect();
     let rows = ctx.par_map(tasks, |_, (b, levels)| {
-        let (_, runs) = ctx.profile_of(b, 3);
-        let params = analyze_params(&runs);
+        let (_, fastest) = ctx.profile_of(b, 3);
+        let params = analyze_params(&fastest);
         let deadlines = ctx.bench(b).scheme.deadlines_us();
         let model = DiscreteModel::new(ladder_of(levels));
         let mut cells = vec![b.name().to_string(), levels.to_string()];

@@ -143,8 +143,8 @@ pub fn table7(ctx: &Context) -> Report {
         "tinvariant (µs)",
     ]);
     for b in Benchmark::table7_set() {
-        let (_, runs) = ctx.profile_of(b, 3);
-        let p = analyze_params(&runs);
+        let (_, fastest) = ctx.profile_of(b, 3);
+        let p = analyze_params(&fastest);
         r.row([
             b.name().to_string(),
             format!("{:.1}", p.n_cache / 1000.0),

@@ -318,7 +318,7 @@ fn check_oracles(case: &CheckCase, tol: &Tolerances, out: &mut CaseOutcome) {
 
     let machine = Machine::paper_default();
     let profiler = ModeProfiler::new(machine);
-    let (profile, runs) = profiler.profile(cfg, trace, ladder);
+    let (profile, fastest_run) = profiler.profile_with_fastest(cfg, trace, ladder);
     if let Err(e) = profile.validate(cfg) {
         out.disagreements.push(Disagreement {
             oracle: OracleKind::WellFormed,
@@ -478,7 +478,7 @@ fn check_oracles(case: &CheckCase, tol: &Tolerances, out: &mut CaseOutcome) {
         // paper proves the continuous optimum lower-bounds any discrete
         // ladder schedule only in the compute-dominated case (its Fig. 6
         // four-frequency construction breaks dominance under memory slack).
-        let params = analyze_params(&runs);
+        let params = analyze_params(&fastest_run);
         if params.is_valid() {
             let v_lo = ladder.slowest().voltage;
             let v_hi = ladder.fastest().voltage;

@@ -4,12 +4,15 @@ use dvs_sim::RunStats;
 /// Bridges a profiling run to the analytical model's program parameters —
 /// the step that produces the paper's Table 7 and feeds Table 1.
 ///
-/// Uses the fastest run in `runs` as the reference, matching
-/// [`dvs_sim::ModeProfiler::extract_params`], but returns the *model*
-/// crate's parameter type so callers can evaluate savings bounds directly.
+/// `fastest` is the classified run at the ladder's fastest mode, the
+/// paper's reference frequency for cycle counts: from
+/// [`dvs_sim::ModeProfiler::profile_with_fastest`] or
+/// [`crate::DvsCompiler::stage_classifying_fastest`], which classify no
+/// other pass of their walk. Returns the *model* crate's parameter type so
+/// callers can evaluate savings bounds directly.
 #[must_use]
-pub fn analyze_params(runs: &[RunStats]) -> ProgramParams {
-    let sim = dvs_sim::ModeProfiler::extract_params(runs);
+pub fn analyze_params(fastest: &RunStats) -> ProgramParams {
+    let sim = dvs_sim::ProgramParams::from_run(fastest);
     ProgramParams {
         n_overlap: sim.n_overlap,
         n_dependent: sim.n_dependent,
@@ -45,11 +48,11 @@ mod tests {
         tb.step(x, vec![]);
         let trace = tb.finish().unwrap();
         let m = Machine::paper_default();
-        let runs = vec![
+        let runs = [
             m.run(&cfg, &trace, OperatingPoint::new(0.7, 200.0)),
             m.run(&cfg, &trace, OperatingPoint::new(1.65, 800.0)),
         ];
-        let p = analyze_params(&runs);
+        let p = analyze_params(&runs[1]);
         assert!(p.is_valid());
         // Strided misses: a visible invariant memory time.
         assert!(p.t_invariant_us > 0.0);

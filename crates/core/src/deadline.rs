@@ -1,5 +1,5 @@
 use dvs_ir::Cfg;
-use dvs_sim::{Machine, RunStats, Trace};
+use dvs_sim::{Machine, PointRun, Trace};
 use dvs_vf::OperatingPoint;
 
 /// The paper's Fig. 16 deadline-selection scheme.
@@ -32,7 +32,7 @@ pub struct DeadlineScheme {
 
 /// The paper's 200/600/800 MHz XScale reference points, slowest first:
 /// the runtimes at these three points place the five deadlines.
-fn reference_points() -> [OperatingPoint; 3] {
+pub(crate) fn reference_points() -> [OperatingPoint; 3] {
     [
         OperatingPoint::new(0.7, 200.0),
         OperatingPoint::new(1.3, 600.0),
@@ -42,11 +42,12 @@ fn reference_points() -> [OperatingPoint; 3] {
 
 impl DeadlineScheme {
     /// Measures the three reference runtimes of `trace` at the paper's
-    /// 200/600/800 MHz XScale points, with one [`Machine::run_points`]
-    /// call: one walk of the caches and predictor, timed at each point.
+    /// 200/600/800 MHz XScale points: one walk of the caches and predictor,
+    /// and one unclassified timing pass per point
+    /// ([`Machine::time_points`]).
     #[must_use]
     pub fn measure(machine: &Machine, cfg: &Cfg, trace: &Trace) -> Self {
-        let runs = machine.run_points(cfg, trace, &reference_points());
+        let runs = machine.time_points(&machine.record(cfg, trace), &reference_points());
         Self::from_runs(&runs).expect("runs at every reference point")
     }
 
@@ -56,11 +57,11 @@ impl DeadlineScheme {
     /// 3-level ladder this equals [`DeadlineScheme::measure`] bit for bit,
     /// without its walk.
     #[must_use]
-    pub fn from_runs(runs: &[RunStats]) -> Option<Self> {
+    pub fn from_runs<R: PointRun>(runs: &[R]) -> Option<Self> {
         let time_at = |point: OperatingPoint| {
             runs.iter()
-                .find(|r| r.point == point)
-                .map(|r| r.total_time_us)
+                .find(|r| r.point() == point)
+                .map(PointRun::total_time_us)
         };
         let [slow, mid, fast] = reference_points();
         Some(DeadlineScheme {
@@ -72,10 +73,12 @@ impl DeadlineScheme {
 
     /// The scheme of a trace whose profile timed it in `runs`: read from
     /// them when they hold the three reference points (every 3-level
-    /// ladder), else measured with one more walk.
+    /// ladder), else measured with one more walk. A cold compile that
+    /// still holds its walk times the missing points over it instead
+    /// ([`crate::DvsCompiler::stage`]).
     #[must_use]
-    pub fn from_runs_or_measure(
-        runs: &[RunStats],
+    pub fn from_runs_or_measure<R: PointRun>(
+        runs: &[R],
         machine: &Machine,
         cfg: &Cfg,
         trace: &Trace,
@@ -173,7 +176,7 @@ mod tests {
 
     #[test]
     fn runs_without_the_reference_points_give_no_scheme() {
-        assert_eq!(DeadlineScheme::from_runs(&[]), None);
+        assert_eq!(DeadlineScheme::from_runs::<dvs_sim::TimedRun>(&[]), None);
     }
 
     #[test]

@@ -17,18 +17,21 @@
 //!   clock, so every timing pass of a call reads them from this record;
 //! * [`Machine`]: a dataflow out-of-order timing model (RUU/LSQ windows,
 //!   4-wide fetch/issue/commit, per-class functional units) that times a
-//!   recorded trace at one or more [`dvs_vf::OperatingPoint`]s
-//!   ([`Machine::run_points`]) and produces per-block time/energy, using a
-//!   Wattch-style activity-based `C·V²` energy model with perfect clock
-//!   gating on memory stalls;
+//!   recorded trace at one or more [`dvs_vf::OperatingPoint`]s and produces
+//!   per-block time/energy, using a Wattch-style activity-based `C·V²`
+//!   energy model with perfect clock gating on memory stalls. A pass
+//!   either classifies its cycles for the analytical model
+//!   ([`Machine::run_points`], [`RunStats`]) or keeps only times, energy
+//!   and event counts ([`Machine::time_points`], [`TimedRun`]), which is
+//!   all a profile or a deadline reads;
 //! * [`ModeProfiler`]: times the trace at every DVS mode from one walk to
-//!   assemble the [`dvs_ir::Profile`] the MILP consumes, and extracts the
-//!   analytical model's program parameters (`Noverlap`, `Ndependent`,
-//!   `Ncache`, `tinvariant`);
+//!   assemble the [`dvs_ir::Profile`] the MILP consumes, and gives the
+//!   fastest mode's classified run for the analytical model's program
+//!   parameters (`Noverlap`, `Ndependent`, `Ncache`, `tinvariant`);
 //! * [`ScheduledRun`]: re-times a recorded trace under a per-edge DVS
-//!   schedule, charging regulator transition costs, to *validate* MILP
-//!   output against the simulator rather than against the MILP's own
-//!   objective. [`ScheduledPass`] is that pass in progress, which the
+//!   schedule ([`Machine::time_scheduled`]), charging regulator transition
+//!   costs, to *validate* MILP output against the simulator rather than
+//!   against the MILP's own objective. [`ScheduledPass`] is that pass in progress, which the
 //!   `dvs-replay` bytecode drives too. Every timing pass steps through
 //!   one pipeline recurrence, in cycles or in µs at each block's period.
 
@@ -52,7 +55,7 @@ pub use config::SimConfig;
 pub use dvs_exec::{EdgeSchedule, ScheduledPass, ScheduledRun};
 pub use energy::{ClockGating, EnergyBreakdown, EnergyModel};
 pub use hierarchy::{DataLevel, MemoryHierarchy};
-pub use machine::{BlockStats, Machine, RunStats, FAN_OUT_MIN_INSTS};
+pub use machine::{BlockStats, Machine, PointRun, RunStats, TimedRun, FAN_OUT_MIN_INSTS};
 pub use pipeline::FRONTEND_DEPTH;
 pub use predictor::{BranchPredictor, PredictorConfig};
 pub use profiler::{ModeProfiler, ProgramParams};

@@ -1,7 +1,7 @@
 use crate::cache::CacheStats;
 use crate::pipeline::{later, Cycles, Observe, Pipeline};
 use crate::record::{Decoded, Recording};
-use crate::{DataLevel, EnergyBreakdown, EnergyModel, SimConfig, Trace};
+use crate::{ClockGating, DataLevel, EnergyBreakdown, EnergyModel, SimConfig, Trace};
 use dvs_ir::Cfg;
 use dvs_vf::OperatingPoint;
 use std::collections::BTreeMap;
@@ -19,7 +19,9 @@ pub struct BlockStats {
     pub cap_nf: f64,
 }
 
-/// Results of executing one trace at one operating point.
+/// Results of executing one trace at one operating point, with the
+/// analytical model's classification of its cycles
+/// ([`Machine::run_points`]).
 #[derive(Debug, Clone)]
 pub struct RunStats {
     /// The `(V, f)` the run used.
@@ -66,16 +68,81 @@ impl RunStats {
     /// Committed instructions per cycle.
     #[must_use]
     pub fn ipc(&self) -> f64 {
-        if self.total_cycles > 0.0 {
-            self.committed_insts as f64 / self.total_cycles
-        } else {
-            0.0
+        ipc(self.committed_insts, self.total_cycles)
+    }
+
+    /// `run` with its classification.
+    fn classified(run: TimedRun, [overlap, dependent, stall]: [f64; 3]) -> Self {
+        RunStats {
+            point: run.point,
+            total_time_us: run.total_time_us,
+            total_cycles: run.total_cycles,
+            committed_insts: run.committed_insts,
+            energy: run.energy,
+            blocks: run.blocks,
+            overlap_cycles: overlap,
+            dependent_cycles: dependent,
+            stall_cycles: stall,
+            cache_hit_cycles: run.cache_hit_cycles,
+            l1d: run.l1d,
+            l1i: run.l1i,
+            l2: run.l2,
+            mispredicts: run.mispredicts,
+            dram_accesses: run.dram_accesses,
         }
+    }
+}
+
+/// Results of executing one trace at one operating point without the
+/// analytical model's classification ([`Machine::time_points`]): times,
+/// energy, per-block attribution and event counts. Every field equals the
+/// [`RunStats`] field of the same name bit for bit; there are no
+/// `Noverlap`/`Ndependent`/stall fields to read as zero.
+#[derive(Debug, Clone)]
+pub struct TimedRun {
+    /// The `(V, f)` the run used.
+    pub point: OperatingPoint,
+    /// Wall-clock execution time, µs.
+    pub total_time_us: f64,
+    /// Execution time in CPU cycles at this point's frequency.
+    pub total_cycles: f64,
+    /// Committed instructions.
+    pub committed_insts: u64,
+    /// Energy accumulated across the run.
+    pub energy: EnergyBreakdown,
+    /// Per-block accumulations, indexed by block id.
+    pub blocks: Vec<BlockStats>,
+    /// Cycles spent in L1/L2 hit latencies of data accesses (`Ncache`).
+    pub cache_hit_cycles: f64,
+    /// L1 data cache statistics.
+    pub l1d: CacheStats,
+    /// L1 instruction cache statistics.
+    pub l1i: CacheStats,
+    /// Unified L2 statistics.
+    pub l2: CacheStats,
+    /// Branch direction mispredictions.
+    pub mispredicts: u64,
+    /// Off-chip DRAM accesses.
+    pub dram_accesses: u64,
+}
+
+impl TimedRun {
+    /// On-chip processor energy for the whole run, µJ.
+    #[must_use]
+    pub fn processor_energy_uj(&self) -> f64 {
+        self.energy.processor_uj(self.point.voltage)
+    }
+
+    /// Committed instructions per cycle.
+    #[must_use]
+    pub fn ipc(&self) -> f64 {
+        ipc(self.committed_insts, self.total_cycles)
     }
 
     /// Feeds this run's aggregates into the global `dvs-obs` sink (one call
-    /// per simulated run; a no-op unless collection is enabled).
-    pub(crate) fn record_metrics(&self) {
+    /// per timing pass, classified or not; a no-op unless collection is
+    /// enabled).
+    fn record_metrics(&self) {
         if !dvs_obs::enabled() {
             return;
         }
@@ -88,6 +155,43 @@ impl RunStats {
         dvs_obs::counter("sim.dram_accesses", self.dram_accesses);
         dvs_obs::counter("sim.mispredicts", self.mispredicts);
         dvs_obs::histogram("sim.run_ipc", self.ipc());
+    }
+}
+
+fn ipc(committed_insts: u64, total_cycles: f64) -> f64 {
+    if total_cycles > 0.0 {
+        committed_insts as f64 / total_cycles
+    } else {
+        0.0
+    }
+}
+
+/// What every timing pass reports of its operating point, classified
+/// ([`RunStats`]) or not ([`TimedRun`]).
+pub trait PointRun {
+    /// The `(V, f)` the run used.
+    fn point(&self) -> OperatingPoint;
+    /// Wall-clock execution time, µs.
+    fn total_time_us(&self) -> f64;
+}
+
+impl PointRun for RunStats {
+    fn point(&self) -> OperatingPoint {
+        self.point
+    }
+
+    fn total_time_us(&self) -> f64 {
+        self.total_time_us
+    }
+}
+
+impl PointRun for TimedRun {
+    fn point(&self) -> OperatingPoint {
+        self.point
+    }
+
+    fn total_time_us(&self) -> f64 {
+        self.total_time_us
     }
 }
 
@@ -125,12 +229,15 @@ impl std::fmt::Display for RunStats {
 ///
 /// A call walks the caches, TLBs and branch predictor once
 /// ([`Machine::record`]) and then times every requested operating point
-/// over that record, the points concurrently on the available cores
-/// ([`Machine::run_points`]). A timing pass does work per instruction
-/// bounded by its operand count and its unit pool's size, plus one bit per
-/// busy cycle and one word-level popcount per 64 cycles of off-chip miss
-/// service; it keeps one byte per cycle between the fetch cycle and the
-/// latest issue for the compute classification.
+/// over that record, the points concurrently on the available cores. A
+/// timing pass does work per instruction bounded by its operand count and
+/// its unit pool's size. A pass that also classifies its cycles for the
+/// analytical model ([`Machine::run_points`]) adds one bit per busy cycle,
+/// one word-level popcount per 64 cycles of off-chip miss service, and one
+/// byte per cycle between the fetch cycle and the latest issue; an
+/// unclassified pass ([`Machine::time_points`]) adds nothing, or the bit
+/// per busy cycle alone under [`ClockGating::Ungated`], whose idle energy
+/// counts the idle cycles.
 #[derive(Debug, Clone)]
 pub struct Machine {
     config: SimConfig,
@@ -176,7 +283,8 @@ impl Machine {
     }
 
     /// Executes `trace` over `cfg` once per operating point, each run from
-    /// cold caches and predictor, and returns the runs in `points` order.
+    /// cold caches and predictor, and returns the runs in `points` order,
+    /// every one classified for the analytical model.
     ///
     /// The caches, TLBs and predictor see the same stream at every clock,
     /// so they are walked once ([`Machine::record`]); each point then gets
@@ -200,7 +308,87 @@ impl Machine {
     #[must_use]
     pub fn run_points(&self, cfg: &Cfg, trace: &Trace, points: &[OperatingPoint]) -> Vec<RunStats> {
         let rec = self.record(cfg, trace);
-        let charge = Charge::of(&rec, &self.energy, cfg.num_blocks());
+        let charge = Charge::of(&rec, &self.energy);
+        self.fan_out(points, charge.committed, |_, point| {
+            self.classified(&rec, &charge, point)
+        })
+        .into_iter()
+        .map(|(run, classes)| {
+            run.record_metrics();
+            RunStats::classified(run, classes)
+        })
+        .collect()
+    }
+
+    /// Times the trace of `rec` at each of `points`, in `points` order,
+    /// without classifying any cycle: the passes of
+    /// [`Machine::run_points`] over a record the caller already holds, on
+    /// as many threads, each result equal to that call's run on every
+    /// field it keeps.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from any thread's pass.
+    #[must_use]
+    pub fn time_points(&self, rec: &Recording<'_>, points: &[OperatingPoint]) -> Vec<TimedRun> {
+        let charge = Charge::of(rec, &self.energy);
+        let runs = self.fan_out(points, charge.committed, |_, point| {
+            self.unclassified(rec, &charge, point)
+        });
+        for run in &runs {
+            run.record_metrics();
+        }
+        runs
+    }
+
+    /// [`Machine::time_points`], except that the pass at
+    /// `points[classify]` also classifies its cycles: that point's
+    /// [`RunStats`] comes back next to the runs, from the same pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `classify` is not an index into `points`, and re-raises a
+    /// panic from any thread's pass.
+    #[must_use]
+    pub fn time_points_classifying(
+        &self,
+        rec: &Recording<'_>,
+        points: &[OperatingPoint],
+        classify: usize,
+    ) -> (Vec<TimedRun>, RunStats) {
+        assert!(classify < points.len(), "classify names one of the points");
+        let charge = Charge::of(rec, &self.energy);
+        let mut classified = None;
+        let runs = self
+            .fan_out(points, charge.committed, |ix, point| {
+                if ix == classify {
+                    let (run, classes) = self.classified(rec, &charge, point);
+                    (run, Some(classes))
+                } else {
+                    (self.unclassified(rec, &charge, point), None)
+                }
+            })
+            .into_iter()
+            .map(|(run, classes)| {
+                run.record_metrics();
+                if let Some(classes) = classes {
+                    classified = Some(RunStats::classified(run.clone(), classes));
+                }
+                run
+            })
+            .collect();
+        (runs, classified.expect("the classified point was timed"))
+    }
+
+    /// Runs `pass` once per point, on the caller and on helper threads
+    /// (see [`Machine::run_points`]), and returns the results in `points`
+    /// order. `committed` is the trace's dynamic instruction count.
+    fn fan_out<T: Send>(
+        &self,
+        points: &[OperatingPoint],
+        committed: u64,
+        pass: impl Fn(usize, OperatingPoint) -> T + Sync,
+    ) -> Vec<T> {
         // Hands out point indices. It publishes no data (the record is
         // read-only, and every result returns through a join), so relaxed
         // ordering suffices.
@@ -214,11 +402,11 @@ impl Machine {
                     return timed;
                 };
                 let _span = dvs_obs::span!("sim.run");
-                timed.push((ix, self.time(&rec, &charge, point)));
+                timed.push((ix, pass(ix, point)));
             }
         };
         // One point or a short trace needs no helper, nor the CPU count.
-        let helpers = if points.len() > 1 && charge.committed >= FAN_OUT_MIN_INSTS {
+        let helpers = if points.len() > 1 && committed >= FAN_OUT_MIN_INSTS {
             let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
             points.len().min(cpus) - 1
         } else {
@@ -241,21 +429,77 @@ impl Machine {
             timed
         });
         timed.sort_unstable_by_key(|&(ix, _)| ix);
-        let runs: Vec<RunStats> = timed.into_iter().map(|(_, run)| run).collect();
-        for run in &runs {
-            run.record_metrics();
-        }
-        runs
+        timed.into_iter().map(|(_, run)| run).collect()
     }
 
-    /// One cycle-domain timing pass over `rec` at `point`.
-    fn time(&self, rec: &Recording<'_>, charge: &Charge, point: OperatingPoint) -> RunStats {
+    /// An unclassified pass at `point`. It watches nothing, unless the
+    /// clock is ungated: then it marks the busy cycles, so that the idle
+    /// ones can be charged.
+    fn unclassified(
+        &self,
+        rec: &Recording<'_>,
+        charge: &Charge,
+        point: OperatingPoint,
+    ) -> TimedRun {
+        if self.energy.gating == ClockGating::Ungated {
+            let mut busy = BusyBitmap::default();
+            let mut run = self.time(rec, charge, point, &mut busy);
+            self.charge_idle(&mut run, &busy);
+            run
+        } else {
+            self.time(rec, charge, point, &mut ())
+        }
+    }
+
+    /// A classified pass at `point`: the run and its overlap, dependent
+    /// and stall cycles.
+    fn classified(
+        &self,
+        rec: &Recording<'_>,
+        charge: &Charge,
+        point: OperatingPoint,
+    ) -> (TimedRun, [f64; 3]) {
+        let mut seen = Classify::default();
+        let mut run = self.time(rec, charge, point, &mut seen);
+        self.charge_idle(&mut run, &seen.busy);
+        // Stall time: idle cycles during off-chip miss service (this is the
+        // absolute-time component, tinvariant).
+        let stall = seen
+            .busy
+            .idle_within(&seen.miss_intervals, run.total_cycles);
+        seen.compute.settle(usize::MAX, &seen.mem_active);
+        let classes = [
+            seen.compute.overlap() as f64,
+            seen.compute.dependent() as f64,
+            stall as f64,
+        ];
+        (run, classes)
+    }
+
+    /// Without perfect clock gating, every idle cycle of `run` still
+    /// drives the clock tree. Charged globally (not attributed to blocks):
+    /// it is a property of the gaps *between* work.
+    fn charge_idle(&self, run: &mut TimedRun, busy: &BusyBitmap) {
+        if self.energy.gating == ClockGating::Ungated {
+            let idle = (run.total_cycles - busy.count() as f64).max(0.0);
+            run.energy.core_nf += idle * self.energy.clock_nf;
+        }
+    }
+
+    /// One cycle-domain timing pass over `rec` at `point`, with `seen`
+    /// watching every step; idle energy is left to the caller.
+    fn time<W: Watch>(
+        &self,
+        rec: &Recording<'_>,
+        charge: &Charge,
+        point: OperatingPoint,
+        seen: &mut W,
+    ) -> TimedRun {
         let f = point.frequency_mhz;
         let clock = Cycles {
             mem_latency: self.config.mem_latency_us * f,
         };
         let mut pipe = Pipeline::new(&self.config);
-        let mut seen = Classify::default();
         let mut outcomes = rec.cursor();
         let mut blocks = charge.blocks.clone();
         let mut block_mark = 0.0f64;
@@ -264,12 +508,9 @@ impl Machine {
             let b = dyn_block.block.index();
             pipe.enter_block();
             for inst in rec.table.block(b) {
-                pipe.step(clock, inst, &outcomes.next(inst), &mut seen);
+                pipe.step(clock, inst, &outcomes.next(inst), seen);
             }
-            // Every later mark of `mem_active` starts at or after the
-            // current fetch cycle (a fetch miss at its ready time, a data
-            // access at its issue), and the fetch cycle never decreases.
-            seen.compute.settle(pipe.fetch() as usize, &seen.mem_active);
+            seen.block_end(pipe.fetch());
 
             // Attribute elapsed time to this block invocation.
             blocks[b].time_us += later(pipe.time() - block_mark, 0.0) / f;
@@ -277,29 +518,13 @@ impl Machine {
         }
 
         let total_cycles = pipe.time();
-        // Stall time: idle cycles during off-chip miss service (this is the
-        // absolute-time component, tinvariant).
-        let stall = seen.busy.idle_within(&seen.miss_intervals, total_cycles);
-        seen.compute.settle(usize::MAX, &seen.mem_active);
-        let mut energy = charge.energy;
-        // Without perfect clock gating, every idle cycle still drives the
-        // clock tree. Charged globally (not attributed to blocks): it is a
-        // property of the gaps *between* work.
-        if self.energy.gating == crate::ClockGating::Ungated {
-            let idle = (total_cycles - seen.busy.count() as f64).max(0.0);
-            energy.core_nf += idle * self.energy.clock_nf;
-        }
-
-        RunStats {
+        TimedRun {
             point,
             total_time_us: total_cycles / f,
             total_cycles,
             committed_insts: charge.committed,
-            energy,
+            energy: charge.energy,
             blocks,
-            overlap_cycles: seen.compute.overlap() as f64,
-            dependent_cycles: seen.compute.dependent() as f64,
-            stall_cycles: stall as f64,
             cache_hit_cycles: charge.cache_hit_cycles,
             l1d: rec.l1d,
             l1i: rec.l1i,
@@ -310,9 +535,28 @@ impl Machine {
     }
 }
 
-/// What the cycle-domain pass watches: the cycles in which some
-/// instruction issued, the cycles in which a memory operation was in
-/// flight, main memory's service intervals, and when compute issued.
+/// What a cycle-domain pass watches: an [`Observe`]r that also hears each
+/// block occurrence end.
+trait Watch: Observe {
+    /// A block occurrence ended with the fetch cursor at `fetch`.
+    fn block_end(&mut self, _fetch: f64) {}
+}
+
+/// An unclassified pass on a gated clock watches nothing.
+impl Watch for () {}
+
+/// An unclassified pass on an ungated clock watches the busy cycles.
+impl Observe for BusyBitmap {
+    fn issued(&mut self, _inst: &Decoded, issue: f64) {
+        self.mark(issue);
+    }
+}
+
+impl Watch for BusyBitmap {}
+
+/// What the classified pass watches: the cycles in which some instruction
+/// issued, the cycles in which a memory operation was in flight, main
+/// memory's service intervals, and when compute issued.
 #[derive(Default)]
 struct Classify {
     busy: BusyBitmap,
@@ -339,8 +583,17 @@ impl Observe for Classify {
     }
 }
 
-/// The fewest dynamic instructions for which [`Machine::run_points`] times
-/// its points on helper threads.
+impl Watch for Classify {
+    /// Every later mark of `mem_active` starts at or after the current
+    /// fetch cycle (a fetch miss at its ready time, a data access at its
+    /// issue), and the fetch cycle never decreases.
+    fn block_end(&mut self, fetch: f64) {
+        self.compute.settle(fetch as usize, &self.mem_active);
+    }
+}
+
+/// The fewest dynamic instructions for which [`Machine::run_points`] and
+/// [`Machine::time_points`] time their points on helper threads.
 ///
 /// A helper pays for itself once the pass it takes outlasts its spawn and
 /// join plus the `available_parallelism` call (which reads the cgroup CPU
@@ -365,9 +618,9 @@ struct Charge {
 }
 
 impl Charge {
-    fn of(rec: &Recording<'_>, em: &EnergyModel, num_blocks: usize) -> Self {
+    fn of(rec: &Recording<'_>, em: &EnergyModel) -> Self {
         let mut energy = EnergyBreakdown::default();
-        let mut blocks = vec![BlockStats::default(); num_blocks];
+        let mut blocks = vec![BlockStats::default(); rec.cfg.num_blocks()];
         let mut dram_accesses = 0u64;
         let mut committed = 0u64;
         let mut cache_hit_cycles = 0.0f64;

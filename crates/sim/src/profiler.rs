@@ -1,4 +1,4 @@
-use crate::{Machine, RunStats, Trace};
+use crate::{BlockStats, Machine, Recording, RunStats, TimedRun, Trace};
 use dvs_ir::{BlockModeCost, Cfg, Profile, ProfileBuilder};
 use dvs_vf::VoltageLadder;
 
@@ -61,8 +61,9 @@ impl ProgramParams {
 
 /// Profiles a program once per DVS mode, assembling the [`Profile`] the
 /// MILP consumes (per-block `T(j,m)`/`E(j,m)` plus edge and local-path
-/// counts) and keeping the per-mode [`RunStats`] for parameter extraction
-/// and baseline energy/time queries.
+/// counts). [`ModeProfiler::profile`] classifies every mode's run for the
+/// analytical model; [`ModeProfiler::profile_with_fastest`] classifies only
+/// the fastest mode's, the one [`ProgramParams::from_run`] reads.
 #[derive(Debug)]
 pub struct ModeProfiler {
     machine: Machine,
@@ -84,7 +85,8 @@ impl ModeProfiler {
     /// Times `trace` at every mode of `ladder`, from one walk of the caches
     /// and predictor ([`Machine::run_points`]), and assembles the profile.
     /// Returns the profile and the per-mode run statistics (indexed like
-    /// the ladder, slowest first).
+    /// the ladder, slowest first), each classified for the analytical
+    /// model.
     ///
     /// # Panics
     ///
@@ -97,47 +99,79 @@ impl ModeProfiler {
         ladder: &VoltageLadder,
     ) -> (Profile, Vec<RunStats>) {
         let _span = dvs_obs::span!("sim.profile");
-        let mut pb = ProfileBuilder::new(cfg, ladder.len());
-        assert!(
-            pb.record_walk(cfg, &trace.walk()),
-            "trace must be an entry-to-exit walk of the CFG"
-        );
         let points: Vec<_> = ladder.iter().map(|(_, point)| point).collect();
         let runs = self.machine.run_points(cfg, trace, &points);
-        for ((mode, point), run) in ladder.iter().zip(&runs) {
-            for (bix, bs) in run.blocks.iter().enumerate() {
-                if bs.invocations > 0 {
-                    let inv = bs.invocations as f64;
-                    pb.set_block_cost(
-                        dvs_ir::BlockId(bix),
-                        mode.index(),
-                        BlockModeCost {
-                            time_us: bs.time_us / inv,
-                            energy_uj: crate::EnergyModel::cap_to_uj(bs.cap_nf, point.voltage)
-                                / inv,
-                        },
-                    );
-                }
-            }
-        }
-        (pb.finish(), runs)
+        let blocks = runs.iter().map(|run| run.blocks.as_slice());
+        (build(cfg, trace, ladder, blocks), runs)
     }
 
-    /// Extracts the analytical-model parameters from the *fastest* mode's
-    /// run (the paper's reference frequency for cycle counts).
+    /// The profile and the fastest mode's run, classified for
+    /// [`ProgramParams::from_run`], from one walk in which only that
+    /// mode's pass classifies ([`Machine::time_points_classifying`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace is not a valid entry-to-exit walk of `cfg`.
     #[must_use]
-    pub fn extract_params(runs: &[RunStats]) -> ProgramParams {
-        let fastest = runs
-            .iter()
-            .max_by(|a, b| {
-                a.point
-                    .frequency_mhz
-                    .partial_cmp(&b.point.frequency_mhz)
-                    .expect("frequencies are finite")
-            })
-            .expect("at least one run");
-        ProgramParams::from_run(fastest)
+    pub fn profile_with_fastest(
+        &self,
+        cfg: &Cfg,
+        trace: &Trace,
+        ladder: &VoltageLadder,
+    ) -> (Profile, RunStats) {
+        let _span = dvs_obs::span!("sim.profile");
+        let rec = self.machine.record(cfg, trace);
+        let points: Vec<_> = ladder.iter().map(|(_, point)| point).collect();
+        let (runs, fastest) = self
+            .machine
+            .time_points_classifying(&rec, &points, points.len() - 1);
+        (Self::assemble(&rec, ladder, &runs), fastest)
     }
+
+    /// The profile of `rec`'s trace from `runs`, its unclassified passes
+    /// at each mode of `ladder` in ladder order
+    /// ([`Machine::time_points`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace is not a valid entry-to-exit walk of the
+    /// record's CFG.
+    #[must_use]
+    pub fn assemble(rec: &Recording<'_>, ladder: &VoltageLadder, runs: &[TimedRun]) -> Profile {
+        let blocks = runs.iter().map(|run| run.blocks.as_slice());
+        build(rec.cfg, rec.trace, ladder, blocks)
+    }
+}
+
+/// The profile whose mode `m` costs come from `blocks`' `m`-th item, the
+/// per-block stats of a run at that mode.
+fn build<'r>(
+    cfg: &Cfg,
+    trace: &Trace,
+    ladder: &VoltageLadder,
+    blocks: impl Iterator<Item = &'r [BlockStats]>,
+) -> Profile {
+    let mut pb = ProfileBuilder::new(cfg, ladder.len());
+    assert!(
+        pb.record_walk(cfg, &trace.walk()),
+        "trace must be an entry-to-exit walk of the CFG"
+    );
+    for ((mode, point), run) in ladder.iter().zip(blocks) {
+        for (bix, bs) in run.iter().enumerate() {
+            if bs.invocations > 0 {
+                let inv = bs.invocations as f64;
+                pb.set_block_cost(
+                    dvs_ir::BlockId(bix),
+                    mode.index(),
+                    BlockModeCost {
+                        time_us: bs.time_us / inv,
+                        energy_uj: crate::EnergyModel::cap_to_uj(bs.cap_nf, point.voltage) / inv,
+                    },
+                );
+            }
+        }
+    }
+    pb.finish()
 }
 
 #[cfg(test)]
@@ -227,12 +261,16 @@ mod tests {
     }
 
     #[test]
-    fn params_extracted_from_fastest_run() {
+    fn params_come_from_the_fastest_run_classified_in_the_same_walk() {
         let (cfg, trace) = program();
         let ladder = VoltageLadder::xscale3(&AlphaPower::paper());
         let profiler = ModeProfiler::new(Machine::paper_default());
-        let (_, runs) = profiler.profile(&cfg, &trace, &ladder);
-        let params = ModeProfiler::extract_params(&runs);
+        let (profile, runs) = profiler.profile(&cfg, &trace, &ladder);
+        let (fast_profile, fastest) = profiler.profile_with_fastest(&cfg, &trace, &ladder);
+        assert_eq!(fast_profile, profile);
+        assert_eq!(fastest.point, ladder.fastest());
+        let params = ProgramParams::from_run(&fastest);
+        assert_eq!(params, ProgramParams::from_run(&runs[2]));
         assert!(params.n_dependent > 0.0);
         assert!(params.n_cache > 0.0);
         assert!(params.t_invariant_us >= 0.0);

@@ -51,15 +51,46 @@ fn compile_ghostscript_and_emit_listing() {
     );
     assert!(text.contains("MILP:"), "summary printed:\n{text}");
     assert!(text.contains("validated:"), "validation printed");
-    // The 3-level profile times the deadline scheme's reference points,
-    // so the compile walks the trace twice (profile, validation) and
-    // times three points.
-    assert_eq!(metric_value(&text, "sim.walks"), 2.0);
+    // One walk serves the profile, the deadline scheme (the 3-level
+    // ladder holds its reference points) and validation: three points
+    // and one scheduled pass over it.
+    assert_eq!(metric_value(&text, "sim.walks"), 1.0);
     assert_eq!(metric_value(&text, "sim.runs"), 3.0);
+    assert_eq!(metric_value(&text, "sim.scheduled_runs"), 1.0);
     let listing = std::fs::read_to_string(&tmp).expect("listing written");
     assert!(listing.contains("; program: ghostscript"));
     assert!(listing.contains("band_head:"));
     let _ = std::fs::remove_file(&tmp);
+}
+
+#[test]
+fn a_thirteen_level_compile_walks_its_trace_once() {
+    let out = dvsc()
+        .args([
+            "compile",
+            "--benchmark",
+            "adpcm",
+            "--levels",
+            "13",
+            "--deadline",
+            "5",
+            "--metrics",
+        ])
+        .output()
+        .expect("dvsc runs");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(text.contains("validated:"), "validation printed:\n{text}");
+    // The 13-level ladder lacks two of the deadline scheme's reference
+    // points; they are timed over the profile's walk, which validation
+    // reuses too.
+    assert_eq!(metric_value(&text, "sim.walks"), 1.0);
+    assert_eq!(metric_value(&text, "sim.runs"), 15.0);
+    assert_eq!(metric_value(&text, "sim.scheduled_runs"), 1.0);
 }
 
 /// The value of the `--metrics` table line that starts with `name`.

@@ -106,7 +106,6 @@ fn analytical_bound_dominates_milp_savings() {
     for b in [Benchmark::GsmEncode, Benchmark::MpegDecode] {
         let cfg = b.build_cfg();
         let trace = b.trace(&cfg, &b.default_input());
-        let scheme = DeadlineScheme::measure(&machine, &cfg, &trace);
         let compiler = DvsCompiler::builder(
             machine.clone(),
             ladder(),
@@ -114,14 +113,14 @@ fn analytical_bound_dominates_milp_savings() {
         )
         .build()
         .expect("valid compiler settings");
-        let (profile, runs) = compiler.profile(&cfg, &trace);
-        let params = analyze_params(&runs);
+        let (stage, fastest) = compiler.stage_classifying_fastest(&cfg, &trace);
+        let params = analyze_params(&fastest);
         let model = DiscreteModel::new(ladder());
         for i in 2..=5usize {
-            let d = scheme.deadline_us(i);
+            let d = stage.scheme().deadline_us(i);
             let bound = model.savings(&params, d);
             let milp = compiler
-                .compile(&cfg, &profile, d)
+                .compile(&cfg, stage.profile(), d)
                 .ok()
                 .and_then(|r| r.savings_vs_single());
             if let (Some(bound), Some(milp)) = (bound, milp) {

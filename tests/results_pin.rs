@@ -123,14 +123,3 @@ fn every_experiment_writes_its_committed_csv() {
         .collect();
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
-
-#[test]
-fn wall_clock_columns_are_left_out_and_nothing_else() {
-    let csv = "# fig18 — x\n# note, with a comma\nbenchmark,deadline,solve time (µs),B&B nodes\n\
-               gsm,D1,984,7\n";
-    assert_eq!(
-        without_columns(csv, wall_clock_columns("fig18")),
-        "# fig18 — x\n# note, with a comma\nbenchmark,deadline,B&B nodes\ngsm,D1,7\n"
-    );
-    assert_eq!(without_columns(csv, wall_clock_columns("table1")), csv);
-}
