@@ -19,7 +19,8 @@ fn main() {
     let trace = b.trace(&cfg, &input);
     let machine = Machine::paper_default();
     let ladder = VoltageLadder::xscale3(&AlphaPower::paper());
-    let (profile, _) = ModeProfiler::new(machine.clone()).profile(&cfg, &trace, &ladder);
+    let (profile, _) =
+        ModeProfiler::new(machine.clone()).profile_unclassified(&cfg, &trace, &ladder);
     let scheme = DeadlineScheme::measure(&machine, &cfg, &trace);
     let deadline = scheme.deadline_us(2);
     let tm = TransitionModel::with_capacitance_uf(0.03);

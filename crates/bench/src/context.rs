@@ -149,8 +149,9 @@ impl Context {
         cell.get_or_init(|| {
             let bd = self.bench(benchmark);
             let ladder = ladder_of(levels);
-            ModeProfiler::new(self.machine.clone())
-                .profile_with_fastest(&bd.cfg, &bd.trace, &ladder)
+            let (profile, _, fastest) = ModeProfiler::new(self.machine.clone())
+                .profile_with_fastest(&bd.cfg, &bd.trace, &ladder);
+            (profile, fastest)
         })
         .clone()
     }

@@ -30,8 +30,8 @@ pub fn fig19(ctx: &Context) -> Report {
     for &k in &MPEG_INPUTS {
         let spec = mpeg_input(k).spec();
         let trace = b.trace(&cfg, &spec);
-        let (profile, _) = profiler.profile(&cfg, &trace, &ladder);
-        let scheme = DeadlineScheme::measure(&machine, &cfg, &trace);
+        let (profile, runs) = profiler.profile_unclassified(&cfg, &trace, &ladder);
+        let scheme = DeadlineScheme::from_runs_or_measure(&runs, &machine, &cfg, &trace);
         deadlines.insert(k.name(), scheme.deadline_us(3));
         profiles.insert(k.name(), profile);
         traces.push((k, trace));

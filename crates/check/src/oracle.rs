@@ -318,7 +318,7 @@ fn check_oracles(case: &CheckCase, tol: &Tolerances, out: &mut CaseOutcome) {
 
     let machine = Machine::paper_default();
     let profiler = ModeProfiler::new(machine);
-    let (profile, fastest_run) = profiler.profile_with_fastest(cfg, trace, ladder);
+    let (profile, _, fastest_run) = profiler.profile_with_fastest(cfg, trace, ladder);
     if let Err(e) = profile.validate(cfg) {
         out.disagreements.push(Disagreement {
             oracle: OracleKind::WellFormed,

@@ -6,9 +6,8 @@ use dvs_sim::RunStats;
 ///
 /// `fastest` is the classified run at the ladder's fastest mode, the
 /// paper's reference frequency for cycle counts: from
-/// [`dvs_sim::ModeProfiler::profile_with_fastest`] or
-/// [`crate::DvsCompiler::stage_classifying_fastest`], which classify no
-/// other pass of their walk. Returns the *model* crate's parameter type so
+/// [`dvs_sim::ModeProfiler::profile_with_fastest`], which classifies no
+/// other pass of its walk. Returns the *model* crate's parameter type so
 /// callers can evaluate savings bounds directly.
 #[must_use]
 pub fn analyze_params(fastest: &RunStats) -> ProgramParams {

@@ -32,7 +32,7 @@ pub struct DeadlineScheme {
 
 /// The paper's 200/600/800 MHz XScale reference points, slowest first:
 /// the runtimes at these three points place the five deadlines.
-pub(crate) fn reference_points() -> [OperatingPoint; 3] {
+fn reference_points() -> [OperatingPoint; 3] {
     [
         OperatingPoint::new(0.7, 200.0),
         OperatingPoint::new(1.3, 600.0),
@@ -47,7 +47,7 @@ impl DeadlineScheme {
     /// ([`Machine::time_points`]).
     #[must_use]
     pub fn measure(machine: &Machine, cfg: &Cfg, trace: &Trace) -> Self {
-        let runs = machine.time_points(&machine.record(cfg, trace), &reference_points());
+        let runs = machine.time_points(cfg, trace, &reference_points());
         Self::from_runs(&runs).expect("runs at every reference point")
     }
 
@@ -73,9 +73,7 @@ impl DeadlineScheme {
 
     /// The scheme of a trace whose profile timed it in `runs`: read from
     /// them when they hold the three reference points (every 3-level
-    /// ladder), else measured with one more walk. A cold compile that
-    /// still holds its walk times the missing points over it instead
-    /// ([`crate::DvsCompiler::stage`]).
+    /// ladder), else measured with one more walk.
     #[must_use]
     pub fn from_runs_or_measure<R: PointRun>(
         runs: &[R],

@@ -18,10 +18,6 @@
 //!    [`dvs_sim::EdgeSchedule`], plus a hoisting post-pass that identifies
 //!    statically silent mode-sets ([`ScheduleAnalysis`]).
 //!
-//! A cold compile walks its trace once: [`DvsCompiler::stage`] times the
-//! profile and the deadline scheme from one walk ([`ColdStage`]), and
-//! [`DvsCompiler::compile_staged`] validates the schedule over it.
-//!
 //! Also provided: the multi-input-category formulation of §4.3
 //! ([`MultiCategory`]), the baselines the paper compares against
 //! ([`baseline`]), the Fig. 16 deadline-selection scheme
@@ -96,5 +92,5 @@ pub use error::PassError;
 pub use filter::EdgeFilter;
 pub use formulate::{CertifyOutcome, Granularity, MilpFormulation, MilpOutcome};
 pub use multi::{CategoryProfile, MultiCategory, MultiOutcome};
-pub use pass::{ColdStage, CompileResult, CompilerBuilder, DvsCompiler};
+pub use pass::{CompileResult, CompilerBuilder, DvsCompiler};
 pub use schedule::ScheduleAnalysis;

@@ -1,13 +1,8 @@
-use crate::deadline::reference_points;
-use crate::{
-    baseline, DeadlineScheme, EdgeFilter, MilpFormulation, MilpOutcome, PassError, ScheduleAnalysis,
-};
+use crate::{baseline, EdgeFilter, MilpFormulation, MilpOutcome, PassError, ScheduleAnalysis};
 use dvs_ir::{Cfg, Profile};
 use dvs_milp::SolverChoice;
-use dvs_sim::{
-    EdgeSchedule, Machine, ModeProfiler, Recording, RunStats, ScheduledRun, TimedRun, Trace,
-};
-use dvs_vf::{OperatingPoint, TransitionModel, VoltageLadder};
+use dvs_sim::{Machine, ModeProfiler, ScheduledRun, TimedRun, Trace};
+use dvs_vf::{TransitionModel, VoltageLadder};
 
 /// Runs `f` under a named span and records its wall time as a
 /// `pass.<stage>.wall_us` gauge. Costs one atomic load when observability
@@ -221,41 +216,6 @@ impl CompileResult {
             ("verify".to_string(), verify),
             ("certificate".to_string(), certificate),
         ])
-    }
-}
-
-/// A cold compile's deadline-independent half, from one walk of its trace:
-/// the ladder's profile, the deadline scheme, and the walk itself
-/// ([`Recording`]), over which [`DvsCompiler::compile_staged`] validates
-/// the schedule. Built by [`DvsCompiler::stage`] for the length of one
-/// compile: the record borrows the program and keeps an outcome per
-/// dynamic event (megabytes on the bundled traces), so a cache keeps the
-/// profile and the scheme and drops the record.
-#[derive(Debug)]
-pub struct ColdStage<'a> {
-    profile: Profile,
-    scheme: DeadlineScheme,
-    record: Recording<'a>,
-}
-
-impl<'a> ColdStage<'a> {
-    /// Per-block time and energy per ladder mode, and the edge and path
-    /// counts.
-    #[must_use]
-    pub fn profile(&self) -> &Profile {
-        &self.profile
-    }
-
-    /// The deadline scheme, from the same walk.
-    #[must_use]
-    pub fn scheme(&self) -> DeadlineScheme {
-        self.scheme
-    }
-
-    /// The walk of the trace that every pass of the stage timed.
-    #[must_use]
-    pub fn record(&self) -> &Recording<'a> {
-        &self.record
     }
 }
 
@@ -513,79 +473,16 @@ impl DvsCompiler {
     }
 
     /// Profiles `trace` at every ladder mode, from one walk and one
-    /// unclassified timing pass per mode ([`Machine::time_points`]), and
-    /// returns the profile and the per-mode runs, slowest first. Profiles
-    /// are reusable across deadlines and transition models, so call this
-    /// once per (program, input) and feed the result to
-    /// [`DvsCompiler::compile`] repeatedly.
+    /// unclassified timing pass per mode
+    /// ([`ModeProfiler::profile_unclassified`]), and returns the profile
+    /// and the per-mode runs, slowest first. Profiles are reusable across
+    /// deadlines and transition models, so call this once per (program,
+    /// input) and feed the result to [`DvsCompiler::compile`] repeatedly.
     #[must_use]
     pub fn profile(&self, cfg: &Cfg, trace: &Trace) -> (Profile, Vec<TimedRun>) {
         timed("pass.profile", "pass.profile.wall_us", || {
-            let _span = dvs_obs::span!("sim.profile");
-            let record = self.machine.record(cfg, trace);
-            let runs = self.machine.time_points(&record, &self.modes());
-            (ModeProfiler::assemble(&record, &self.ladder, &runs), runs)
+            ModeProfiler::new(self.machine.clone()).profile_unclassified(cfg, trace, &self.ladder)
         })
-    }
-
-    /// The cold path's stage for `trace`: one walk, timed without
-    /// classification at every ladder mode and at whichever of
-    /// [`DeadlineScheme::measure`]'s three reference points the ladder
-    /// lacks. Compile against it with [`DvsCompiler::compile_staged`].
-    #[must_use]
-    pub fn stage<'a>(&self, cfg: &'a Cfg, trace: &'a Trace) -> ColdStage<'a> {
-        self.cold_stage(cfg, trace, false).0
-    }
-
-    /// [`DvsCompiler::stage`], with the fastest mode's pass classified
-    /// too, for [`crate::analyze_params`]: its run comes back next to the
-    /// stage, from the same walk.
-    #[must_use]
-    pub fn stage_classifying_fastest<'a>(
-        &self,
-        cfg: &'a Cfg,
-        trace: &'a Trace,
-    ) -> (ColdStage<'a>, RunStats) {
-        let (stage, fastest) = self.cold_stage(cfg, trace, true);
-        (stage, fastest.expect("the fastest mode was classified"))
-    }
-
-    fn cold_stage<'a>(
-        &self,
-        cfg: &'a Cfg,
-        trace: &'a Trace,
-        classify_fastest: bool,
-    ) -> (ColdStage<'a>, Option<RunStats>) {
-        timed("pass.profile", "pass.profile.wall_us", || {
-            let _span = dvs_obs::span!("sim.profile");
-            let record = self.machine.record(cfg, trace);
-            let mut points = self.modes();
-            let modes = points.len();
-            let missing: Vec<_> = reference_points()
-                .into_iter()
-                .filter(|r| !points.contains(r))
-                .collect();
-            points.extend(missing);
-            let (runs, fastest) = if classify_fastest {
-                let (runs, fastest) =
-                    self.machine
-                        .time_points_classifying(&record, &points, modes - 1);
-                (runs, Some(fastest))
-            } else {
-                (self.machine.time_points(&record, &points), None)
-            };
-            let stage = ColdStage {
-                profile: ModeProfiler::assemble(&record, &self.ladder, &runs[..modes]),
-                scheme: DeadlineScheme::from_runs(&runs).expect("runs at every reference point"),
-                record,
-            };
-            (stage, fastest)
-        })
-    }
-
-    /// The ladder's operating points, slowest first.
-    fn modes(&self) -> Vec<OperatingPoint> {
-        self.ladder.iter().map(|(_, point)| point).collect()
     }
 
     /// Validates the (profile, deadline) inputs shared by every compile
@@ -761,11 +658,9 @@ impl DvsCompiler {
     }
 
     /// [`DvsCompiler::compile`] plus a re-simulation of the schedule to
-    /// measure (rather than predict) time, energy and transition counts:
-    /// one walk of `trace` and one scheduled pass
-    /// ([`Machine::run_scheduled`]). With the builder's
-    /// [`CompilerBuilder::validation`] turned off, the re-simulation is
-    /// skipped and `validated` stays `None`.
+    /// measure (rather than predict) time, energy and transition counts.
+    /// With the builder's [`CompilerBuilder::validation`] turned off, the
+    /// re-simulation is skipped and `validated` stays `None`.
     ///
     /// # Errors
     ///
@@ -777,44 +672,16 @@ impl DvsCompiler {
         profile: &Profile,
         deadline_us: f64,
     ) -> Result<CompileResult, PassError> {
-        self.compile_validating(cfg, profile, deadline_us, |schedule| {
-            self.machine
-                .run_scheduled(cfg, trace, &self.ladder, schedule, &self.transition)
-        })
-    }
-
-    /// [`DvsCompiler::compile_and_validate`] on a cold stage: compiles
-    /// against its profile and validates over its record
-    /// ([`Machine::time_scheduled`]), without walking the trace again.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DvsCompiler::compile`].
-    pub fn compile_staged(
-        &self,
-        stage: &ColdStage<'_>,
-        deadline_us: f64,
-    ) -> Result<CompileResult, PassError> {
-        let record = stage.record();
-        self.compile_validating(record.cfg(), stage.profile(), deadline_us, |schedule| {
-            self.machine
-                .time_scheduled(record, &self.ladder, schedule, &self.transition)
-        })
-    }
-
-    /// [`DvsCompiler::compile`], then `validate` of the schedule when
-    /// validation is on.
-    fn compile_validating(
-        &self,
-        cfg: &Cfg,
-        profile: &Profile,
-        deadline_us: f64,
-        validate: impl FnOnce(&EdgeSchedule) -> ScheduledRun,
-    ) -> Result<CompileResult, PassError> {
         let mut result = self.compile(cfg, profile, deadline_us)?;
         if self.validation {
             let run = timed("pass.validate", "pass.validate.wall_us", || {
-                validate(&result.milp.schedule)
+                self.machine.run_scheduled(
+                    cfg,
+                    trace,
+                    &self.ladder,
+                    &result.milp.schedule,
+                    &self.transition,
+                )
             });
             result.validated = Some(run);
         }

@@ -27,7 +27,7 @@ use crate::protocol::{
     SolveRequest,
 };
 use crate::trace::{self, TraceCtx, ROOT_SPAN};
-use dvs_compiler::{ColdStage, DvsCompiler};
+use dvs_compiler::{DeadlineScheme, DvsCompiler};
 use dvs_ir::Cfg;
 use dvs_obs::json::Json;
 use dvs_sim::{Machine, Trace};
@@ -679,16 +679,14 @@ fn request_key(req: &SolveRequest) -> Result<(u64, String), String> {
 /// it, or computed here and cached. The key is (benchmark, ladder) alone:
 /// the daemon always profiles the default input on
 /// `Machine::paper_default`, and the stage reads neither the deadline, the
-/// op nor the regulator. A stage computed here also comes back as the
-/// cold stage it was cut from, whose walk the request can reuse; the
-/// cache keeps no walk.
+/// op nor the regulator.
 fn stage<'t>(
     state: &State,
     b: Benchmark,
     compiler: &DvsCompiler,
-    cfg: &'t Cfg,
+    cfg: &Cfg,
     trace: impl Fn() -> &'t Trace,
-) -> (Arc<Stage>, Option<ColdStage<'t>>) {
+) -> Arc<Stage> {
     let canonical = format!(
         "dvs-serve.stage.v1 benchmark={} levels={}",
         b.name(),
@@ -700,22 +698,23 @@ fn stage<'t>(
     let ours = {
         let mut coord = state.coord.lock().expect("coord poisoned");
         if let Some(stage) = coord.cache.get_stage(key, &canonical) {
-            return (stage, None);
+            return stage;
         }
         if let Some(theirs) = coord.staging.get(&key) {
             let theirs = Arc::clone(theirs);
             drop(coord);
-            let stage = theirs
+            return theirs
                 .wait(None)
                 .expect("an untimed wait returns the value");
-            return (stage, None);
         }
         let ours = Rendezvous::new();
         coord.staging.insert(key, Arc::clone(&ours));
         ours
     };
-    let cold = compiler.stage(cfg, trace());
-    let stage = Arc::new(Stage::new(cfg, cold.profile().clone(), cold.scheme()));
+    let trace = trace();
+    let (profile, runs) = compiler.profile(cfg, trace);
+    let scheme = DeadlineScheme::from_runs_or_measure(&runs, compiler.machine(), cfg, trace);
+    let stage = Arc::new(Stage::new(cfg, profile, scheme));
     {
         let mut coord = state.coord.lock().expect("coord poisoned");
         coord
@@ -724,7 +723,7 @@ fn stage<'t>(
         coord.staging.remove(&key);
     }
     ours.fill(Arc::clone(&stage));
-    (stage, Some(cold))
+    stage
 }
 
 /// A finished solve: the canonical JSON body plus worker-side timings
@@ -751,16 +750,11 @@ fn execute_solve(state: &State, req: &SolveRequest) -> Result<Solved, String> {
     let ladder = VoltageLadder::paper(req.levels).map_err(|e| e.to_string())?;
     let compiler = build_compiler(req, ladder.clone())?;
     let cfg = b.build_cfg();
-    // Built only if a stage miss, validation on a resident stage or the
-    // bytecode compile needs it; verify and certify on a resident stage
-    // never do. A stage miss walks it once, and a compile that missed
-    // validates over that walk.
+    // Built only if a stage miss, validation or the bytecode compile needs
+    // it; verify and certify on a resident stage never do.
     let trace_cell = OnceCell::new();
     let trace = || trace_cell.get_or_init(|| b.trace(&cfg, &b.default_input()));
-    let (stage, cold) = stage(state, b, &compiler, &cfg, trace);
-    // Only validation reads the walk of a stage miss: a compile validates
-    // over it, and the other ops drop it before their solve.
-    let cold = cold.filter(|_| req.op == SolveOp::Compile);
+    let stage = stage(state, b, &compiler, &cfg, trace);
     let profile = stage.profile();
     let deadline = stage.scheme().deadline_us(req.deadline_index);
     let header = |extra: Vec<(String, Json)>| {
@@ -774,11 +768,9 @@ fn execute_solve(state: &State, req: &SolveRequest) -> Result<Solved, String> {
     };
     match req.op {
         SolveOp::Compile => {
-            let result = match &cold {
-                Some(cold) => compiler.compile_staged(cold, deadline),
-                None => compiler.compile_and_validate(&cfg, trace(), profile, deadline),
-            }
-            .map_err(|e| format!("compile failed: {e}"))?;
+            let result = compiler
+                .compile_and_validate(&cfg, trace(), profile, deadline)
+                .map_err(|e| format!("compile failed: {e}"))?;
             Ok(Solved::plain(header(vec![(
                 "compile".to_string(),
                 result.to_json(),

@@ -15,7 +15,7 @@
 
 use crate::pipeline::{Micros, Observe, Pipeline};
 use crate::record::Decoded;
-use crate::{Access, DataLevel, EnergyModel, InstOutcome, Machine, Recording, SimConfig, Trace};
+use crate::{Access, DataLevel, EnergyModel, InstOutcome, Machine, SimConfig, Trace};
 use dvs_ir::Cfg;
 use dvs_vf::{ModeId, TransitionModel, VoltageLadder};
 
@@ -194,8 +194,7 @@ impl Observe for AccessEnergy {
 impl Machine {
     /// Executes `trace` under `schedule`, switching the clock/voltage on
     /// edges whose assigned mode differs from the current one and charging
-    /// `transition` costs for each switch: one walk of the trace
-    /// ([`Machine::record`]), then [`Machine::time_scheduled`] over it.
+    /// `transition` costs for each switch.
     ///
     /// # Panics
     ///
@@ -211,28 +210,8 @@ impl Machine {
         schedule: &EdgeSchedule,
         transition: &TransitionModel,
     ) -> ScheduledRun {
-        self.time_scheduled(&self.record(cfg, trace), ladder, schedule, transition)
-    }
-
-    /// Times the trace of `rec` under `schedule`, as
-    /// [`Machine::run_scheduled`] does after its walk: one µs-domain pass
-    /// over a record the caller already holds, so that one walk serves
-    /// any number of schedules.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `schedule` does not fit the record's CFG and `ladder`
-    /// ([`EdgeSchedule::check`]).
-    #[must_use]
-    pub fn time_scheduled(
-        &self,
-        rec: &Recording<'_>,
-        ladder: &VoltageLadder,
-        schedule: &EdgeSchedule,
-        transition: &TransitionModel,
-    ) -> ScheduledRun {
-        let cfg = rec.cfg;
         schedule.check(cfg.num_edges(), ladder.len());
+        let rec = self.record(cfg, trace);
         let _span = dvs_obs::span!("sim.run_scheduled");
         let em = self.energy_model();
         let mut pass = ScheduledPass::new(self.config(), schedule.initial);
@@ -243,7 +222,7 @@ impl Machine {
         };
         let mut prev_block: Option<dvs_ir::BlockId> = None;
 
-        for dyn_block in rec.trace.blocks() {
+        for dyn_block in trace.blocks() {
             // Mode-set on the edge we arrive through.
             if let Some(pb) = prev_block {
                 let e = cfg

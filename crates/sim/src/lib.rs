@@ -29,9 +29,9 @@
 //!   fastest mode's classified run for the analytical model's program
 //!   parameters (`Noverlap`, `Ndependent`, `Ncache`, `tinvariant`);
 //! * [`ScheduledRun`]: re-times a recorded trace under a per-edge DVS
-//!   schedule ([`Machine::time_scheduled`]), charging regulator transition
-//!   costs, to *validate* MILP output against the simulator rather than
-//!   against the MILP's own objective. [`ScheduledPass`] is that pass in progress, which the
+//!   schedule, charging regulator transition costs, to *validate* MILP
+//!   output against the simulator rather than against the MILP's own
+//!   objective. [`ScheduledPass`] is that pass in progress, which the
 //!   `dvs-replay` bytecode drives too. Every timing pass steps through
 //!   one pipeline recurrence, in cycles or in µs at each block's period.
 

@@ -127,18 +127,6 @@ pub struct TimedRun {
 }
 
 impl TimedRun {
-    /// On-chip processor energy for the whole run, µJ.
-    #[must_use]
-    pub fn processor_energy_uj(&self) -> f64 {
-        self.energy.processor_uj(self.point.voltage)
-    }
-
-    /// Committed instructions per cycle.
-    #[must_use]
-    pub fn ipc(&self) -> f64 {
-        ipc(self.committed_insts, self.total_cycles)
-    }
-
     /// Feeds this run's aggregates into the global `dvs-obs` sink (one call
     /// per timing pass, classified or not; a no-op unless collection is
     /// enabled).
@@ -154,7 +142,7 @@ impl TimedRun {
         dvs_obs::counter("sim.l2_misses", self.l2.misses);
         dvs_obs::counter("sim.dram_accesses", self.dram_accesses);
         dvs_obs::counter("sim.mispredicts", self.mispredicts);
-        dvs_obs::histogram("sim.run_ipc", self.ipc());
+        dvs_obs::histogram("sim.run_ipc", ipc(self.committed_insts, self.total_cycles));
     }
 }
 
@@ -307,38 +295,33 @@ impl Machine {
     /// a panic from any thread's pass.
     #[must_use]
     pub fn run_points(&self, cfg: &Cfg, trace: &Trace, points: &[OperatingPoint]) -> Vec<RunStats> {
-        let rec = self.record(cfg, trace);
-        let charge = Charge::of(&rec, &self.energy);
-        self.fan_out(points, charge.committed, |_, point| {
-            self.classified(&rec, &charge, point)
-        })
-        .into_iter()
-        .map(|(run, classes)| {
-            run.record_metrics();
-            RunStats::classified(run, classes)
-        })
-        .collect()
+        self.pass_points(cfg, trace, points, |_| true)
+            .into_iter()
+            .map(|(run, classes)| {
+                RunStats::classified(run, classes.expect("every pass classifies"))
+            })
+            .collect()
     }
 
-    /// Times the trace of `rec` at each of `points`, in `points` order,
-    /// without classifying any cycle: the passes of
-    /// [`Machine::run_points`] over a record the caller already holds, on
-    /// as many threads, each result equal to that call's run on every
-    /// field it keeps.
+    /// [`Machine::run_points`] without classifying any cycle: one walk and
+    /// one pass per point, on as many threads, each result equal to that
+    /// call's run on every field it keeps.
     ///
     /// # Panics
     ///
-    /// Re-raises a panic from any thread's pass.
+    /// Panics if the trace references blocks outside `cfg`, and re-raises
+    /// a panic from any thread's pass.
     #[must_use]
-    pub fn time_points(&self, rec: &Recording<'_>, points: &[OperatingPoint]) -> Vec<TimedRun> {
-        let charge = Charge::of(rec, &self.energy);
-        let runs = self.fan_out(points, charge.committed, |_, point| {
-            self.unclassified(rec, &charge, point)
-        });
-        for run in &runs {
-            run.record_metrics();
-        }
-        runs
+    pub fn time_points(
+        &self,
+        cfg: &Cfg,
+        trace: &Trace,
+        points: &[OperatingPoint],
+    ) -> Vec<TimedRun> {
+        self.pass_points(cfg, trace, points, |_| false)
+            .into_iter()
+            .map(|(run, _)| run)
+            .collect()
     }
 
     /// [`Machine::time_points`], except that the pass at
@@ -347,48 +330,51 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if `classify` is not an index into `points`, and re-raises a
-    /// panic from any thread's pass.
+    /// Panics if `classify` is not an index into `points` or the trace
+    /// references blocks outside `cfg`, and re-raises a panic from any
+    /// thread's pass.
     #[must_use]
     pub fn time_points_classifying(
         &self,
-        rec: &Recording<'_>,
+        cfg: &Cfg,
+        trace: &Trace,
         points: &[OperatingPoint],
         classify: usize,
     ) -> (Vec<TimedRun>, RunStats) {
         assert!(classify < points.len(), "classify names one of the points");
-        let charge = Charge::of(rec, &self.energy);
+        let mut runs = Vec::with_capacity(points.len());
         let mut classified = None;
-        let runs = self
-            .fan_out(points, charge.committed, |ix, point| {
-                if ix == classify {
-                    let (run, classes) = self.classified(rec, &charge, point);
-                    (run, Some(classes))
-                } else {
-                    (self.unclassified(rec, &charge, point), None)
-                }
-            })
-            .into_iter()
-            .map(|(run, classes)| {
-                run.record_metrics();
-                if let Some(classes) = classes {
-                    classified = Some(RunStats::classified(run.clone(), classes));
-                }
-                run
-            })
-            .collect();
+        for (run, classes) in self.pass_points(cfg, trace, points, |ix| ix == classify) {
+            if let Some(classes) = classes {
+                classified = Some(RunStats::classified(run.clone(), classes));
+            }
+            runs.push(run);
+        }
         (runs, classified.expect("the classified point was timed"))
     }
 
-    /// Runs `pass` once per point, on the caller and on helper threads
-    /// (see [`Machine::run_points`]), and returns the results in `points`
-    /// order. `committed` is the trace's dynamic instruction count.
-    fn fan_out<T: Send>(
+    /// One walk of `trace`, then one pass per point on the caller and on
+    /// helper threads (see [`Machine::run_points`]), classified where
+    /// `classify` holds of the point's index. Returns the runs in `points`
+    /// order, each with its classification if it has one, and records
+    /// their counters.
+    fn pass_points(
         &self,
+        cfg: &Cfg,
+        trace: &Trace,
         points: &[OperatingPoint],
-        committed: u64,
-        pass: impl Fn(usize, OperatingPoint) -> T + Sync,
-    ) -> Vec<T> {
+        classify: impl Fn(usize) -> bool + Sync,
+    ) -> Vec<(TimedRun, Option<[f64; 3]>)> {
+        let rec = self.record(cfg, trace);
+        let charge = Charge::of(&rec, &self.energy, cfg.num_blocks());
+        let pass = |ix: usize, point: OperatingPoint| {
+            if classify(ix) {
+                let (run, classes) = self.classified(&rec, &charge, point);
+                (run, Some(classes))
+            } else {
+                (self.unclassified(&rec, &charge, point), None)
+            }
+        };
         // Hands out point indices. It publishes no data (the record is
         // read-only, and every result returns through a join), so relaxed
         // ordering suffices.
@@ -406,7 +392,7 @@ impl Machine {
             }
         };
         // One point or a short trace needs no helper, nor the CPU count.
-        let helpers = if points.len() > 1 && committed >= FAN_OUT_MIN_INSTS {
+        let helpers = if points.len() > 1 && charge.committed >= FAN_OUT_MIN_INSTS {
             let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
             points.len().min(cpus) - 1
         } else {
@@ -429,7 +415,11 @@ impl Machine {
             timed
         });
         timed.sort_unstable_by_key(|&(ix, _)| ix);
-        timed.into_iter().map(|(_, run)| run).collect()
+        let runs: Vec<_> = timed.into_iter().map(|(_, run)| run).collect();
+        for (run, _) in &runs {
+            run.record_metrics();
+        }
+        runs
     }
 
     /// An unclassified pass at `point`. It watches nothing, unless the
@@ -618,9 +608,9 @@ struct Charge {
 }
 
 impl Charge {
-    fn of(rec: &Recording<'_>, em: &EnergyModel) -> Self {
+    fn of(rec: &Recording<'_>, em: &EnergyModel, num_blocks: usize) -> Self {
         let mut energy = EnergyBreakdown::default();
-        let mut blocks = vec![BlockStats::default(); rec.cfg.num_blocks()];
+        let mut blocks = vec![BlockStats::default(); num_blocks];
         let mut dram_accesses = 0u64;
         let mut committed = 0u64;
         let mut cache_hit_cycles = 0.0f64;

@@ -1,6 +1,6 @@
-use crate::{BlockStats, Machine, Recording, RunStats, TimedRun, Trace};
+use crate::{BlockStats, Machine, RunStats, TimedRun, Trace};
 use dvs_ir::{BlockModeCost, Cfg, Profile, ProfileBuilder};
-use dvs_vf::VoltageLadder;
+use dvs_vf::{OperatingPoint, VoltageLadder};
 
 /// The four program parameters of the paper's analytical model (§3),
 /// extracted from cycle-level simulation exactly as Table 7 does.
@@ -62,8 +62,9 @@ impl ProgramParams {
 /// Profiles a program once per DVS mode, assembling the [`Profile`] the
 /// MILP consumes (per-block `T(j,m)`/`E(j,m)` plus edge and local-path
 /// counts). [`ModeProfiler::profile`] classifies every mode's run for the
-/// analytical model; [`ModeProfiler::profile_with_fastest`] classifies only
-/// the fastest mode's, the one [`ProgramParams::from_run`] reads.
+/// analytical model, [`ModeProfiler::profile_unclassified`] none, and
+/// [`ModeProfiler::profile_with_fastest`] only the fastest mode's, the one
+/// [`ProgramParams::from_run`] reads.
 #[derive(Debug)]
 pub struct ModeProfiler {
     machine: Machine,
@@ -99,15 +100,35 @@ impl ModeProfiler {
         ladder: &VoltageLadder,
     ) -> (Profile, Vec<RunStats>) {
         let _span = dvs_obs::span!("sim.profile");
-        let points: Vec<_> = ladder.iter().map(|(_, point)| point).collect();
-        let runs = self.machine.run_points(cfg, trace, &points);
+        let runs = self.machine.run_points(cfg, trace, &modes(ladder));
         let blocks = runs.iter().map(|run| run.blocks.as_slice());
         (build(cfg, trace, ladder, blocks), runs)
     }
 
-    /// The profile and the fastest mode's run, classified for
-    /// [`ProgramParams::from_run`], from one walk in which only that
-    /// mode's pass classifies ([`Machine::time_points_classifying`]).
+    /// [`ModeProfiler::profile`] without classifying any mode's run
+    /// ([`Machine::time_points`]): the same profile, and runs equal to its
+    /// runs on every field they keep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace is not a valid entry-to-exit walk of `cfg`.
+    #[must_use]
+    pub fn profile_unclassified(
+        &self,
+        cfg: &Cfg,
+        trace: &Trace,
+        ladder: &VoltageLadder,
+    ) -> (Profile, Vec<TimedRun>) {
+        let _span = dvs_obs::span!("sim.profile");
+        let runs = self.machine.time_points(cfg, trace, &modes(ladder));
+        let blocks = runs.iter().map(|run| run.blocks.as_slice());
+        (build(cfg, trace, ladder, blocks), runs)
+    }
+
+    /// [`ModeProfiler::profile_unclassified`], and the fastest mode's run
+    /// classified for [`ProgramParams::from_run`] from the same walk, in
+    /// which only that mode's pass classifies
+    /// ([`Machine::time_points_classifying`]).
     ///
     /// # Panics
     ///
@@ -118,29 +139,20 @@ impl ModeProfiler {
         cfg: &Cfg,
         trace: &Trace,
         ladder: &VoltageLadder,
-    ) -> (Profile, RunStats) {
+    ) -> (Profile, Vec<TimedRun>, RunStats) {
         let _span = dvs_obs::span!("sim.profile");
-        let rec = self.machine.record(cfg, trace);
-        let points: Vec<_> = ladder.iter().map(|(_, point)| point).collect();
-        let (runs, fastest) = self
-            .machine
-            .time_points_classifying(&rec, &points, points.len() - 1);
-        (Self::assemble(&rec, ladder, &runs), fastest)
-    }
-
-    /// The profile of `rec`'s trace from `runs`, its unclassified passes
-    /// at each mode of `ladder` in ladder order
-    /// ([`Machine::time_points`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is not a valid entry-to-exit walk of the
-    /// record's CFG.
-    #[must_use]
-    pub fn assemble(rec: &Recording<'_>, ladder: &VoltageLadder, runs: &[TimedRun]) -> Profile {
+        let points = modes(ladder);
+        let (runs, fastest) =
+            self.machine
+                .time_points_classifying(cfg, trace, &points, points.len() - 1);
         let blocks = runs.iter().map(|run| run.blocks.as_slice());
-        build(rec.cfg, rec.trace, ladder, blocks)
+        (build(cfg, trace, ladder, blocks), runs, fastest)
     }
+}
+
+/// The operating points of `ladder`'s modes, slowest first.
+fn modes(ladder: &VoltageLadder) -> Vec<OperatingPoint> {
+    ladder.iter().map(|(_, point)| point).collect()
 }
 
 /// The profile whose mode `m` costs come from `blocks`' `m`-th item, the
@@ -266,8 +278,9 @@ mod tests {
         let ladder = VoltageLadder::xscale3(&AlphaPower::paper());
         let profiler = ModeProfiler::new(Machine::paper_default());
         let (profile, runs) = profiler.profile(&cfg, &trace, &ladder);
-        let (fast_profile, fastest) = profiler.profile_with_fastest(&cfg, &trace, &ladder);
+        let (fast_profile, timed, fastest) = profiler.profile_with_fastest(&cfg, &trace, &ladder);
         assert_eq!(fast_profile, profile);
+        assert_eq!(timed.len(), runs.len());
         assert_eq!(fastest.point, ladder.fastest());
         let params = ProgramParams::from_run(&fastest);
         assert_eq!(params, ProgramParams::from_run(&runs[2]));

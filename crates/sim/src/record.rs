@@ -7,11 +7,10 @@
 //! and keeps each dynamic instruction's outcomes, next to a table of the
 //! CFG's instructions decoded once. Every timing pass steps through that
 //! record: [`Machine::run_points`] and [`Machine::time_points`] one
-//! cycle-domain pass per operating point, [`Machine::time_scheduled`] one
-//! µs-domain pass per schedule, and the `dvs-replay` compiler keeps its
-//! [`Recording::steps`] as bytecode. A caller that times a trace more than
-//! once (a cold compile's profile, deadline scheme and validation) can
-//! keep one record for all of it.
+//! cycle-domain pass per operating point, [`Machine::run_scheduled`] one
+//! µs-domain pass under a schedule,
+//! and the `dvs-replay` compiler keeps its [`Recording::steps`] as
+//! bytecode.
 
 use crate::pipeline::pool_of;
 use crate::{
@@ -221,7 +220,6 @@ impl StaticTable {
 /// sees the same outcomes.
 #[derive(Debug)]
 pub struct Recording<'a> {
-    pub(crate) cfg: &'a Cfg,
     pub(crate) trace: &'a Trace,
     pub(crate) table: StaticTable,
     /// Outcome of every I-cache line fetch.
@@ -236,13 +234,7 @@ pub struct Recording<'a> {
     pub(crate) mispredicts: u64,
 }
 
-impl<'a> Recording<'a> {
-    /// The CFG the record was walked over.
-    #[must_use]
-    pub fn cfg(&self) -> &'a Cfg {
-        self.cfg
-    }
-
+impl Recording<'_> {
     /// Reads the recorded outcomes in trace order, one instruction at a
     /// time.
     pub(crate) fn cursor(&self) -> Cursor<'_> {
@@ -315,7 +307,7 @@ impl Machine {
     /// instructions, or an instruction reads more than the 3 registers
     /// [`dvs_ir::Inst::srcs`] allows.
     #[must_use]
-    pub fn record<'a>(&self, cfg: &'a Cfg, trace: &'a Trace) -> Recording<'a> {
+    pub fn record<'a>(&self, cfg: &Cfg, trace: &'a Trace) -> Recording<'a> {
         let _span = dvs_obs::span!("sim.record");
         let cfgm = self.config();
         let table = StaticTable::decode(cfg, cfgm, self.energy_model());
@@ -361,7 +353,6 @@ impl Machine {
             dvs_obs::counter("sim.walks", 1);
         }
         Recording {
-            cfg,
             trace,
             table,
             fetches,

@@ -18,8 +18,8 @@ fn main() {
 
     println!("benchmark: {}\n", benchmark.name());
 
-    // Program parameters from cycle-level simulation (paper Table 7), the
-    // profile and the deadline scheme, all from one walk of the trace.
+    // Program parameters from cycle-level simulation (paper Table 7).
+    let scheme = DeadlineScheme::measure(&machine, &cfg, &trace);
     let ladder3 = VoltageLadder::xscale3(&law);
     let compiler = DvsCompiler::builder(
         machine.clone(),
@@ -28,8 +28,8 @@ fn main() {
     )
     .build()
     .expect("valid compiler settings");
-    let (stage, fastest) = compiler.stage_classifying_fastest(&cfg, &trace);
-    let (profile, scheme) = (stage.profile(), stage.scheme());
+    let (profile, _, fastest) =
+        ModeProfiler::new(machine.clone()).profile_with_fastest(&cfg, &trace, &ladder3);
     let params = analyze_params(&fastest);
     println!(
         "params: Noverlap={:.0}  Ndependent={:.0}  Ncache={:.0} cycles, tinvariant={:.1} µs",
@@ -76,7 +76,7 @@ fn main() {
         let bound = DiscreteModel::new(ladder3.clone())
             .savings(&params, d)
             .unwrap_or(0.0);
-        match compiler.compile(&cfg, profile, d) {
+        match compiler.compile(&cfg, &profile, d) {
             Ok(res) => {
                 let milp = res.savings_vs_single().unwrap_or(0.0);
                 println!("  D{i}: bound {bound:.3}  milp {milp:.3}");

@@ -34,7 +34,8 @@ fn main() {
         };
         let machine = Machine::new(config, EnergyModel::default());
         let scheme = DeadlineScheme::measure(&machine, &cfg, &trace);
-        let (_, fastest) = ModeProfiler::new(machine).profile_with_fastest(&cfg, &trace, &ladder);
+        let (_, _, fastest) =
+            ModeProfiler::new(machine).profile_with_fastest(&cfg, &trace, &ladder);
         let params = analyze_params(&fastest);
         let model = DiscreteModel::new(ladder.clone());
         let s4 = model

@@ -29,8 +29,8 @@ fn main() {
     for &k in &MPEG_INPUTS {
         let spec = mpeg_input(k).spec();
         let trace = b.trace(&cfg, &spec);
-        let (profile, _) = profiler.profile(&cfg, &trace, &ladder);
-        let scheme = DeadlineScheme::measure(&machine, &cfg, &trace);
+        let (profile, runs) = profiler.profile_unclassified(&cfg, &trace, &ladder);
+        let scheme = DeadlineScheme::from_runs_or_measure(&runs, &machine, &cfg, &trace);
         let d3 = scheme.deadline_us(3);
         println!(
             "{:<10} category {}   deadline D3 = {:.1} µs",

@@ -115,7 +115,7 @@ fn run_cell(cell: &Cell) -> Json {
         _ => TransitionModel::with_capacitance_uf(0.05),
     };
     let profiler = ModeProfiler::new(Machine::paper_default());
-    let (profile, _) = profiler.profile(&cfg, &trace, &ladder);
+    let (profile, _) = profiler.profile_unclassified(&cfg, &trace, &ladder);
     let t_fast = profile.total_time_at(ladder.len() - 1);
     let t_slow = profile.total_time_at(0);
     let deadline_us = DeadlineSpec::SpanFraction(cell.deadline_frac).resolve(t_fast, t_slow);

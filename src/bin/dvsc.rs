@@ -81,13 +81,13 @@
 
 use compile_time_dvs::bench::check_report;
 use compile_time_dvs::check::{run_check, CheckConfig, Tolerances};
-use compile_time_dvs::compiler::{analyze_params, emit_instrumented, DvsCompiler};
+use compile_time_dvs::compiler::{analyze_params, emit_instrumented, DeadlineScheme, DvsCompiler};
 use compile_time_dvs::ir;
 use compile_time_dvs::model::DiscreteModel;
 use compile_time_dvs::obs;
 use compile_time_dvs::runtime::Pool;
 use compile_time_dvs::serve;
-use compile_time_dvs::sim::Machine;
+use compile_time_dvs::sim::{Machine, ModeProfiler};
 use compile_time_dvs::verify;
 use compile_time_dvs::vf::{TransitionModel, VoltageLadder};
 use compile_time_dvs::workloads::Benchmark;
@@ -763,8 +763,8 @@ fn run_compile(args: &Args) -> u8 {
             return 2;
         }
     };
-    let stage = compiler.stage(&cfg, &trace);
-    let scheme = stage.scheme();
+    let (profile, runs) = compiler.profile(&cfg, &trace);
+    let scheme = DeadlineScheme::from_runs_or_measure(&runs, compiler.machine(), &cfg, &trace);
     let deadline = scheme.deadline_us(args.deadline_index);
     println!(
         "{}: t200={:.1} t600={:.1} t800={:.1} µs; deadline D{} = {:.1} µs",
@@ -775,7 +775,7 @@ fn run_compile(args: &Args) -> u8 {
         args.deadline_index,
         deadline
     );
-    let result = match compiler.compile_staged(&stage, deadline) {
+    let result = match compiler.compile_and_validate(&cfg, &trace, &profile, deadline) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("compile failed: {e}");
@@ -905,11 +905,11 @@ fn verify_one(b: Benchmark, ladder: &VoltageLadder, args: &Args, want_dot: bool)
             .validation(false)
             .build()
             .map_err(|e| format!("bad compiler settings: {e}"))?;
-        let stage = compiler.stage(&cfg, &trace);
-        let profile = stage.profile();
-        let deadline = stage.scheme().deadline_us(args.deadline_index);
+        let (profile, runs) = compiler.profile(&cfg, &trace);
+        let scheme = DeadlineScheme::from_runs_or_measure(&runs, &machine, &cfg, &trace);
+        let deadline = scheme.deadline_us(args.deadline_index);
         let result = compiler
-            .compile(&cfg, profile, deadline)
+            .compile(&cfg, &profile, deadline)
             .map_err(|e| format!("compile failed: {e}"))?;
         let mut schedule = result.milp.schedule.clone();
         let mut mask: Option<Vec<bool>> = Some(result.analysis.emitted_mask());
@@ -944,7 +944,7 @@ fn verify_one(b: Benchmark, ladder: &VoltageLadder, args: &Args, want_dot: bool)
         }
         let report = verify::verify(&verify::VerifyInput {
             cfg: &cfg,
-            profile,
+            profile: &profile,
             ladder,
             transition: &transition,
             schedule: &schedule,
@@ -976,7 +976,7 @@ fn verify_one(b: Benchmark, ladder: &VoltageLadder, args: &Args, want_dot: bool)
                     .filter_map(|d| d.edge.map(|e| (e, d.code.code().to_string())))
                     .collect(),
             };
-            ir::cfg_to_dot_overlay(&cfg, Some(profile), &overlay)
+            ir::cfg_to_dot_overlay(&cfg, Some(&profile), &overlay)
         });
         // Dynamic complement to the static report: bytecode fast path with
         // the cycle-level simulator cross-checking it to 1e-6.
@@ -1159,22 +1159,10 @@ fn run_analyze(args: &Args) -> u8 {
     };
     let cfg = b.build_cfg();
     let trace = b.trace(&cfg, &b.default_input());
-    let compiler = match DvsCompiler::builder(
-        Machine::paper_default(),
-        ladder.clone(),
-        TransitionModel::free(),
-    )
-    .jobs(args.jobs)
-    .build()
-    {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("bad compiler settings: {e}");
-            return 2;
-        }
-    };
-    let (stage, fastest) = compiler.stage_classifying_fastest(&cfg, &trace);
-    let scheme = stage.scheme();
+    let machine = Machine::paper_default();
+    let (_, runs, fastest) =
+        ModeProfiler::new(machine.clone()).profile_with_fastest(&cfg, &trace, &ladder);
+    let scheme = DeadlineScheme::from_runs_or_measure(&runs, &machine, &cfg, &trace);
     let params = analyze_params(&fastest);
     println!(
         "{}: Noverlap={:.0} Ndependent={:.0} Ncache={:.0} cycles, tinvariant={:.1} µs",

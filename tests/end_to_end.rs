@@ -106,6 +106,7 @@ fn analytical_bound_dominates_milp_savings() {
     for b in [Benchmark::GsmEncode, Benchmark::MpegDecode] {
         let cfg = b.build_cfg();
         let trace = b.trace(&cfg, &b.default_input());
+        let scheme = DeadlineScheme::measure(&machine, &cfg, &trace);
         let compiler = DvsCompiler::builder(
             machine.clone(),
             ladder(),
@@ -113,14 +114,15 @@ fn analytical_bound_dominates_milp_savings() {
         )
         .build()
         .expect("valid compiler settings");
-        let (stage, fastest) = compiler.stage_classifying_fastest(&cfg, &trace);
+        let (profile, _, fastest) =
+            ModeProfiler::new(machine.clone()).profile_with_fastest(&cfg, &trace, &ladder());
         let params = analyze_params(&fastest);
         let model = DiscreteModel::new(ladder());
         for i in 2..=5usize {
-            let d = stage.scheme().deadline_us(i);
+            let d = scheme.deadline_us(i);
             let bound = model.savings(&params, d);
             let milp = compiler
-                .compile(&cfg, stage.profile(), d)
+                .compile(&cfg, &profile, d)
                 .ok()
                 .and_then(|r| r.savings_vs_single());
             if let (Some(bound), Some(milp)) = (bound, milp) {

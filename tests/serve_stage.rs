@@ -1,8 +1,7 @@
 //! The daemon computes the deadline-independent stage of a request — the
-//! profile and the deadline scheme of its (benchmark, ladder) — once, from
-//! one walk that the request computing it reuses for its validation. Every
-//! later request on that pair walks the trace only for its own validation
-//! or bytecode compile.
+//! profile and the deadline scheme of its (benchmark, ladder) — once, and
+//! every later request on that pair walks the trace only for its own
+//! validation or bytecode compile.
 //!
 //! dvs-obs counters are process-wide, so this file holds one test: no
 //! other test's simulator walks can land in its counts.
@@ -46,9 +45,9 @@ fn a_resident_stage_leaves_each_request_only_its_own_walks() {
         assert!(!reply.cached, "{op:?} D{deadline_index} was a cache hit");
         sim_walks() - before
     };
-    // One walk serves the stage (the 3-level profile times the deadline
-    // scheme's reference points) and the compile's validation.
-    assert_eq!(walks_of(SolveOp::Compile, 3), 1, "profile and validation");
+    // The profile times the three reference points, so the deadline
+    // scheme costs no walk of its own.
+    assert_eq!(walks_of(SolveOp::Compile, 3), 2, "profile and validation");
     assert_eq!(walks_of(SolveOp::Verify, 1), 0, "verify reads the stage");
     assert_eq!(walks_of(SolveOp::Certify, 2), 0, "certify reads the stage");
     assert_eq!(walks_of(SolveOp::Compile, 4), 1, "validation only");

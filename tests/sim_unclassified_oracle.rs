@@ -1,7 +1,7 @@
 //! Differential test of the unclassified timing pass against the
 //! classified one it leaves out of the cold path.
 //!
-//! `Machine::time_points` times a record without the analytical model's
+//! `Machine::time_points` times a trace without the analytical model's
 //! Noverlap/Ndependent/stall classification; `Machine::run_points` (and
 //! `Machine::run`, its one-point form) classifies every pass and is the
 //! reference, itself checked against an independent body in
@@ -154,14 +154,13 @@ fn check_points(
     ctx: &str,
 ) -> Vec<RunStats> {
     let want = machine.run_points(cfg, trace, points);
-    let rec = machine.record(cfg, trace);
-    let got = machine.time_points(&rec, points);
+    let got = machine.time_points(cfg, trace, points);
     assert_eq!(got.len(), want.len(), "{ctx}: one run per point");
     for (w, g) in want.iter().zip(&got) {
         assert_kept_fields_equal(w, g, &format!("{ctx} at {}", w.point));
     }
     for classify in [0, points.len() - 1] {
-        let (runs, classified) = machine.time_points_classifying(&rec, points, classify);
+        let (runs, classified) = machine.time_points_classifying(cfg, trace, points, classify);
         for (w, g) in want.iter().zip(&runs) {
             assert_kept_fields_equal(w, g, &format!("{ctx} at {}, classifying", w.point));
         }
@@ -213,38 +212,34 @@ fn check_input(b: Benchmark, input: usize, levels: &[usize]) -> usize {
         for (w, g) in classified.iter().zip(&runs) {
             assert_kept_fields_equal(w, g, &format!("{ctx}: DvsCompiler::profile run"));
         }
-        let (stage, staged_fastest) = compiler.stage_classifying_fastest(&cfg, &trace);
-        assert_profiles_equal(&want_profile, stage.profile(), &format!("{ctx}: stage"));
         assert_eq!(
             scheme_bits(&want_scheme),
-            scheme_bits(&stage.scheme()),
-            "{ctx}: stage scheme"
-        );
-        assert_eq!(
-            scheme_bits(&want_scheme),
-            scheme_bits(&compiler.stage(&cfg, &trace).scheme()),
-            "{ctx}: stage scheme, nothing classified"
+            scheme_bits(&DeadlineScheme::from_runs_or_measure(
+                &runs, &machine, &cfg, &trace
+            )),
+            "{ctx}: scheme from the profile's runs"
         );
         assert_eq!(
             scheme_bits(&want_scheme),
             scheme_bits(&DeadlineScheme::measure(&machine, &cfg, &trace)),
             "{ctx}: measured scheme"
         );
-        let (profiled, profiler_fastest) =
+        let (profiled, profiler_runs, profiler_fastest) =
             ModeProfiler::new(machine.clone()).profile_with_fastest(&cfg, &trace, &ladder);
         assert_profiles_equal(
             &want_profile,
             &profiled,
             &format!("{ctx}: profile_with_fastest"),
         );
-        for (what, got) in [("stage", &staged_fastest), ("profiler", &profiler_fastest)] {
-            assert_classified_equal(fastest, got, &format!("{ctx}: {what}'s fastest run"));
-            assert_eq!(
-                params_bits(&want_params),
-                params_bits(&analyze_params(got)),
-                "{ctx}: {what}'s analytical parameters"
-            );
+        for (w, g) in classified.iter().zip(&profiler_runs) {
+            assert_kept_fields_equal(w, g, &format!("{ctx}: profile_with_fastest run"));
         }
+        assert_classified_equal(fastest, &profiler_fastest, &format!("{ctx}: fastest run"));
+        assert_eq!(
+            params_bits(&want_params),
+            params_bits(&analyze_params(&profiler_fastest)),
+            "{ctx}: analytical parameters"
+        );
     }
     checked
 }
