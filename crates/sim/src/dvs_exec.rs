@@ -14,7 +14,7 @@
 //! the `dvs-replay` bytecode interpreter.
 
 use crate::pipeline::{Micros, Observe, Pipeline};
-use crate::record::Decoded;
+use crate::record::{Decoded, Recording};
 use crate::{Access, DataLevel, EnergyModel, InstOutcome, Machine, SimConfig, Trace};
 use dvs_ir::Cfg;
 use dvs_vf::{ModeId, TransitionModel, VoltageLadder};
@@ -196,6 +196,11 @@ impl Machine {
     /// edges whose assigned mode differs from the current one and charging
     /// `transition` costs for each switch.
     ///
+    /// The pass follows the walk of the caches and predictor as
+    /// [`Machine::run_points`]'s do: on two or more CPUs a scoped helper
+    /// walks while the caller times, waiting only at segments the walk has
+    /// not published; with one CPU or a short trace the caller walks first.
+    ///
     /// # Panics
     ///
     /// Panics if `schedule` does not fit `cfg` and `ladder`
@@ -211,63 +216,79 @@ impl Machine {
         transition: &TransitionModel,
     ) -> ScheduledRun {
         schedule.check(cfg.num_edges(), ladder.len());
-        let rec = self.record(cfg, trace);
-        let _span = dvs_obs::span!("sim.run_scheduled");
-        let em = self.energy_model();
-        let mut pass = ScheduledPass::new(self.config(), schedule.initial);
-        let mut outcomes = rec.cursor();
-        let mut energy = AccessEnergy {
-            dram_per_access_uj: em.dram_uj_per_access,
-            ..AccessEnergy::default()
-        };
-        let mut prev_block: Option<dvs_ir::BlockId> = None;
-
-        for dyn_block in trace.blocks() {
-            // Mode-set on the edge we arrive through.
-            if let Some(pb) = prev_block {
-                let e = cfg
-                    .edge_between(pb, dyn_block.block)
-                    .expect("trace follows CFG edges");
-                pass.set_mode(schedule.edge_modes[e.index()], |from, to| {
-                    (
-                        transition.mode_time_us(ladder, from, to),
-                        transition.mode_energy_uj(ladder, from, to),
-                    )
-                });
-            }
-            prev_block = Some(dyn_block.block);
-
-            let point = ladder.point(pass.mode());
-            let clock = Micros {
-                period_us: point.period_us(),
-                mem_latency_us: pass.mem_latency_us,
-            };
-            let vv = point.voltage * point.voltage;
-            energy.l1_uj = EnergyModel::cap_to_uj(em.l1_nf, point.voltage);
-            energy.l2_uj = EnergyModel::cap_to_uj(em.l2_nf, point.voltage);
-            let bpred_uj = EnergyModel::cap_to_uj(em.bpred_nf, point.voltage);
-
-            pass.enter_block();
-            for inst in rec.table.block(dyn_block.block.index()) {
-                pass.pipe
-                    .step(clock, inst, &outcomes.next(inst), &mut energy);
-                if inst.is_branch {
-                    energy.uj += bpred_uj;
-                }
-                energy.uj += inst.capacitance_nf() * vv * 1e-3;
-            }
-        }
-
-        // One charge of the whole sum: the pass's own starts at +0.0, so
-        // its bits are those of charging term by term.
-        pass.charge(energy.uj);
-        let run = pass.finish(energy.dram_uj);
+        let run = self.stream(cfg, trace, 1, |rec, _| {
+            let _span = dvs_obs::span!("sim.run_scheduled");
+            self.scheduled(rec, cfg, ladder, schedule, transition)
+        });
+        let run = run.into_iter().next().expect("one scheduled pass");
         if dvs_obs::enabled() {
             dvs_obs::counter("sim.scheduled_runs", 1);
             dvs_obs::counter("emit.mode_switches", run.transitions);
             dvs_obs::histogram("sim.scheduled_time_us", run.time_us);
         }
         run
+    }
+
+    /// The scheduled pass over `rec`, following the walk segment by
+    /// segment.
+    fn scheduled(
+        &self,
+        rec: &Recording<'_>,
+        cfg: &Cfg,
+        ladder: &VoltageLadder,
+        schedule: &EdgeSchedule,
+        transition: &TransitionModel,
+    ) -> ScheduledRun {
+        let em = self.energy_model();
+        let mut pass = ScheduledPass::new(self.config(), schedule.initial);
+        let mut energy = AccessEnergy {
+            dram_per_access_uj: em.dram_uj_per_access,
+            ..AccessEnergy::default()
+        };
+        let mut prev_block: Option<dvs_ir::BlockId> = None;
+
+        for (dyn_blocks, mut outcomes) in rec.segments() {
+            for dyn_block in dyn_blocks {
+                // Mode-set on the edge we arrive through.
+                if let Some(pb) = prev_block {
+                    let e = cfg
+                        .edge_between(pb, dyn_block.block)
+                        .expect("trace follows CFG edges");
+                    pass.set_mode(schedule.edge_modes[e.index()], |from, to| {
+                        (
+                            transition.mode_time_us(ladder, from, to),
+                            transition.mode_energy_uj(ladder, from, to),
+                        )
+                    });
+                }
+                prev_block = Some(dyn_block.block);
+
+                let point = ladder.point(pass.mode());
+                let clock = Micros {
+                    period_us: point.period_us(),
+                    mem_latency_us: pass.mem_latency_us,
+                };
+                let vv = point.voltage * point.voltage;
+                energy.l1_uj = EnergyModel::cap_to_uj(em.l1_nf, point.voltage);
+                energy.l2_uj = EnergyModel::cap_to_uj(em.l2_nf, point.voltage);
+                let bpred_uj = EnergyModel::cap_to_uj(em.bpred_nf, point.voltage);
+
+                pass.enter_block();
+                for inst in rec.table.block(dyn_block.block.index()) {
+                    pass.pipe
+                        .step(clock, inst, &outcomes.next(inst), &mut energy);
+                    if inst.is_branch {
+                        energy.uj += bpred_uj;
+                    }
+                    energy.uj += inst.capacitance_nf() * vv * 1e-3;
+                }
+            }
+        }
+
+        // One charge of the whole sum: the pass's own starts at +0.0, so
+        // its bits are those of charging term by term.
+        pass.charge(energy.uj);
+        pass.finish(energy.dram_uj)
     }
 }
 

@@ -14,7 +14,9 @@
 //!   chooser and BTB from Table 2;
 //! * [`Recording`]: one walk of the caches, TLBs and predictor over a
 //!   [`Trace`] ([`Machine::record`]). Their outcomes do not depend on the
-//!   clock, so every timing pass of a call reads them from this record;
+//!   clock, so every timing pass of a call reads them from this record,
+//!   and can start before the walk ends: the walk publishes it in
+//!   segments of [`SEGMENT_BLOCKS`] dynamic blocks;
 //! * [`Machine`]: a dataflow out-of-order timing model (RUU/LSQ windows,
 //!   4-wide fetch/issue/commit, per-class functional units) that times a
 //!   recorded trace at one or more [`dvs_vf::OperatingPoint`]s and produces
@@ -59,5 +61,5 @@ pub use machine::{BlockStats, Machine, PointRun, RunStats, TimedRun, FAN_OUT_MIN
 pub use pipeline::FRONTEND_DEPTH;
 pub use predictor::{BranchPredictor, PredictorConfig};
 pub use profiler::{ModeProfiler, ProgramParams};
-pub use record::{Access, Decoded, InstOutcome, Recording};
+pub use record::{Access, Decoded, InstOutcome, Recording, SEGMENT_BLOCKS};
 pub use trace::{DynBlock, Trace, TraceBuilder};

@@ -1,12 +1,10 @@
 use crate::cache::CacheStats;
 use crate::pipeline::{later, Cycles, Observe, Pipeline};
 use crate::record::{Decoded, Recording};
-use crate::{ClockGating, DataLevel, EnergyBreakdown, EnergyModel, SimConfig, Trace};
+use crate::{ClockGating, EnergyBreakdown, EnergyModel, SimConfig, Trace};
 use dvs_ir::Cfg;
 use dvs_vf::OperatingPoint;
 use std::collections::BTreeMap;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Per-basic-block accumulation over one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -216,8 +214,12 @@ impl std::fmt::Display for RunStats {
 /// service time, clock-gated stalls.
 ///
 /// A call walks the caches, TLBs and branch predictor once
-/// ([`Machine::record`]) and then times every requested operating point
-/// over that record, the points concurrently on the available cores. A
+/// ([`Machine::record`]), adding up the clock-independent energy and event
+/// counts as it goes, and times every requested operating point over that
+/// record. On two or more cores the walk runs on a helper thread and the
+/// passes follow it at once, on the caller and on the remaining cores, each
+/// waiting only at a segment of [`SEGMENT_BLOCKS`](crate::SEGMENT_BLOCKS)
+/// dynamic blocks the walk has not published yet. A
 /// timing pass does work per instruction bounded by its operand count and
 /// its unit pool's size. A pass that also classifies its cycles for the
 /// analytical model ([`Machine::run_points`]) adds one bit per busy cycle,
@@ -279,15 +281,18 @@ impl Machine {
     /// its own cycle-domain timing pass over that record. Each result
     /// equals what a separate [`Machine::run`] at that point reports.
     ///
-    /// The passes share nothing but the read-only record, so they run
-    /// concurrently: the caller and up to
-    /// `min(points.len(), available_parallelism()) - 1` scoped helper
-    /// threads each take the next untimed point until none is left. With
-    /// one point, one CPU or a trace of fewer than [`FAN_OUT_MIN_INSTS`]
-    /// dynamic instructions the caller times every point and spawns no
-    /// thread (nor asks for the CPU count). Helpers record their `sim.run`
-    /// spans in the caller's `dvs_obs` domain; the per-run counters are
-    /// recorded on the caller after the join, in `points` order.
+    /// The passes share nothing but the record, which the walk publishes a
+    /// segment at a time, so they run concurrently with it and with each
+    /// other: a scoped helper walks and the caller starts timing at once,
+    /// with up to `min(points.len(), available_parallelism() - 1) - 1`
+    /// more helpers; each pass waits only at a segment the walk has not
+    /// reached, and every thread, the walker once done, takes the next
+    /// untimed point until none is left. With one CPU or a trace of fewer
+    /// than [`FAN_OUT_MIN_INSTS`] dynamic instructions the caller walks,
+    /// then times every point, and spawns no thread (nor asks for the CPU
+    /// count). Helpers record their `sim.record` and `sim.run` spans in the
+    /// caller's `dvs_obs` domain; the per-run counters are recorded on the
+    /// caller after the join, in `points` order.
     ///
     /// # Panics
     ///
@@ -304,8 +309,8 @@ impl Machine {
     }
 
     /// [`Machine::run_points`] without classifying any cycle: one walk and
-    /// one pass per point, on as many threads, each result equal to that
-    /// call's run on every field it keeps.
+    /// one pass per point, streamed alike, each result equal to that call's
+    /// run on every field it keeps.
     ///
     /// # Panics
     ///
@@ -353,11 +358,11 @@ impl Machine {
         (runs, classified.expect("the classified point was timed"))
     }
 
-    /// One walk of `trace`, then one pass per point on the caller and on
-    /// helper threads (see [`Machine::run_points`]), classified where
-    /// `classify` holds of the point's index. Returns the runs in `points`
-    /// order, each with its classification if it has one, and records
-    /// their counters.
+    /// One walk of `trace` and one pass per point, streamed behind the walk
+    /// on the caller and on helper threads ([`Machine::stream`]),
+    /// classified where `classify` holds of the point's index. Returns the
+    /// runs in `points` order, each with its classification if it has
+    /// one, and records their counters.
     fn pass_points(
         &self,
         cfg: &Cfg,
@@ -365,57 +370,15 @@ impl Machine {
         points: &[OperatingPoint],
         classify: impl Fn(usize) -> bool + Sync,
     ) -> Vec<(TimedRun, Option<[f64; 3]>)> {
-        let rec = self.record(cfg, trace);
-        let charge = Charge::of(&rec, &self.energy, cfg.num_blocks());
-        let pass = |ix: usize, point: OperatingPoint| {
+        let runs = self.stream(cfg, trace, points.len(), |rec, ix| {
+            let _span = dvs_obs::span!("sim.run");
             if classify(ix) {
-                let (run, classes) = self.classified(&rec, &charge, point);
+                let (run, classes) = self.classified(rec, points[ix]);
                 (run, Some(classes))
             } else {
-                (self.unclassified(&rec, &charge, point), None)
+                (self.unclassified(rec, points[ix]), None)
             }
-        };
-        // Hands out point indices. It publishes no data (the record is
-        // read-only, and every result returns through a join), so relaxed
-        // ordering suffices.
-        let next = AtomicUsize::new(0);
-        // Times the next untimed point until none is left.
-        let take_points = || {
-            let mut timed = Vec::new();
-            loop {
-                let ix = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&point) = points.get(ix) else {
-                    return timed;
-                };
-                let _span = dvs_obs::span!("sim.run");
-                timed.push((ix, pass(ix, point)));
-            }
-        };
-        // One point or a short trace needs no helper, nor the CPU count.
-        let helpers = if points.len() > 1 && charge.committed >= FAN_OUT_MIN_INSTS {
-            let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-            points.len().min(cpus) - 1
-        } else {
-            0
-        };
-        let domain = dvs_obs::current_domain();
-        let mut timed = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..helpers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let _domain = dvs_obs::enter_domain(domain);
-                        take_points()
-                    })
-                })
-                .collect();
-            let mut timed = take_points();
-            for h in handles {
-                timed.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-            }
-            timed
         });
-        timed.sort_unstable_by_key(|&(ix, _)| ix);
-        let runs: Vec<_> = timed.into_iter().map(|(_, run)| run).collect();
         for (run, _) in &runs {
             run.record_metrics();
         }
@@ -425,32 +388,22 @@ impl Machine {
     /// An unclassified pass at `point`. It watches nothing, unless the
     /// clock is ungated: then it marks the busy cycles, so that the idle
     /// ones can be charged.
-    fn unclassified(
-        &self,
-        rec: &Recording<'_>,
-        charge: &Charge,
-        point: OperatingPoint,
-    ) -> TimedRun {
+    fn unclassified(&self, rec: &Recording<'_>, point: OperatingPoint) -> TimedRun {
         if self.energy.gating == ClockGating::Ungated {
             let mut busy = BusyBitmap::default();
-            let mut run = self.time(rec, charge, point, &mut busy);
+            let mut run = self.time(rec, point, &mut busy);
             self.charge_idle(&mut run, &busy);
             run
         } else {
-            self.time(rec, charge, point, &mut ())
+            self.time(rec, point, &mut ())
         }
     }
 
     /// A classified pass at `point`: the run and its overlap, dependent
     /// and stall cycles.
-    fn classified(
-        &self,
-        rec: &Recording<'_>,
-        charge: &Charge,
-        point: OperatingPoint,
-    ) -> (TimedRun, [f64; 3]) {
+    fn classified(&self, rec: &Recording<'_>, point: OperatingPoint) -> (TimedRun, [f64; 3]) {
         let mut seen = Classify::default();
-        let mut run = self.time(rec, charge, point, &mut seen);
+        let mut run = self.time(rec, point, &mut seen);
         self.charge_idle(&mut run, &seen.busy);
         // Stall time: idle cycles during off-chip miss service (this is the
         // absolute-time component, tinvariant).
@@ -477,50 +430,52 @@ impl Machine {
     }
 
     /// One cycle-domain timing pass over `rec` at `point`, with `seen`
-    /// watching every step; idle energy is left to the caller.
-    fn time<W: Watch>(
-        &self,
-        rec: &Recording<'_>,
-        charge: &Charge,
-        point: OperatingPoint,
-        seen: &mut W,
-    ) -> TimedRun {
+    /// watching every step; idle energy is left to the caller. The pass
+    /// follows the walk segment by segment and takes the clock-independent
+    /// charge from its totals.
+    fn time<W: Watch>(&self, rec: &Recording<'_>, point: OperatingPoint, seen: &mut W) -> TimedRun {
         let f = point.frequency_mhz;
         let clock = Cycles {
             mem_latency: self.config.mem_latency_us * f,
         };
         let mut pipe = Pipeline::new(&self.config);
-        let mut outcomes = rec.cursor();
-        let mut blocks = charge.blocks.clone();
+        let mut times = vec![0.0f64; rec.table.num_blocks()];
         let mut block_mark = 0.0f64;
 
-        for dyn_block in rec.trace.blocks() {
-            let b = dyn_block.block.index();
-            pipe.enter_block();
-            for inst in rec.table.block(b) {
-                pipe.step(clock, inst, &outcomes.next(inst), seen);
-            }
-            seen.block_end(pipe.fetch());
+        for (dyn_blocks, mut outcomes) in rec.segments() {
+            for dyn_block in dyn_blocks {
+                let b = dyn_block.block.index();
+                pipe.enter_block();
+                for inst in rec.table.block(b) {
+                    pipe.step(clock, inst, &outcomes.next(inst), seen);
+                }
+                seen.block_end(pipe.fetch());
 
-            // Attribute elapsed time to this block invocation.
-            blocks[b].time_us += later(pipe.time() - block_mark, 0.0) / f;
-            block_mark = pipe.time();
+                // Attribute elapsed time to this block invocation.
+                times[b] += later(pipe.time() - block_mark, 0.0) / f;
+                block_mark = pipe.time();
+            }
         }
 
+        let totals = rec.totals();
+        let mut blocks = totals.blocks.clone();
+        for (block, time_us) in blocks.iter_mut().zip(times) {
+            block.time_us = time_us;
+        }
         let total_cycles = pipe.time();
         TimedRun {
             point,
             total_time_us: total_cycles / f,
             total_cycles,
-            committed_insts: charge.committed,
-            energy: charge.energy,
+            committed_insts: rec.insts,
+            energy: totals.energy,
             blocks,
-            cache_hit_cycles: charge.cache_hit_cycles,
-            l1d: rec.l1d,
-            l1i: rec.l1i,
-            l2: rec.l2,
-            mispredicts: rec.mispredicts,
-            dram_accesses: charge.dram_accesses,
+            cache_hit_cycles: totals.cache_hit_cycles,
+            l1d: totals.l1d,
+            l1i: totals.l1i,
+            l2: totals.l2,
+            mispredicts: totals.mispredicts,
+            dram_accesses: totals.dram_accesses,
         }
     }
 }
@@ -582,83 +537,21 @@ impl Watch for Classify {
     }
 }
 
-/// The fewest dynamic instructions for which [`Machine::run_points`] and
-/// [`Machine::time_points`] time their points on helper threads.
+/// The fewest dynamic instructions for which a simulator call
+/// ([`Machine::run_points`], [`Machine::time_points`],
+/// [`Machine::run_scheduled`]) walks on a helper thread while its passes
+/// follow on the caller and on more helpers; below it the caller walks,
+/// then times, and starts no thread.
 ///
-/// A helper pays for itself once the pass it takes outlasts its spawn and
+/// A helper pays for itself once the work it takes outlasts its spawn and
 /// join plus the `available_parallelism` call (which reads the cgroup CPU
 /// quota). On a 2-core x86-64 host, release build, those took 36 µs
 /// (median) and 17 µs, and a pass 35–55 ns per instruction. Timing a
 /// 32-instruction loop at 3 and at 13 points, helpers broke even at about
 /// 1,000 dynamic instructions; this bound leaves a factor of 4 for host
 /// noise. dvs-check's random programs run at most about 100 instructions
-/// and stay on the caller; the bundled traces (47,000 or more) fan out.
+/// and stay on the caller; the bundled traces (47,000 or more) stream.
 pub const FAN_OUT_MIN_INSTS: u64 = 4096;
-
-/// The clock-independent part of a run: energy as switched capacitance,
-/// per-block invocations and capacitance, and event counts. Computed once
-/// per record, in the same order a single run accumulates it.
-struct Charge {
-    energy: EnergyBreakdown,
-    /// Per-block stats with `time_us` still zero.
-    blocks: Vec<BlockStats>,
-    dram_accesses: u64,
-    committed: u64,
-    cache_hit_cycles: f64,
-}
-
-impl Charge {
-    fn of(rec: &Recording<'_>, em: &EnergyModel, num_blocks: usize) -> Self {
-        let mut energy = EnergyBreakdown::default();
-        let mut blocks = vec![BlockStats::default(); num_blocks];
-        let mut dram_accesses = 0u64;
-        let mut committed = 0u64;
-        let mut cache_hit_cycles = 0.0f64;
-        let mut outcomes = rec.cursor();
-
-        for dyn_block in rec.trace.blocks() {
-            let b = dyn_block.block.index();
-            let mut block_cap = 0.0f64;
-            for inst in rec.table.block(b) {
-                let out = outcomes.next(inst);
-                for a in [out.fetch, out.data].into_iter().flatten() {
-                    energy.cache_nf += em.l1_nf;
-                    block_cap += em.l1_nf;
-                    if a.level != DataLevel::L1 {
-                        energy.cache_nf += em.l2_nf;
-                        block_cap += em.l2_nf;
-                    }
-                    if a.level == DataLevel::Memory {
-                        energy.dram_uj += em.dram_uj_per_access;
-                        dram_accesses += 1;
-                    }
-                }
-                if let Some(a) = out.data.filter(|a| a.level != DataLevel::Memory) {
-                    cache_hit_cycles += f64::from(a.cycles);
-                }
-                if inst.is_branch {
-                    energy.bpred_nf += em.bpred_nf;
-                    block_cap += em.bpred_nf;
-                }
-                committed += 1;
-                // Per-instruction energy.
-                energy.core_nf += inst.core_nf();
-                energy.fu_nf += inst.fu_nf();
-                block_cap += inst.capacitance_nf();
-            }
-            let bstat = &mut blocks[b];
-            bstat.invocations += 1;
-            bstat.cap_nf += block_cap;
-        }
-        Charge {
-            energy,
-            blocks,
-            dram_accesses,
-            committed,
-            cache_hit_cycles,
-        }
-    }
-}
 
 /// The analytical model's Noverlap/Ndependent: the paper counts
 /// *execution cycles of computation operations*, so each compute

@@ -237,9 +237,11 @@ impl Pipeline {
     }
 
     /// Times one instruction, `inst` with its recorded outcomes `out`.
-    /// Inlined into each pass's loop: as a call, a pass read 20–40 %
-    /// slower.
-    #[inline]
+    /// Always inlined into each pass's loop: as a call, a pass read 20–40 %
+    /// slower, and a plain `#[inline]` leaves rustc free to emit it out of
+    /// line once it has more callers (CI fails when `dvsc` holds such a
+    /// copy).
+    #[inline(always)]
     pub fn step<C: Clock, O: Observe>(
         &mut self,
         clock: C,

@@ -2,21 +2,32 @@
 //!
 //! Cache, TLB and branch-predictor outcomes depend only on the address,
 //! pc and branch-outcome streams of a trace, never on the clock (the
-//! paper's assumption 1, see [`Trace`]). [`Machine::record`] therefore
-//! walks the [`MemoryHierarchy`] and [`BranchPredictor`] over a trace once
-//! and keeps each dynamic instruction's outcomes, next to a table of the
-//! CFG's instructions decoded once. Every timing pass steps through that
-//! record: [`Machine::run_points`] and [`Machine::time_points`] one
-//! cycle-domain pass per operating point, [`Machine::run_scheduled`] one
-//! µs-domain pass under a schedule,
-//! and the `dvs-replay` compiler keeps its [`Recording::steps`] as
-//! bytecode.
+//! paper's assumption 1, see [`Trace`]). One walk of the
+//! [`MemoryHierarchy`] and [`BranchPredictor`] over a trace therefore keeps
+//! each dynamic instruction's outcomes, next to a table of the CFG's
+//! instructions decoded once, and adds up the clock-independent charge as
+//! it goes. Every timing pass steps through that record:
+//! [`Machine::run_points`] and [`Machine::time_points`] one cycle-domain
+//! pass per operating point, [`Machine::run_scheduled`] one µs-domain pass
+//! under a schedule, and the `dvs-replay` compiler keeps its
+//! [`Recording::steps`] as bytecode.
+//!
+//! The record is held in segments of [`SEGMENT_BLOCKS`] dynamic blocks,
+//! each published as soon as the walk has filled it. A pass therefore need
+//! not wait for the whole walk: [`Machine::stream`] walks on a helper
+//! thread while the passes run, each waiting only at a segment the walk
+//! has not reached yet.
 
 use crate::pipeline::pool_of;
 use crate::{
-    BranchPredictor, CacheStats, DataLevel, EnergyModel, Machine, MemoryHierarchy, SimConfig, Trace,
+    BlockStats, BranchPredictor, CacheStats, DataLevel, DynBlock, EnergyBreakdown, EnergyModel,
+    Machine, MemoryHierarchy, SimConfig, Trace, FAN_OUT_MIN_INSTS,
 };
 use dvs_ir::{Cfg, Opcode};
+use std::num::NonZeroUsize;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Bytes per instruction in the synthetic instruction encoding.
 const INST_BYTES: u64 = 4;
@@ -26,6 +37,20 @@ const INST_BYTES: u64 = 4;
 /// lines, which slightly understates I-footprint for outsized blocks but
 /// never aliases *other* blocks' code.
 const BLOCK_STRIDE: u64 = 1024;
+
+/// Dynamic blocks per segment of a [`Recording`]: the unit in which a walk
+/// publishes its outcomes to the passes that follow it.
+///
+/// A pass starts once the walk has published the first segment and checks
+/// one `OnceLock` per segment, and the caller allocates three vectors per
+/// segment, so a segment is small next to a trace and large next to those
+/// costs. On the bundled traces (3–13 instructions per block) a segment
+/// holds 6,000 to 27,000 dynamic instructions and a trace 3 to 78
+/// segments.
+pub const SEGMENT_BLOCKS: usize = 2048;
+
+/// Why a pass stops at a segment a walk never published.
+const ABANDONED: &str = "the walk filling this record panicked";
 
 /// The synthetic pc of instruction `ii` of block `b`.
 fn pc_of(b: usize, ii: usize) -> u64 {
@@ -109,12 +134,12 @@ impl Decoded {
     }
 
     /// Front end, window, clock and register-file capacitance, nF.
-    pub(crate) fn core_nf(&self) -> f64 {
+    fn core_nf(&self) -> f64 {
         f64::from_bits(self.nf_bits[0])
     }
 
     /// Functional-unit capacitance, nF.
-    pub(crate) fn fu_nf(&self) -> f64 {
+    fn fu_nf(&self) -> f64 {
         f64::from_bits(self.nf_bits[1])
     }
 
@@ -134,6 +159,16 @@ impl Decoded {
     }
 }
 
+/// What one execution of a block does: its instructions, I-cache line
+/// fetches, memory operations and branches.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockEvents {
+    insts: usize,
+    lines: usize,
+    mems: usize,
+    branches: usize,
+}
+
 /// The CFG's instructions decoded once: pools, latencies, register
 /// operands, line starts and per-instruction capacitance.
 #[derive(Debug)]
@@ -141,8 +176,8 @@ pub(crate) struct StaticTable {
     insts: Vec<Decoded>,
     /// `insts[starts[b]..starts[b + 1]]` are block `b`'s instructions.
     starts: Vec<usize>,
-    /// Per block: how many line fetches and branches one execution makes.
-    events: Vec<(usize, usize)>,
+    /// Per block: what one execution does.
+    events: Vec<BlockEvents>,
 }
 
 impl StaticTable {
@@ -194,10 +229,12 @@ impl StaticTable {
                 });
             }
             let block = &insts[starts[b]..];
-            events.push((
-                block.iter().filter(|i| i.starts_line).count(),
-                block.iter().filter(|i| i.is_branch).count(),
-            ));
+            events.push(BlockEvents {
+                insts: block.len(),
+                lines: block.iter().filter(|i| i.starts_line).count(),
+                mems: block.iter().filter(|i| i.is_mem).count(),
+                branches: block.iter().filter(|i| i.is_branch).count(),
+            });
         }
         starts.push(insts.len());
         StaticTable {
@@ -211,38 +248,91 @@ impl StaticTable {
     pub fn block(&self, b: usize) -> &[Decoded] {
         &self.insts[self.starts[b]..self.starts[b + 1]]
     }
+
+    /// The CFG's block count.
+    pub fn num_blocks(&self) -> usize {
+        self.events.len()
+    }
+}
+
+/// The outcomes of one segment's dynamic blocks, in program order.
+#[derive(Debug)]
+struct Segment {
+    /// Outcome of every I-cache line fetch.
+    fetches: Vec<Access>,
+    /// Outcome of every load and store.
+    data: Vec<Access>,
+    /// Per dynamic branch: whether the predictor missed it.
+    mispredicted: Vec<bool>,
+}
+
+/// What a walk adds up besides the outcomes, published once it ends: the
+/// clock-independent charge, summed in program order as a single run
+/// accumulates it, and the event counts.
+#[derive(Debug)]
+pub(crate) struct Totals {
+    /// Energy as switched capacitance, and DRAM energy.
+    pub energy: EnergyBreakdown,
+    /// Per-block invocations and capacitance, with `time_us` zero.
+    pub blocks: Vec<BlockStats>,
+    pub dram_accesses: u64,
+    /// Cycles in L1/L2 hit latencies of data accesses.
+    pub cache_hit_cycles: f64,
+    pub l1d: CacheStats,
+    pub l1i: CacheStats,
+    pub l2: CacheStats,
+    pub mispredicts: u64,
 }
 
 /// One walk of the memory hierarchy and branch predictor over a trace:
 /// every I-cache line fetch, data access and branch prediction outcome,
-/// in program order, plus the CFG's decoded instructions. Build with
-/// [`Machine::record`]; every operating point and schedule timed from it
-/// sees the same outcomes.
+/// in program order, plus the CFG's decoded instructions and what the walk
+/// charged. Build with [`Machine::record`]; every operating point and
+/// schedule timed from it sees the same outcomes.
 #[derive(Debug)]
 pub struct Recording<'a> {
     pub(crate) trace: &'a Trace,
     pub(crate) table: StaticTable,
-    /// Outcome of every I-cache line fetch.
-    pub(crate) fetches: Vec<Access>,
-    /// Outcome of every load and store.
-    pub(crate) data: Vec<Access>,
-    /// Per dynamic branch: whether the predictor missed it.
-    pub(crate) mispredicted: Vec<bool>,
-    pub(crate) l1d: CacheStats,
-    pub(crate) l1i: CacheStats,
-    pub(crate) l2: CacheStats,
-    pub(crate) mispredicts: u64,
+    /// Dynamic instructions in the trace.
+    pub(crate) insts: u64,
+    /// One slot per [`SEGMENT_BLOCKS`] dynamic blocks, filled as the walk
+    /// reaches it; `None` marks one a panicking walk abandoned.
+    segments: Vec<OnceLock<Option<Segment>>>,
+    /// Filled when the walk ends; `None` if it panicked.
+    totals: OnceLock<Option<Totals>>,
 }
 
 impl Recording<'_> {
-    /// Reads the recorded outcomes in trace order, one instruction at a
-    /// time.
-    pub(crate) fn cursor(&self) -> Cursor<'_> {
-        Cursor {
-            fetches: self.fetches.iter(),
-            data: self.data.iter(),
-            branches: self.mispredicted.iter(),
-        }
+    /// The trace's dynamic blocks a segment at a time, each with a cursor
+    /// over its outcomes. Waits for each segment until the walk has
+    /// published it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the walk panicked before it published a segment.
+    pub(crate) fn segments(&self) -> impl Iterator<Item = (&[DynBlock], Cursor<'_>)> + '_ {
+        self.trace
+            .blocks()
+            .chunks(SEGMENT_BLOCKS)
+            .zip(&self.segments)
+            .map(|(blocks, slot)| {
+                let seg = slot.wait().as_ref().expect(ABANDONED);
+                let cursor = Cursor {
+                    fetches: seg.fetches.iter(),
+                    data: seg.data.iter(),
+                    branches: seg.mispredicted.iter(),
+                };
+                (blocks, cursor)
+            })
+    }
+
+    /// What the walk added up, once it has ended.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the walk panicked.
+    pub(crate) fn totals(&self) -> &Totals {
+        self.totals.wait().as_ref().expect(ABANDONED)
     }
 
     /// Every dynamic instruction's decoded form, in trace order.
@@ -256,8 +346,12 @@ impl Recording<'_> {
     /// The outcomes of every dynamic instruction, in trace order: block by
     /// block, and within a block in program order.
     pub fn outcomes(&self) -> impl Iterator<Item = InstOutcome> + '_ {
-        let mut cursor = self.cursor();
-        self.insts().map(move |inst| cursor.next(inst))
+        self.segments().flat_map(move |(blocks, mut cursor)| {
+            blocks
+                .iter()
+                .flat_map(move |d| self.table.block(d.block.index()))
+                .map(move |inst| cursor.next(inst))
+        })
     }
 
     /// Every dynamic instruction as the pipeline step reads it, in trace
@@ -274,7 +368,8 @@ impl Recording<'_> {
     }
 }
 
-/// The recorded outcome streams, read one dynamic instruction at a time.
+/// One segment's recorded outcome streams, read one dynamic instruction at
+/// a time.
 pub(crate) struct Cursor<'r> {
     fetches: std::slice::Iter<'r, Access>,
     data: std::slice::Iter<'r, Access>,
@@ -296,6 +391,20 @@ impl Cursor<'_> {
     }
 }
 
+/// Marks every slot of a record that its walk has not filled as abandoned
+/// when the walk ends, so that a panicking walk leaves no pass waiting.
+struct Abandon<'r, 'a>(&'r Recording<'a>);
+
+impl Drop for Abandon<'_, '_> {
+    fn drop(&mut self) {
+        // A filled slot keeps its value: `set` fails on it.
+        for slot in &self.0.segments {
+            let _ = slot.set(None);
+        }
+        let _ = self.0.totals.set(None);
+    }
+}
+
 impl Machine {
     /// Walks the memory hierarchy and branch predictor over `trace` once,
     /// from cold, and records the outcomes every timing pass needs.
@@ -308,60 +417,216 @@ impl Machine {
     /// [`dvs_ir::Inst::srcs`] allows.
     #[must_use]
     pub fn record<'a>(&self, cfg: &Cfg, trace: &'a Trace) -> Recording<'a> {
+        let (rec, buffers) = self.plan(cfg, trace);
+        self.walk(&rec, buffers);
+        rec
+    }
+
+    /// Walks `rec`'s trace from a cold hierarchy and predictor, filling
+    /// `buffers`, the segments [`Machine::plan`] sized for `rec`, and
+    /// publishing each as it is filled and the totals at the end.
+    fn walk(&self, rec: &Recording<'_>, buffers: Vec<Segment>) {
         let _span = dvs_obs::span!("sim.record");
-        let cfgm = self.config();
-        let table = StaticTable::decode(cfg, cfgm, self.energy_model());
-        let mut hier = MemoryHierarchy::new(cfgm);
-        let mut pred = BranchPredictor::new(cfgm.predictor);
-        // Sized exactly: the record is the largest thing a call keeps.
-        let (mut n_fetches, mut n_data, mut n_branches) = (0, 0, 0);
-        for d in trace.blocks() {
-            let (f, b) = table.events[d.block.index()];
-            n_fetches += f;
-            n_data += d.addrs.len();
-            n_branches += b;
-        }
-        let mut fetches = Vec::with_capacity(n_fetches);
-        let mut data = Vec::with_capacity(n_data);
-        let mut mispredicted = Vec::with_capacity(n_branches);
-
-        for dyn_block in trace.blocks() {
-            let b = dyn_block.block.index();
-            let mut addrs = dyn_block.addrs.iter();
-            for (ii, inst) in table.block(b).iter().enumerate() {
-                let pc = pc_of(b, ii);
-                if inst.starts_line {
-                    fetches.push(Access::from(hier.inst_access(pc)));
+        let _abandon = Abandon(rec);
+        let em = self.energy_model();
+        let mut hier = MemoryHierarchy::new(self.config());
+        let mut pred = BranchPredictor::new(self.config().predictor);
+        let mut blocks = vec![BlockStats::default(); rec.table.num_blocks()];
+        let mut energy = EnergyBreakdown::default();
+        let mut dram_accesses = 0u64;
+        let mut cache_hit_cycles = 0.0f64;
+        let segments = rec.trace.blocks().chunks(SEGMENT_BLOCKS);
+        for ((dyn_blocks, mut seg), slot) in segments.zip(buffers).zip(&rec.segments) {
+            for dyn_block in dyn_blocks {
+                let b = dyn_block.block.index();
+                let mut addrs = dyn_block.addrs.iter();
+                let mut block_cap = 0.0f64;
+                for (ii, inst) in rec.table.block(b).iter().enumerate() {
+                    let pc = pc_of(b, ii);
+                    let fetch = inst.starts_line.then(|| Access::from(hier.inst_access(pc)));
+                    let data = inst.is_mem.then(|| {
+                        let addr = *addrs.next().expect("one address per memory instruction");
+                        Access::from(hier.data_access(addr))
+                    });
+                    for a in [fetch, data].into_iter().flatten() {
+                        energy.cache_nf += em.l1_nf;
+                        block_cap += em.l1_nf;
+                        if a.level != DataLevel::L1 {
+                            energy.cache_nf += em.l2_nf;
+                            block_cap += em.l2_nf;
+                        }
+                        if a.level == DataLevel::Memory {
+                            energy.dram_uj += em.dram_uj_per_access;
+                            dram_accesses += 1;
+                        }
+                    }
+                    seg.fetches.extend(fetch);
+                    if let Some(a) = data {
+                        if a.level != DataLevel::Memory {
+                            cache_hit_cycles += f64::from(a.cycles);
+                        }
+                        seg.data.push(a);
+                    }
+                    if inst.is_branch {
+                        let target_pc = pc_of(b + 1, 0); // proxy target id
+                        let correct = pred.predict_and_update(
+                            pc,
+                            dyn_block.taken,
+                            if dyn_block.taken { target_pc } else { 0 },
+                        );
+                        seg.mispredicted.push(!correct);
+                        energy.bpred_nf += em.bpred_nf;
+                        block_cap += em.bpred_nf;
+                    }
+                    // Per-instruction energy.
+                    energy.core_nf += inst.core_nf();
+                    energy.fu_nf += inst.fu_nf();
+                    block_cap += inst.capacitance_nf();
                 }
-                if inst.is_mem {
-                    let addr = *addrs.next().expect("one address per memory instruction");
-                    data.push(Access::from(hier.data_access(addr)));
-                }
-                if inst.is_branch {
-                    let target_pc = pc_of(b + 1, 0); // proxy target id
-                    let correct = pred.predict_and_update(
-                        pc,
-                        dyn_block.taken,
-                        if dyn_block.taken { target_pc } else { 0 },
-                    );
-                    mispredicted.push(!correct);
-                }
+                let bstat = &mut blocks[b];
+                bstat.invocations += 1;
+                bstat.cap_nf += block_cap;
             }
+            // The walk is the only writer of every slot.
+            let _ = slot.set(Some(seg));
         }
-
-        if dvs_obs::enabled() {
-            dvs_obs::counter("sim.walks", 1);
-        }
-        Recording {
-            trace,
-            table,
-            fetches,
-            data,
-            mispredicted,
+        let _ = rec.totals.set(Some(Totals {
+            energy,
+            blocks,
+            dram_accesses,
+            cache_hit_cycles,
             l1d: hier.l1d_stats(),
             l1i: hier.l1i_stats(),
             l2: hier.l2_stats(),
             mispredicts: pred.stats().mispredicts,
+        }));
+        if dvs_obs::enabled() {
+            dvs_obs::counter("sim.walks", 1);
         }
+    }
+
+    /// Decodes `cfg`, checks `trace` against it and sizes every segment of
+    /// its record, all on the calling thread: the empty record and the
+    /// buffers its walk fills. Sized exactly, as the record is the largest
+    /// thing a call keeps, and allocated here, on the thread that frees
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// As [`Machine::record`].
+    fn plan<'a>(&self, cfg: &Cfg, trace: &'a Trace) -> (Recording<'a>, Vec<Segment>) {
+        let table = StaticTable::decode(cfg, self.config(), self.energy_model());
+        let mut insts = 0u64;
+        let buffers: Vec<Segment> = trace
+            .blocks()
+            .chunks(SEGMENT_BLOCKS)
+            .map(|blocks| {
+                let mut total = BlockEvents::default();
+                for d in blocks {
+                    let ev = table.events[d.block.index()];
+                    assert!(
+                        d.addrs.len() >= ev.mems,
+                        "one address per memory instruction"
+                    );
+                    total.insts += ev.insts;
+                    total.lines += ev.lines;
+                    total.mems += ev.mems;
+                    total.branches += ev.branches;
+                }
+                insts += total.insts as u64;
+                Segment {
+                    fetches: Vec::with_capacity(total.lines),
+                    data: Vec::with_capacity(total.mems),
+                    mispredicted: Vec::with_capacity(total.branches),
+                }
+            })
+            .collect();
+        let rec = Recording {
+            trace,
+            table,
+            insts,
+            segments: buffers.iter().map(|_| OnceLock::new()).collect(),
+            totals: OnceLock::new(),
+        };
+        (rec, buffers)
+    }
+
+    /// Walks `trace` over `cfg` once and runs `job(rec, ix)` over the
+    /// record for every `ix < jobs`, returning the results in `ix` order.
+    ///
+    /// With two or more CPUs and a trace of at least
+    /// [`FAN_OUT_MIN_INSTS`] dynamic instructions, a scoped helper walks
+    /// while the caller and `min(jobs, cpus - 1) - 1` more helpers start
+    /// their jobs at once, each waiting only at a segment the walk has not
+    /// published; once done, the walker takes the next job like any
+    /// helper. Otherwise the caller walks first and then runs every job,
+    /// and no thread starts (nor is the CPU count asked for). Helpers
+    /// record in the caller's `dvs_obs` domain.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Machine::record`] does before any thread starts, and
+    /// re-raises a panic from any thread, the walker's first: a pass that
+    /// a panicking walk left without its segment panics too.
+    pub(crate) fn stream<T: Send>(
+        &self,
+        cfg: &Cfg,
+        trace: &Trace,
+        jobs: usize,
+        job: impl Fn(&Recording<'_>, usize) -> T + Sync,
+    ) -> Vec<T> {
+        let (rec, buffers) = self.plan(cfg, trace);
+        let rec = &rec;
+        // Hands out job indices. It publishes no data (segments publish
+        // through their slots, and every result returns through a join),
+        // so relaxed ordering suffices.
+        let next = AtomicUsize::new(0);
+        // Runs the next job not yet taken until none is left.
+        let take_jobs = || {
+            let mut done = Vec::new();
+            loop {
+                let ix = next.fetch_add(1, Ordering::Relaxed);
+                if ix >= jobs {
+                    return done;
+                }
+                done.push((ix, job(rec, ix)));
+            }
+        };
+        // A short trace needs no helper, nor the CPU count.
+        let cpus = if jobs > 0 && rec.insts >= FAN_OUT_MIN_INSTS {
+            std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+        } else {
+            1
+        };
+        let mut done = if cpus == 1 {
+            self.walk(rec, buffers);
+            take_jobs()
+        } else {
+            let domain = dvs_obs::current_domain();
+            std::thread::scope(|s| {
+                let walker = s.spawn(|| {
+                    let _domain = dvs_obs::enter_domain(domain);
+                    self.walk(rec, buffers);
+                    take_jobs()
+                });
+                let helpers: Vec<_> = (1..jobs.min(cpus - 1))
+                    .map(|_| {
+                        s.spawn(|| {
+                            let _domain = dvs_obs::enter_domain(domain);
+                            take_jobs()
+                        })
+                    })
+                    .collect();
+                let mine = panic::catch_unwind(AssertUnwindSafe(take_jobs));
+                let mut done = Vec::new();
+                for h in std::iter::once(walker).chain(helpers) {
+                    done.extend(h.join().unwrap_or_else(|p| panic::resume_unwind(p)));
+                }
+                done.extend(mine.unwrap_or_else(|p| panic::resume_unwind(p)));
+                done
+            })
+        };
+        done.sort_unstable_by_key(|&(ix, _)| ix);
+        done.into_iter().map(|(_, t)| t).collect()
     }
 }

@@ -16,12 +16,13 @@
 use compile_time_dvs::check::{gen_cfg, gen_ladder, gen_trace, Gen};
 use compile_time_dvs::compiler::DeadlineScheme;
 use compile_time_dvs::ir::{
-    BlockId, BlockModeCost, Cfg, CfgBuilder, Inst, Opcode, Profile, ProfileBuilder, Reg,
+    BlockId, BlockModeCost, Cfg, CfgBuilder, Inst, MemWidth, Opcode, Profile, ProfileBuilder, Reg,
 };
 use compile_time_dvs::runtime::Pool;
 use compile_time_dvs::sim::{
     BlockStats, BranchPredictor, ClockGating, DataLevel, EnergyBreakdown, EnergyModel, Machine,
-    MemoryHierarchy, ModeProfiler, RunStats, SimConfig, Trace, TraceBuilder,
+    MemoryHierarchy, ModeProfiler, RunStats, SimConfig, Trace, TraceBuilder, FAN_OUT_MIN_INSTS,
+    SEGMENT_BLOCKS,
 };
 use compile_time_dvs::vf::{AlphaPower, OperatingPoint, VoltageLadder};
 use compile_time_dvs::workloads::Benchmark;
@@ -663,4 +664,184 @@ fn a_cycle_with_more_compute_latency_than_a_byte_matches_the_oracle() {
         );
         assert_bit_identical(&want, &got, &format!("divide fan-out at {point}"));
     }
+}
+
+/// A program over `entry -> a -> b -> exit`, with `a` on a self-loop and
+/// `b -> a`, whose trace holds exactly `blocks` dynamic blocks: `a` and `b`
+/// alternate, `a` twice at the start when the count is odd. Light blocks
+/// hold one instruction each (a load in `a`, a branch in `b`), so that up
+/// to `2 * SEGMENT_BLOCKS + 1` blocks stay under `FAN_OUT_MIN_INSTS` and
+/// the caller walks first; heavy ones hold four and two, so that the walk
+/// streams on two or more CPUs. Every segment carries fetches, data
+/// accesses and branches.
+fn segmented(blocks: usize, heavy: bool) -> (Cfg, Trace) {
+    let mut bld = CfgBuilder::new("segmented");
+    let entry = bld.block("entry");
+    let a = bld.block("a");
+    let b = bld.block("b");
+    let exit = bld.block("exit");
+    bld.push(a, Inst::load(Reg(1), Reg(2), MemWidth::B4));
+    if heavy {
+        bld.push(a, Inst::alu(Opcode::IntMul, Reg(3), &[Reg(1)]));
+        bld.push(a, Inst::store(Reg(3), Reg(2), MemWidth::B4));
+        bld.push(a, Inst::alu(Opcode::IntAlu, Reg(4), &[Reg(3)]));
+        bld.push(b, Inst::alu(Opcode::IntAlu, Reg(5), &[Reg(4)]));
+    }
+    bld.push(b, Inst::branch(Reg(1)));
+    bld.edge(entry, a);
+    bld.edge(a, a);
+    bld.edge(a, b);
+    bld.edge(b, a);
+    bld.edge(b, exit);
+    let cfg = bld.finish(entry, exit).expect("valid cfg");
+    // Word addresses scattered over 256 KiB, so that accesses hit and
+    // miss in both cache levels.
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut step = |tb: &mut TraceBuilder, blk: BlockId| {
+        let addrs = (0..cfg.block(blk).mem_inst_count())
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                0x10_0000 + (((state >> 33) % 0x4_0000) & !3)
+            })
+            .collect();
+        tb.step(blk, addrs);
+    };
+    let mut tb = TraceBuilder::new(&cfg);
+    step(&mut tb, entry);
+    let body = blocks - 2;
+    if body % 2 == 1 {
+        step(&mut tb, a);
+    }
+    for _ in 0..body / 2 {
+        step(&mut tb, a);
+        step(&mut tb, b);
+    }
+    step(&mut tb, exit);
+    let trace = tb.finish().expect("valid trace");
+    assert_eq!(trace.len(), blocks);
+    (cfg, trace)
+}
+
+#[test]
+fn segment_boundaries_match_the_oracle_streamed_and_walked_first() {
+    let machine = Machine::paper_default();
+    let seg = SEGMENT_BLOCKS;
+    let mut checked = 0;
+    for blocks in [seg - 1, seg, seg + 1, 2 * seg + 1] {
+        for heavy in [false, true] {
+            let (cfg, trace) = segmented(blocks, heavy);
+            let insts = trace.dynamic_inst_count(&cfg);
+            assert_eq!(
+                insts >= FAN_OUT_MIN_INSTS,
+                heavy,
+                "{blocks} blocks: only the heavy trace streams"
+            );
+            let how = if heavy { "streamed" } else { "walked first" };
+            checked += check_program(&machine, &cfg, &trace, &format!("{blocks} blocks, {how}"));
+        }
+    }
+    assert_eq!(checked, 4 * 2 * 23);
+}
+
+/// Distances in edges from each block to the exit.
+fn dist_to_exit(cfg: &Cfg) -> Vec<usize> {
+    let mut dist = vec![usize::MAX; cfg.num_blocks()];
+    let mut queue = std::collections::VecDeque::from([cfg.exit()]);
+    dist[cfg.exit().index()] = 0;
+    while let Some(b) = queue.pop_front() {
+        for p in cfg.predecessors(b) {
+            if dist[p.index()] == usize::MAX {
+                dist[p.index()] = dist[b.index()] + 1;
+                queue.push_back(p);
+            }
+        }
+    }
+    dist
+}
+
+/// A random entry-to-exit walk of `cfg` with addresses as dvs-check's
+/// `gen_trace` draws them, lengthened past two segments and
+/// `FAN_OUT_MIN_INSTS`: while short, it takes a random successor that
+/// leads no nearer the exit when there is one, which keeps it in the
+/// first loop it enters, and then heads for the exit by a shortest path.
+/// `None` when the walk finds no loop to stay in.
+fn long_trace(g: &mut Gen, cfg: &Cfg) -> Option<Trace> {
+    let dist = dist_to_exit(cfg);
+    let mut tb = TraceBuilder::new(cfg);
+    let (mut blocks, mut insts) = (0, 0);
+    let mut cur = cfg.entry();
+    loop {
+        let addrs = (0..cfg.block(cur).mem_inst_count())
+            .map(|_| 4 * g.below(4096))
+            .collect();
+        tb.step(cur, addrs);
+        blocks += 1;
+        insts += cfg.block(cur).len() as u64;
+        if cur == cfg.exit() {
+            break;
+        }
+        let succs: Vec<BlockId> = cfg.successors(cur).collect();
+        let away: Vec<BlockId> = succs
+            .iter()
+            .copied()
+            .filter(|s| dist[s.index()] >= dist[cur.index()])
+            .collect();
+        let short = blocks <= 2 * SEGMENT_BLOCKS || insts < FAN_OUT_MIN_INSTS;
+        cur = match (short, away.is_empty()) {
+            (true, false) => away[g.below(away.len() as u64) as usize],
+            (true, true) => succs[g.below(succs.len() as u64) as usize],
+            (false, _) => *succs
+                .iter()
+                .min_by_key(|s| dist[s.index()])
+                .expect("every block reaches the exit"),
+        };
+    }
+    let trace = tb.finish().expect("walk ends at the exit");
+    (blocks > 2 * SEGMENT_BLOCKS && insts >= FAN_OUT_MIN_INSTS).then_some(trace)
+}
+
+#[test]
+fn lengthened_random_programs_on_stress_machines_match_the_oracle() {
+    // The stress machines of the random-program test above.
+    let stress = SimConfig {
+        next_line_prefetch: true,
+        tlb_miss_penalty: 1000,
+        ..SimConfig::tiny_for_tests()
+    };
+    let narrow = SimConfig {
+        ruu_size: 5,
+        lsq_size: 2,
+        commit_width: 3,
+        fetch_width: 3,
+        int_alus: 2,
+        ..stress.clone()
+    };
+    let energy = EnergyModel {
+        gating: ClockGating::Ungated,
+        ..EnergyModel::default()
+    };
+    let machines = [stress, narrow].map(|c| Machine::new(c, energy));
+    let mut long = 0;
+    for seed in 0..40u64 {
+        let mut g = Gen::from_seed(seed ^ 0x10_6e57_ea4d);
+        let cfg = gen_cfg(&mut g, 8);
+        let Some(trace) = long_trace(&mut g, &cfg) else {
+            continue;
+        };
+        long += 1;
+        let ladder = gen_ladder(&mut g);
+        let points: Vec<OperatingPoint> = ladder.iter().map(|(_, p)| p).collect();
+        for (m, machine) in machines.iter().enumerate() {
+            let runs = machine.run_points(&cfg, &trace, &points);
+            for (point, got) in points.iter().zip(&runs) {
+                let want = oracle_run(machine, &cfg, &trace, *point);
+                let ctx = format!("lengthened seed {seed}, machine {m} at {point}");
+                assert_bit_identical(&want, got, &ctx);
+                assert_bit_identical(&want, &machine.run(&cfg, &trace, *point), &ctx);
+            }
+        }
+    }
+    assert!(long >= 10, "only {long} of 40 random programs loop");
 }

@@ -19,10 +19,14 @@
 
 use compile_time_dvs::check::{gen_cfg, gen_trace, Gen};
 use compile_time_dvs::compiler::{DeadlineScheme, DvsCompiler};
-use compile_time_dvs::ir::{BlockId, Cfg, EdgeId, LocalPath, Opcode, Profile, ProfileBuilder};
+use compile_time_dvs::ir::{
+    BlockId, Cfg, CfgBuilder, EdgeId, Inst, LocalPath, MemWidth, Opcode, Profile, ProfileBuilder,
+    Reg,
+};
 use compile_time_dvs::runtime::Pool;
 use compile_time_dvs::sim::{
-    DataLevel, EdgeSchedule, EnergyModel, InstOutcome, Machine, ScheduledRun, Trace, FRONTEND_DEPTH,
+    DataLevel, EdgeSchedule, EnergyModel, InstOutcome, Machine, ScheduledRun, Trace, TraceBuilder,
+    FAN_OUT_MIN_INSTS, FRONTEND_DEPTH, SEGMENT_BLOCKS,
 };
 use compile_time_dvs::vf::{ModeId, TransitionModel, VoltageLadder};
 use compile_time_dvs::workloads::Benchmark;
@@ -582,5 +586,81 @@ fn walk_counts_match_the_oracle() {
             *want.2.entry(p).or_insert(0) += n;
         }
         assert_eq!(counts_of(&cfg, &pb.finish()), want, "seed {seed}");
+    }
+}
+
+/// `entry -> a (self-loop) -> b -> exit`, run as `entry`, `a` until block
+/// `at`, `b` at block `at`, `exit`: an edge into `b` that no other block
+/// follows, so a schedule can switch there alone. Light blocks hold one
+/// instruction each (a load, a branch) and stay under
+/// `FAN_OUT_MIN_INSTS`, so the caller walks first; heavy ones hold four,
+/// so that the walk streams on two or more CPUs.
+fn switch_at(at: usize, heavy: bool) -> (Cfg, Trace) {
+    let mut bld = CfgBuilder::new("switch-at");
+    let entry = bld.block("entry");
+    let a = bld.block("a");
+    let b = bld.block("b");
+    let exit = bld.block("exit");
+    bld.push(a, Inst::load(Reg(1), Reg(2), MemWidth::B4));
+    if heavy {
+        bld.push(a, Inst::alu(Opcode::IntMul, Reg(3), &[Reg(1)]));
+        bld.push(a, Inst::store(Reg(3), Reg(2), MemWidth::B4));
+        bld.push(a, Inst::branch(Reg(3)));
+    }
+    bld.push(b, Inst::branch(Reg(1)));
+    bld.edge(entry, a);
+    bld.edge(a, a);
+    bld.edge(a, b);
+    bld.edge(b, exit);
+    let cfg = bld.finish(entry, exit).expect("valid cfg");
+    let mut tb = TraceBuilder::new(&cfg);
+    tb.step(entry, vec![]);
+    for i in 1..at as u64 {
+        let addrs = (0..cfg.block(a).mem_inst_count() as u64)
+            .map(|j| 0x10_0000 + (((i * 2_654_435_761 + 4096 * j) % 0x4_0000) & !3))
+            .collect();
+        tb.step(a, addrs);
+    }
+    tb.step(b, vec![]).step(exit, vec![]);
+    let trace = tb.finish().expect("valid trace");
+    (cfg, trace)
+}
+
+#[test]
+fn a_mode_switch_on_a_segment_boundary_matches_the_oracle() {
+    let machine = Machine::paper_default();
+    let seg = SEGMENT_BLOCKS;
+    let ladder = VoltageLadder::paper(3).expect("3 levels");
+    for at in [seg - 1, seg, seg + 1] {
+        for heavy in [false, true] {
+            let (cfg, trace) = switch_at(at, heavy);
+            assert_eq!(
+                trace.dynamic_inst_count(&cfg) >= FAN_OUT_MIN_INSTS,
+                heavy,
+                "only the heavy trace streams"
+            );
+            let walked = Walked::new(&machine, &cfg, &trace);
+            let into_b = cfg
+                .edge_between(BlockId(1), BlockId(2))
+                .expect("the a -> b edge");
+            let mut switch = EdgeSchedule::uniform(&cfg, ModeId(2));
+            switch.edge_modes[into_b.index()] = ModeId(0);
+            let exit = cfg.edge_between(BlockId(2), cfg.exit()).expect("b -> exit");
+            switch.edge_modes[exit.index()] = ModeId(0);
+            let how = if heavy { "streamed" } else { "walked first" };
+            for c in CAPACITANCES {
+                let tm = TransitionModel::with_capacitance_uf(c);
+                let schedules = [(&switch, 1), (&EdgeSchedule::uniform(&cfg, ModeId(1)), 0)];
+                for (schedule, transitions) in schedules {
+                    let want = oracle_scheduled(&walked, &ladder, schedule, &tm);
+                    let got = machine.run_scheduled(&cfg, &trace, &ladder, schedule, &tm);
+                    let ctx = format!("switch at block {at}, {how}, {c} µF");
+                    assert_eq!(want.transitions, transitions, "{ctx}");
+                    for ((name, w), (_, g)) in bits(&want).iter().zip(bits(&got)) {
+                        assert_eq!(*w, g, "{ctx}: {name}: {got:?} against {want:?}");
+                    }
+                }
+            }
+        }
     }
 }
