@@ -86,7 +86,7 @@ pub struct ScheduledRun {
 /// by block, setting each arrival edge's mode first.
 #[derive(Debug, Clone)]
 pub struct ScheduledPass {
-    pipe: Pipeline,
+    pipe: Pipeline<1>,
     mem_latency_us: f64,
     mode: ModeId,
     energy_uj: f64,
@@ -156,7 +156,7 @@ impl ScheduledPass {
     #[must_use]
     pub fn finish(&self, dram_energy_uj: f64) -> ScheduledRun {
         ScheduledRun {
-            time_us: self.pipe.time(),
+            time_us: self.pipe.time()[0],
             processor_energy_uj: self.energy_uj + self.transition_energy_uj,
             dram_energy_uj,
             transitions: self.transitions,

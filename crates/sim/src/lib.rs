@@ -22,10 +22,13 @@
 //!   recorded trace at one or more [`dvs_vf::OperatingPoint`]s and produces
 //!   per-block time/energy, using a Wattch-style activity-based `C·V²`
 //!   energy model with perfect clock gating on memory stalls. A pass
-//!   either classifies its cycles for the analytical model
-//!   ([`Machine::run_points`], [`RunStats`]) or keeps only times, energy
-//!   and event counts ([`Machine::time_points`], [`TimedRun`]), which is
-//!   all a profile or a deadline reads;
+//!   either classifies the cycles of its one point for the analytical
+//!   model ([`Machine::run_points`], [`RunStats`]) or keeps only times,
+//!   energy and event counts ([`Machine::time_points`], [`TimedRun`]),
+//!   which is all a profile or a deadline reads, for up to [`LANES`]
+//!   points at once: every branch of the pipeline step reads only the
+//!   instruction and its recorded outcome, so the points share it and
+//!   differ only in their f64 lanes;
 //! * [`ModeProfiler`]: times the trace at every DVS mode from one walk to
 //!   assemble the [`dvs_ir::Profile`] the MILP consumes, and gives the
 //!   fastest mode's classified run for the analytical model's program
@@ -58,7 +61,7 @@ pub use dvs_exec::{EdgeSchedule, ScheduledPass, ScheduledRun};
 pub use energy::{ClockGating, EnergyBreakdown, EnergyModel};
 pub use hierarchy::{DataLevel, MemoryHierarchy};
 pub use machine::{BlockStats, Machine, PointRun, RunStats, TimedRun, FAN_OUT_MIN_INSTS};
-pub use pipeline::FRONTEND_DEPTH;
+pub use pipeline::{FRONTEND_DEPTH, LANES};
 pub use predictor::{BranchPredictor, PredictorConfig};
 pub use profiler::{ModeProfiler, ProgramParams};
 pub use record::{Access, Decoded, InstOutcome, Recording, SEGMENT_BLOCKS};

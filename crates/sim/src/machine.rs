@@ -1,5 +1,5 @@
 use crate::cache::CacheStats;
-use crate::pipeline::{later, Cycles, Observe, Pipeline};
+use crate::pipeline::{later, Cycles, Observe, Pipeline, LANES};
 use crate::record::{Decoded, Recording};
 use crate::{ClockGating, EnergyBreakdown, EnergyModel, SimConfig, Trace};
 use dvs_ir::Cfg;
@@ -216,18 +216,22 @@ impl std::fmt::Display for RunStats {
 /// A call walks the caches, TLBs and branch predictor once
 /// ([`Machine::record`]), adding up the clock-independent energy and event
 /// counts as it goes, and times every requested operating point over that
-/// record. On two or more cores the walk runs on a helper thread and the
-/// passes follow it at once, on the caller and on the remaining cores, each
-/// waiting only at a segment of [`SEGMENT_BLOCKS`](crate::SEGMENT_BLOCKS)
-/// dynamic blocks the walk has not published yet. A
-/// timing pass does work per instruction bounded by its operand count and
-/// its unit pool's size. A pass that also classifies its cycles for the
-/// analytical model ([`Machine::run_points`]) adds one bit per busy cycle,
-/// one word-level popcount per 64 cycles of off-chip miss service, and one
-/// byte per cycle between the fetch cycle and the latest issue; an
-/// unclassified pass ([`Machine::time_points`]) adds nothing, or the bit
-/// per busy cycle alone under [`ClockGating::Ungated`], whose idle energy
-/// counts the idle cycles.
+/// record: a classified point in a pass of its own, unclassified points in
+/// groups of up to [`LANES`](crate::LANES), each group in one pass that
+/// steps every point's pipeline per recorded instruction. On two or more
+/// cores the walk runs on a helper thread and the passes follow it at
+/// once, on the caller and on the remaining cores, each waiting only at a
+/// segment of [`SEGMENT_BLOCKS`](crate::SEGMENT_BLOCKS) dynamic blocks the
+/// walk has not published yet. A timing pass takes each branch of the step
+/// once per instruction for all its points, and does arithmetic per
+/// instruction and point bounded by the operand count and the unit pool's
+/// size. A pass that also classifies its cycles for the analytical model
+/// ([`Machine::run_points`]) adds one bit per busy cycle, one word-level
+/// popcount per 64 cycles of off-chip miss service, and one byte per cycle
+/// between the fetch cycle and the latest issue; an unclassified pass
+/// ([`Machine::time_points`]) adds nothing, or the bit per busy cycle and
+/// point under [`ClockGating::Ungated`], whose idle energy counts the idle
+/// cycles.
 #[derive(Debug, Clone)]
 pub struct Machine {
     config: SimConfig,
@@ -284,15 +288,16 @@ impl Machine {
     /// The passes share nothing but the record, which the walk publishes a
     /// segment at a time, so they run concurrently with it and with each
     /// other: a scoped helper walks and the caller starts timing at once,
-    /// with up to `min(points.len(), available_parallelism() - 1) - 1`
-    /// more helpers; each pass waits only at a segment the walk has not
+    /// with up to `min(passes, available_parallelism() - 1) - 1` more
+    /// helpers; each pass waits only at a segment the walk has not
     /// reached, and every thread, the walker once done, takes the next
-    /// untimed point until none is left. With one CPU or a trace of fewer
+    /// untimed pass until none is left. With one CPU or a trace of fewer
     /// than [`FAN_OUT_MIN_INSTS`] dynamic instructions the caller walks,
-    /// then times every point, and spawns no thread (nor asks for the CPU
-    /// count). Helpers record their `sim.record` and `sim.run` spans in the
-    /// caller's `dvs_obs` domain; the per-run counters are recorded on the
-    /// caller after the join, in `points` order.
+    /// then runs every pass, and spawns no thread (nor asks for the CPU
+    /// count). Helpers record their `sim.record` span and one `sim.run`
+    /// span per pass in the caller's `dvs_obs` domain; the per-run counters
+    /// (`sim.runs` one per point) are recorded on the caller after the
+    /// join, in `points` order.
     ///
     /// # Panics
     ///
@@ -308,9 +313,18 @@ impl Machine {
             .collect()
     }
 
-    /// [`Machine::run_points`] without classifying any cycle: one walk and
-    /// one pass per point, streamed alike, each result equal to that call's
-    /// run on every field it keeps.
+    /// [`Machine::run_points`] without classifying any cycle, each result
+    /// equal to that call's run on every field it keeps, bit for bit.
+    ///
+    /// After the one walk, the points go in ladder order in groups of at
+    /// most [`LANES`] (3 points as one group, 7 as one, 13 as 8 then 5),
+    /// and one pass times each group in lockstep: every branch of the step
+    /// reads only the instruction and its recorded outcome, so it is taken
+    /// once for the group, and each point's arithmetic runs in a lane of
+    /// its own, in the one-point pass's order. The passes stream as
+    /// `run_points`'s do, the caller taking the first group while a helper
+    /// walks. On one CPU, a pass over 3 points took about 1.5 one-point
+    /// pass times, and over 8 points 2.6–2.7.
     ///
     /// # Panics
     ///
@@ -329,9 +343,10 @@ impl Machine {
             .collect()
     }
 
-    /// [`Machine::time_points`], except that the pass at
-    /// `points[classify]` also classifies its cycles: that point's
-    /// [`RunStats`] comes back next to the runs, from the same pass.
+    /// [`Machine::time_points`], except that the point at
+    /// `points[classify]` is timed alone, in a pass that also classifies
+    /// its cycles: that point's [`RunStats`] comes back next to the runs,
+    /// from the same pass. The other points go in lockstep groups first.
     ///
     /// # Panics
     ///
@@ -358,52 +373,100 @@ impl Machine {
         (runs, classified.expect("the classified point was timed"))
     }
 
-    /// One walk of `trace` and one pass per point, streamed behind the walk
-    /// on the caller and on helper threads ([`Machine::stream`]),
-    /// classified where `classify` holds of the point's index. Returns the
-    /// runs in `points` order, each with its classification if it has
-    /// one, and records their counters.
+    /// One walk of `trace` and its timing passes, streamed behind the walk
+    /// on the caller and on helper threads ([`Machine::stream`]): one
+    /// classified pass for each point where `classify` holds of its index,
+    /// and the other points in ladder order, in groups of at most
+    /// [`LANES`] timed in lockstep by one pass each. The groups come first,
+    /// so the caller takes the first while a helper walks. Returns the runs
+    /// in `points` order, each with its classification if it has one, and
+    /// records their counters.
     fn pass_points(
         &self,
         cfg: &Cfg,
         trace: &Trace,
         points: &[OperatingPoint],
-        classify: impl Fn(usize) -> bool + Sync,
+        classify: impl Fn(usize) -> bool,
     ) -> Vec<(TimedRun, Option<[f64; 3]>)> {
-        let runs = self.stream(cfg, trace, points.len(), |rec, ix| {
+        let (alone, grouped): (Vec<usize>, Vec<usize>) =
+            (0..points.len()).partition(|&ix| classify(ix));
+        let passes: Vec<(&[usize], bool)> = grouped
+            .chunks(LANES)
+            .map(|group| (group, false))
+            .chain(alone.chunks(1).map(|ix| (ix, true)))
+            .collect();
+        let timed = self.stream(cfg, trace, passes.len(), |rec, job| {
             let _span = dvs_obs::span!("sim.run");
-            if classify(ix) {
-                let (run, classes) = self.classified(rec, points[ix]);
-                (run, Some(classes))
+            let (ixs, classified) = passes[job];
+            if classified {
+                let (run, classes) = self.classified(rec, points[ixs[0]]);
+                vec![(run, Some(classes))]
             } else {
-                (self.unclassified(rec, points[ix]), None)
+                let group: Vec<OperatingPoint> = ixs.iter().map(|&ix| points[ix]).collect();
+                let runs = self.unclassified(rec, &group);
+                runs.into_iter().map(|run| (run, None)).collect()
             }
         });
+        let mut runs: Vec<_> = points.iter().map(|_| None).collect();
+        for ((ixs, _), pass) in passes.iter().zip(timed) {
+            for (&ix, run) in ixs.iter().zip(pass) {
+                runs[ix] = Some(run);
+            }
+        }
+        let runs: Vec<_> = runs
+            .into_iter()
+            .map(|run| run.expect("every point is timed"))
+            .collect();
         for (run, _) in &runs {
             run.record_metrics();
         }
         runs
     }
 
-    /// An unclassified pass at `point`. It watches nothing, unless the
-    /// clock is ungated: then it marks the busy cycles, so that the idle
-    /// ones can be charged.
-    fn unclassified(&self, rec: &Recording<'_>, point: OperatingPoint) -> TimedRun {
-        if self.energy.gating == ClockGating::Ungated {
-            let mut busy = BusyBitmap::default();
-            let mut run = self.time(rec, point, &mut busy);
-            self.charge_idle(&mut run, &busy);
-            run
-        } else {
-            self.time(rec, point, &mut ())
+    /// One unclassified pass over a group of at most [`LANES`] points, each
+    /// width its own monomorphized loop (padding a group to the next width
+    /// would time lanes nobody reads).
+    fn unclassified(&self, rec: &Recording<'_>, group: &[OperatingPoint]) -> Vec<TimedRun> {
+        const _: () = assert!(LANES == 8, "one arm per group width");
+        match group.len() {
+            1 => self.lanes::<1>(rec, group),
+            2 => self.lanes::<2>(rec, group),
+            3 => self.lanes::<3>(rec, group),
+            4 => self.lanes::<4>(rec, group),
+            5 => self.lanes::<5>(rec, group),
+            6 => self.lanes::<6>(rec, group),
+            7 => self.lanes::<7>(rec, group),
+            8 => self.lanes::<8>(rec, group),
+            n => unreachable!("a group of {n} points"),
         }
     }
 
-    /// A classified pass at `point`: the run and its overlap, dependent
-    /// and stall cycles.
+    /// An unclassified pass over `N` points. It watches nothing, unless
+    /// the clock is ungated: then it marks each lane's busy cycles, so that
+    /// the idle ones can be charged.
+    fn lanes<const N: usize>(
+        &self,
+        rec: &Recording<'_>,
+        group: &[OperatingPoint],
+    ) -> Vec<TimedRun> {
+        let points: [OperatingPoint; N] = group.try_into().expect("a point per lane");
+        if self.energy.gating == ClockGating::Ungated {
+            let mut busy: [BusyBitmap; N] = std::array::from_fn(|_| BusyBitmap::default());
+            let mut runs = self.time(rec, points, &mut busy);
+            for (run, busy) in runs.iter_mut().zip(&busy) {
+                self.charge_idle(run, busy);
+            }
+            runs.into()
+        } else {
+            self.time(rec, points, &mut ()).into()
+        }
+    }
+
+    /// A classified pass at `point`, on one lane: the run and its overlap,
+    /// dependent and stall cycles.
     fn classified(&self, rec: &Recording<'_>, point: OperatingPoint) -> (TimedRun, [f64; 3]) {
         let mut seen = Classify::default();
-        let mut run = self.time(rec, point, &mut seen);
+        let [mut run] = self.time(rec, [point], &mut seen);
         self.charge_idle(&mut run, &seen.busy);
         // Stall time: idle cycles during off-chip miss service (this is the
         // absolute-time component, tinvariant).
@@ -429,18 +492,23 @@ impl Machine {
         }
     }
 
-    /// One cycle-domain timing pass over `rec` at `point`, with `seen`
-    /// watching every step; idle energy is left to the caller. The pass
-    /// follows the walk segment by segment and takes the clock-independent
-    /// charge from its totals.
-    fn time<W: Watch>(&self, rec: &Recording<'_>, point: OperatingPoint, seen: &mut W) -> TimedRun {
-        let f = point.frequency_mhz;
+    /// One cycle-domain timing pass over `rec` at `points`, one lane each,
+    /// with `seen` watching every step; idle energy is left to the caller.
+    /// The pass follows the walk segment by segment and takes the
+    /// clock-independent charge from its totals.
+    fn time<const N: usize, W: Watch>(
+        &self,
+        rec: &Recording<'_>,
+        points: [OperatingPoint; N],
+        seen: &mut W,
+    ) -> [TimedRun; N] {
+        let f = points.map(|p| p.frequency_mhz);
         let clock = Cycles {
-            mem_latency: self.config.mem_latency_us * f,
+            mem_latency: f.map(|f| self.config.mem_latency_us * f),
         };
-        let mut pipe = Pipeline::new(&self.config);
-        let mut times = vec![0.0f64; rec.table.num_blocks()];
-        let mut block_mark = 0.0f64;
+        let mut pipe = Pipeline::<N>::new(&self.config);
+        let mut times = vec![[0.0f64; N]; rec.table.num_blocks()];
+        let mut block_mark = [0.0f64; N];
 
         for (dyn_blocks, mut outcomes) in rec.segments() {
             for dyn_block in dyn_blocks {
@@ -449,59 +517,67 @@ impl Machine {
                 for inst in rec.table.block(b) {
                     pipe.step(clock, inst, &outcomes.next(inst), seen);
                 }
-                seen.block_end(pipe.fetch());
+                for (l, fetch) in pipe.fetch().into_iter().enumerate() {
+                    seen.block_end(l, fetch);
+                }
 
                 // Attribute elapsed time to this block invocation.
-                times[b] += later(pipe.time() - block_mark, 0.0) / f;
-                block_mark = pipe.time();
+                let now = pipe.time();
+                for l in 0..N {
+                    times[b][l] += later(now[l] - block_mark[l], 0.0) / f[l];
+                }
+                block_mark = now;
             }
         }
 
         let totals = rec.totals();
-        let mut blocks = totals.blocks.clone();
-        for (block, time_us) in blocks.iter_mut().zip(times) {
-            block.time_us = time_us;
-        }
         let total_cycles = pipe.time();
-        TimedRun {
-            point,
-            total_time_us: total_cycles / f,
-            total_cycles,
-            committed_insts: rec.insts,
-            energy: totals.energy,
-            blocks,
-            cache_hit_cycles: totals.cache_hit_cycles,
-            l1d: totals.l1d,
-            l1i: totals.l1i,
-            l2: totals.l2,
-            mispredicts: totals.mispredicts,
-            dram_accesses: totals.dram_accesses,
-        }
+        std::array::from_fn(|l| {
+            let mut blocks = totals.blocks.clone();
+            for (block, time_us) in blocks.iter_mut().zip(&times) {
+                block.time_us = time_us[l];
+            }
+            TimedRun {
+                point: points[l],
+                total_time_us: total_cycles[l] / f[l],
+                total_cycles: total_cycles[l],
+                committed_insts: rec.insts,
+                energy: totals.energy,
+                blocks,
+                cache_hit_cycles: totals.cache_hit_cycles,
+                l1d: totals.l1d,
+                l1i: totals.l1i,
+                l2: totals.l2,
+                mispredicts: totals.mispredicts,
+                dram_accesses: totals.dram_accesses,
+            }
+        })
     }
 }
 
 /// What a cycle-domain pass watches: an [`Observe`]r that also hears each
 /// block occurrence end.
 trait Watch: Observe {
-    /// A block occurrence ended with the fetch cursor at `fetch`.
-    fn block_end(&mut self, _fetch: f64) {}
+    /// A block occurrence ended with lane `lane`'s fetch cursor at `fetch`.
+    fn block_end(&mut self, _lane: usize, _fetch: f64) {}
 }
 
 /// An unclassified pass on a gated clock watches nothing.
 impl Watch for () {}
 
-/// An unclassified pass on an ungated clock watches the busy cycles.
-impl Observe for BusyBitmap {
-    fn issued(&mut self, _inst: &Decoded, issue: f64) {
-        self.mark(issue);
+/// An unclassified pass on an ungated clock watches each lane's busy
+/// cycles.
+impl<const N: usize> Observe for [BusyBitmap; N] {
+    fn issued(&mut self, lane: usize, _inst: &Decoded, issue: f64) {
+        self[lane].mark(issue);
     }
 }
 
-impl Watch for BusyBitmap {}
+impl<const N: usize> Watch for [BusyBitmap; N] {}
 
-/// What the classified pass watches: the cycles in which some instruction
-/// issued, the cycles in which a memory operation was in flight, main
-/// memory's service intervals, and when compute issued.
+/// What the classified pass watches in its one lane: the cycles in which
+/// some instruction issued, the cycles in which a memory operation was in
+/// flight, main memory's service intervals, and when compute issued.
 #[derive(Default)]
 struct Classify {
     busy: BusyBitmap,
@@ -511,16 +587,16 @@ struct Classify {
 }
 
 impl Observe for Classify {
-    fn miss(&mut self, from: f64, start: f64, end: f64) {
+    fn miss(&mut self, _lane: usize, from: f64, start: f64, end: f64) {
         self.miss_intervals.push((start, end));
         self.mem_active.mark_range(from, end);
     }
 
-    fn hit(&mut self, issue: f64, done: f64) {
+    fn hit(&mut self, _lane: usize, issue: f64, done: f64) {
         self.mem_active.mark_range(issue, done);
     }
 
-    fn issued(&mut self, inst: &Decoded, issue: f64) {
+    fn issued(&mut self, _lane: usize, inst: &Decoded, issue: f64) {
         self.busy.mark(issue);
         if inst.is_compute {
             self.compute.log(issue, inst.latency);
@@ -532,7 +608,7 @@ impl Watch for Classify {
     /// Every later mark of `mem_active` starts at or after the current
     /// fetch cycle (a fetch miss at its ready time, a data access at its
     /// issue), and the fetch cycle never decreases.
-    fn block_end(&mut self, fetch: f64) {
+    fn block_end(&mut self, _lane: usize, fetch: f64) {
         self.compute.settle(fetch as usize, &self.mem_active);
     }
 }
@@ -546,11 +622,16 @@ impl Watch for Classify {
 /// A helper pays for itself once the work it takes outlasts its spawn and
 /// join plus the `available_parallelism` call (which reads the cgroup CPU
 /// quota). On a 2-core x86-64 host, release build, those took 36 µs
-/// (median) and 17 µs, and a pass 35–55 ns per instruction. Timing a
-/// 32-instruction loop at 3 and at 13 points, helpers broke even at about
-/// 1,000 dynamic instructions; this bound leaves a factor of 4 for host
-/// noise. dvs-check's random programs run at most about 100 instructions
-/// and stay on the caller; the bundled traces (47,000 or more) stream.
+/// (median) and 17 µs. A one-lane unclassified pass took about 19 ns per
+/// instruction over the six default inputs, and an 8-lane pass 2.6–2.7
+/// times that. Timing a 32-instruction loop walked first against streamed,
+/// 13 points (two passes, the walker taking the second) broke even near
+/// 4,000 dynamic instructions; 3 points, one pass, gain only the walk's
+/// overlap, which takes a second segment of the record, and streamed
+/// slower at every length up to 32,768 instructions (one segment there).
+/// The bound stays at 4,096: dvs-check's random programs run at most about
+/// 100 instructions and stay on the caller, and every bundled trace
+/// (47,000 instructions or more, 3 to 78 segments) streams.
 pub const FAN_OUT_MIN_INSTS: u64 = 4096;
 
 /// The analytical model's Noverlap/Ndependent: the paper counts

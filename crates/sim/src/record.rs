@@ -7,8 +7,9 @@
 //! each dynamic instruction's outcomes, next to a table of the CFG's
 //! instructions decoded once, and adds up the clock-independent charge as
 //! it goes. Every timing pass steps through that record:
-//! [`Machine::run_points`] and [`Machine::time_points`] one cycle-domain
-//! pass per operating point, [`Machine::run_scheduled`] one µs-domain pass
+//! [`Machine::run_points`] one cycle-domain pass per operating point,
+//! [`Machine::time_points`] one per group of up to [`LANES`](crate::LANES)
+//! points timed in lockstep, [`Machine::run_scheduled`] one µs-domain pass
 //! under a schedule, and the `dvs-replay` compiler keeps its
 //! [`Recording::steps`] as bytecode.
 //!
@@ -552,7 +553,8 @@ impl Machine {
     }
 
     /// Walks `trace` over `cfg` once and runs `job(rec, ix)` over the
-    /// record for every `ix < jobs`, returning the results in `ix` order.
+    /// record for every `ix < jobs` (a job is one timing pass, of one or
+    /// more points), returning the results in `ix` order.
     ///
     /// With two or more CPUs and a trace of at least
     /// [`FAN_OUT_MIN_INSTS`] dynamic instructions, a scoped helper walks

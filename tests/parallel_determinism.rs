@@ -101,10 +101,10 @@ fn profile_timing_passes_count_in_the_callers_domain() {
     let m = obs::MetricsSnapshot::capture_domain(domain);
     let run_spans = m.spans.iter().find(|s| s.name == "sim.run");
     assert_eq!(m.counter("sim.walks"), 1, "one walk of the hierarchy");
-    assert_eq!(m.counter("sim.runs"), 13, "one timing pass per mode");
+    assert_eq!(m.counter("sim.runs"), 13, "one timed run per mode");
     assert_eq!(
         run_spans.map_or(0, |s| s.count),
-        13,
-        "every pass's span, whatever thread ran it"
+        2,
+        "both lockstep passes' spans (8 and 5 modes), whatever thread ran them"
     );
 }

@@ -1,14 +1,15 @@
 //! `Machine::run_points` times a call's operating points on helper threads
 //! only when the trace holds at least `FAN_OUT_MIN_INSTS` dynamic
 //! instructions: a shorter pass costs less than spawning the thread that
-//! would take it. The test reads the thread lane (`tid`) of every
-//! `sim.run` span, so it has a binary of its own: the span sink is
-//! process-wide, and another test recording at the same time would add
-//! spans.
+//! would take it. `Machine::time_points` times its points in groups of at
+//! most `LANES`, one pass each, and spreads those passes the same way. The
+//! test reads the thread lane (`tid`) of every `sim.run` span, so it has a
+//! binary of its own: the span sink is process-wide, and another test
+//! recording at the same time would add spans.
 
 use compile_time_dvs::ir::{Cfg, CfgBuilder, Inst, Opcode, Reg};
 use compile_time_dvs::obs;
-use compile_time_dvs::sim::{Machine, Trace, TraceBuilder, FAN_OUT_MIN_INSTS};
+use compile_time_dvs::sim::{Machine, Trace, TraceBuilder, FAN_OUT_MIN_INSTS, LANES};
 use compile_time_dvs::vf::{OperatingPoint, VoltageLadder};
 use compile_time_dvs::workloads::Benchmark;
 use std::collections::BTreeSet;
@@ -79,15 +80,29 @@ fn short_traces_time_on_the_callers_lane_and_long_ones_fan_out() {
     let (lanes, runs) = run_lanes(|| {
         let _ = machine.run_points(&cfg, &trace, &points);
     });
+    let (group_lanes, groups) = run_lanes(|| {
+        let _ = machine.time_points(&cfg, &trace, &points);
+    });
     obs::disable();
     assert_eq!(runs, 13, "one span per point");
+    assert_eq!(LANES, 8);
+    assert_eq!(groups, 2, "one span per group: 8 points, then 5");
     let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
     if cpus == 1 {
         assert_eq!(lanes.len(), 1, "one CPU times every point on the caller");
+        assert_eq!(
+            group_lanes.len(),
+            1,
+            "one CPU times both groups on the caller"
+        );
     } else {
         assert!(
             lanes.len() >= 2,
             "ghostscript's default input on {cpus} CPUs fans out: lanes {lanes:?}"
+        );
+        assert!(
+            group_lanes.len() >= 2,
+            "the walker takes the second group on {cpus} CPUs: lanes {group_lanes:?}"
         );
     }
 }
