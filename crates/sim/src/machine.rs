@@ -323,8 +323,8 @@ impl Machine {
     /// once for the group, and each point's arithmetic runs in a lane of
     /// its own, in the one-point pass's order. The passes stream as
     /// `run_points`'s do, the caller taking the first group while a helper
-    /// walks. On one CPU, a pass over 3 points took about 1.5 one-point
-    /// pass times, and over 8 points 2.6–2.7.
+    /// walks. On one CPU, a pass over 3 points took 1.5–1.6 one-point pass
+    /// times, and over 8 points 2.8–2.9.
     ///
     /// # Panics
     ///
@@ -623,7 +623,7 @@ impl Watch for Classify {
 /// join plus the `available_parallelism` call (which reads the cgroup CPU
 /// quota). On a 2-core x86-64 host, release build, those took 36 µs
 /// (median) and 17 µs. A one-lane unclassified pass took about 19 ns per
-/// instruction over the six default inputs, and an 8-lane pass 2.6–2.7
+/// instruction over the six default inputs, and an 8-lane pass 2.8–2.9
 /// times that. Timing a 32-instruction loop walked first against streamed,
 /// 13 points (two passes, the walker taking the second) broke even near
 /// 4,000 dynamic instructions; 3 points, one pass, gain only the walk's

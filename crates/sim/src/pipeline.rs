@@ -335,9 +335,12 @@ impl<const N: usize> Pipeline<N> {
             }
         }
 
-        let lo = self.fu_offsets[usize::from(inst.pool)];
-        let hi = self.fu_offsets[usize::from(inst.pool) + 1];
-        let (unit_ix, unit_free) = first_free(&self.fu_free[lo..hi]);
+        let pool = usize::from(inst.pool);
+        let (unit_ix, unit_free) = first_free(
+            &self.fu_free,
+            self.fu_offsets[pool],
+            self.fu_offsets[pool + 1],
+        );
         let window = self.window.oldest();
         let mut issue = [0.0f64; N];
         for l in 0..N {
@@ -356,7 +359,7 @@ impl<const N: usize> Pipeline<N> {
         // Unit occupancy: divides are unpipelined.
         let occupancy = clock.cycles(f64::from(inst.occupancy));
         for l in 0..N {
-            self.fu_free[lo + unit_ix[l]][l] = issue[l] + occupancy;
+            self.fu_free[unit_ix[l]][l] = issue[l] + occupancy;
         }
 
         // Completion, over the single-channel asynchronous memory.
@@ -364,29 +367,29 @@ impl<const N: usize> Pipeline<N> {
         let mut complete = issue.map(|issue| issue + latency);
         if let Some(a) = out.data {
             obs.access(a);
-            let mut done = [0.0f64; N];
-            for l in 0..N {
-                done[l] = clock.access_done(issue[l], a.cycles);
-            }
             match a.level {
                 DataLevel::L1 | DataLevel::L2 => {
                     for l in 0..N {
-                        obs.hit(l, issue[l], done[l]);
+                        let done = clock.access_done(issue[l], a.cycles);
+                        obs.hit(l, issue[l], done);
+                        if inst.is_load {
+                            complete[l] = done;
+                        }
                     }
                 }
                 DataLevel::Memory => {
                     for l in 0..N {
-                        let start = later(done[l], self.mem_free[l]);
+                        let done = clock.access_done(issue[l], a.cycles);
+                        let start = later(done, self.mem_free[l]);
                         let end = start + clock.mem_latency(l);
                         self.mem_free[l] = end;
                         obs.miss(l, issue[l], start, end);
-                        done[l] = end;
+                        // Store misses retire without waiting for DRAM.
+                        if inst.is_load {
+                            complete[l] = end;
+                        }
                     }
                 }
-            }
-            // Store misses retire without waiting for DRAM.
-            if inst.is_load {
-                complete = done;
             }
         }
 
@@ -435,14 +438,18 @@ pub(crate) fn later(a: f64, b: f64) -> f64 {
     }
 }
 
-/// In every lane, the unit of the pool `units` that frees up first (the
+/// In every lane, the unit of `fu_free[lo..hi]` that frees up first (the
 /// lowest index on a tie) and its free time, picked by compare-select
 /// rather than branches.
 #[inline]
-fn first_free<const N: usize>(units: &[[f64; N]]) -> ([usize; N], [f64; N]) {
-    let mut unit_ix = [0usize; N];
-    let mut unit_free = units[0];
-    for (j, free) in units.iter().enumerate().skip(1) {
+fn first_free<const N: usize>(
+    fu_free: &[[f64; N]],
+    lo: usize,
+    hi: usize,
+) -> ([usize; N], [f64; N]) {
+    let mut unit_ix = [lo; N];
+    let mut unit_free = fu_free[lo];
+    for (j, free) in fu_free.iter().enumerate().take(hi).skip(lo + 1) {
         for l in 0..N {
             let sooner = free[l] < unit_free[l];
             unit_ix[l] = if sooner { j } else { unit_ix[l] };
