@@ -26,6 +26,7 @@ use dvs_bench::{run_experiment, Context, ExperimentStats, ALL_EXPERIMENTS};
 use dvs_obs::MetricsSnapshot;
 use std::fs;
 use std::path::Path;
+use std::sync::mpsc;
 use std::time::Instant;
 
 fn parse_jobs(args: &mut Vec<String>) -> Result<Option<usize>, String> {
@@ -94,26 +95,20 @@ fn main() {
     // `--jobs` beats `DVS_JOBS` beats sequential. With several experiments
     // the workers run whole experiments; a single experiment instead gets
     // the full job count for its inner grid cells.
-    let jobs = jobs.unwrap_or_else(|| {
-        std::env::var(dvs_runtime::JOBS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1)
-    });
+    let jobs = jobs.or_else(dvs_runtime::env_jobs).unwrap_or(1);
     let (outer_jobs, inner_jobs) = if ids.len() > 1 { (jobs, 1) } else { (1, jobs) };
 
     dvs_obs::enable();
     dvs_obs::reset();
     let ctx = Context::with_jobs(inner_jobs);
     let pool = dvs_runtime::Pool::new(outer_jobs);
-    let (tx, rx) = dvs_runtime::channel::<Result<String, String>>();
+    let (tx, rx) = mpsc::channel::<Result<String, String>>();
 
     // Experiments run on the pool; a printer thread streams finished
     // reports in completion order so progress is visible under --jobs.
     let results: Vec<Option<ExperimentStats>> = std::thread::scope(|s| {
         let printer = s.spawn(move || {
-            for msg in rx.iter() {
+            for msg in rx {
                 match msg {
                     Ok(text) => println!("{text}"),
                     Err(e) => eprintln!("error: {e}"),
@@ -134,7 +129,7 @@ fn main() {
                 Ok(report) => {
                     let wall_s = t0.elapsed().as_secs_f64();
                     let text = report.render();
-                    tx.send(Ok(format!(
+                    let _ = tx.send(Ok(format!(
                         "{text}\n   [{id} completed in {wall_s:.2} s]\n"
                     )));
                     let _ = fs::write(out_dir.join(format!("{id}.txt")), &text);
@@ -147,7 +142,7 @@ fn main() {
                     })
                 }
                 Err(e) => {
-                    tx.send(Err(e));
+                    let _ = tx.send(Err(e));
                     None
                 }
             }

@@ -105,20 +105,16 @@ impl Context {
     }
 
     /// Maps `f` over `items` on a [`dvs_runtime::Pool`] sized to this
-    /// context's job count, preserving item order in the results and
-    /// propagating the caller's metric domain into the workers (so
-    /// per-experiment [`dvs_obs`] attribution survives the fan-out).
+    /// context's job count, preserving item order in the results. Tasks
+    /// record in the caller's metric domain, so per-experiment [`dvs_obs`]
+    /// attribution survives the fan-out.
     pub fn par_map<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
     where
         I: Send,
         T: Send,
         F: Fn(usize, I) -> T + Sync,
     {
-        let domain = dvs_obs::current_domain();
-        dvs_runtime::Pool::new(self.jobs).map(items, |i, item| {
-            let _dg = dvs_obs::enter_domain(domain);
-            f(i, item)
-        })
+        dvs_runtime::Pool::new(self.jobs).map(items, f)
     }
 
     /// The (cached) data for `benchmark`, building CFG, trace and deadline

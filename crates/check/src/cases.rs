@@ -11,7 +11,7 @@
 
 use crate::gen::Gen;
 use dvs_ir::{BlockId, Cfg, CfgBuilder, Inst, MemWidth, Opcode, Reg};
-use dvs_sim::{Trace, TraceBuilder};
+use dvs_sim::{Trace, TraceBuilder, FAN_OUT_MIN_INSTS, SEGMENT_BLOCKS};
 use dvs_vf::{AlphaPower, TransitionModel, VoltageLadder};
 
 /// Bounds on generated cases.
@@ -250,6 +250,48 @@ pub fn gen_trace(g: &mut Gen, cfg: &Cfg) -> Trace {
         };
     }
     tb.finish().expect("walk ends at the exit")
+}
+
+/// A random entry-to-exit walk of `cfg` with addresses drawn as in
+/// [`gen_trace`], lengthened past two segments of `SEGMENT_BLOCKS` and
+/// `FAN_OUT_MIN_INSTS`, so that a simulator call over it streams: while
+/// short, it takes a random successor that leads no nearer the exit when
+/// there is one, which keeps it in the first loop it enters, and then heads
+/// for the exit by a shortest path. `None` when the walk finds no loop to
+/// stay in.
+pub fn gen_long_trace(g: &mut Gen, cfg: &Cfg) -> Option<Trace> {
+    let dist = dist_to_exit(cfg);
+    let mut tb = TraceBuilder::new(cfg);
+    let (mut blocks, mut insts) = (0, 0);
+    let mut cur = cfg.entry();
+    loop {
+        let addrs = (0..cfg.block(cur).mem_inst_count())
+            .map(|_| 4 * g.below(4096))
+            .collect();
+        tb.step(cur, addrs);
+        blocks += 1;
+        insts += cfg.block(cur).len() as u64;
+        if cur == cfg.exit() {
+            break;
+        }
+        let succs: Vec<BlockId> = cfg.successors(cur).collect();
+        let away: Vec<BlockId> = succs
+            .iter()
+            .copied()
+            .filter(|s| dist[s.index()] >= dist[cur.index()])
+            .collect();
+        let short = blocks <= 2 * SEGMENT_BLOCKS || insts < FAN_OUT_MIN_INSTS;
+        cur = match (short, away.is_empty()) {
+            (true, false) => away[g.below(away.len() as u64) as usize],
+            (true, true) => succs[g.below(succs.len() as u64) as usize],
+            (false, _) => *succs
+                .iter()
+                .min_by_key(|s| dist[s.index()])
+                .expect("every block reaches the exit"),
+        };
+    }
+    let trace = tb.finish().expect("walk ends at the exit");
+    (blocks > 2 * SEGMENT_BLOCKS && insts >= FAN_OUT_MIN_INSTS).then_some(trace)
 }
 
 /// A 2–4 level ladder on the paper's alpha-power law: the base frequency

@@ -599,10 +599,7 @@ impl DvsCompiler {
         profile: &Profile,
         deadlines_us: &[f64],
     ) -> Vec<Result<CompileResult, PassError>> {
-        let pool = dvs_runtime::Pool::new(self.jobs);
-        let domain = dvs_obs::current_domain();
-        pool.map(deadlines_us.to_vec(), |_, deadline_us| {
-            let _dg = dvs_obs::enter_domain(domain);
+        dvs_runtime::Pool::new(self.jobs).map(deadlines_us.to_vec(), |_, deadline_us| {
             self.compile(cfg, profile, deadline_us)
         })
     }

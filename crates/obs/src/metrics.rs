@@ -63,9 +63,9 @@ impl Drop for DomainGuard {
 /// `domain` until the returned guard drops (guards nest; the previous
 /// domain is restored).
 ///
-/// Worker threads do **not** inherit a domain — a task running on a pool
-/// must re-enter its domain on the worker (see `dvs-runtime`'s `Pool::map`
-/// callers in `dvs-bench`).
+/// Worker threads do **not** inherit a domain — a thread working for a
+/// caller must enter the caller's domain itself, as `dvs-runtime`'s
+/// `Pool::map` and the simulator's helper threads do.
 #[must_use]
 pub fn enter_domain(domain: u32) -> DomainGuard {
     DomainGuard {

@@ -1,27 +1,11 @@
-//! # dvs-runtime — scoped work-stealing thread pool
+//! # dvs-runtime — ordered fan-out over scoped threads
 //!
-//! A zero-dependency parallel runtime for the DVS workspace, built only on
-//! `std`: [`std::thread::scope`] for structured borrowing, per-worker
-//! [`Mutex`]-guarded deques with work stealing for load balance, and a
-//! [`Condvar`]-backed [`channel`] for streaming results out of a running
-//! pool.
-//!
-//! The design goal is *determinism first*: [`Pool::map`] always returns
-//! results ordered by task index, regardless of how many workers ran or
-//! which worker executed which task. Callers that need bit-identical output
-//! across `--jobs 1` and `--jobs N` only have to ensure each task is a pure
-//! function of its input; the runtime never reorders outputs.
-//!
-//! ## Scheduling
-//!
-//! Tasks are indexed `0..n`. Worker `w` starts with a contiguous chunk of
-//! indices in its own deque and pops from the *back* (LIFO — hot in cache,
-//! and the chunk is walked in order because it was pushed reversed). When a
-//! worker's own deque is empty it steals from the *front* of a victim's
-//! deque (FIFO — takes the work the owner will reach last, minimizing
-//! contention). No task is ever enqueued after the scope starts, so
-//! termination is simply "every deque is empty"; no condition variable is
-//! needed on the deques themselves.
+//! [`Pool::map`] runs one task per item on up to `jobs` scoped threads, the
+//! caller included, each claiming the next task index from one shared
+//! counter, and returns the results **in task order**: tasks that are pure
+//! functions of their inputs give the same output for any `jobs`. The
+//! workspace's tasks are coarse and independent (experiments, grid cells,
+//! check seeds, benchmarks).
 //!
 //! ```
 //! use dvs_runtime::Pool;
@@ -33,53 +17,39 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
+use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 
-/// Environment variable consulted by [`Pool::from_env`] (and the CLIs'
-/// `--jobs` default) to pick a worker count.
+/// Environment variable that sets the CLIs' default worker count when
+/// `--jobs` is absent; [`env_jobs`] reads it.
 pub const JOBS_ENV: &str = "DVS_JOBS";
 
-/// A fixed-width scoped thread pool.
-///
-/// `Pool` is cheap to construct — it holds the worker count plus one shared
-/// counter of not-yet-finished tasks ([`Pool::queued`]). Threads are
-/// spawned per [`Pool::map`] call inside a [`std::thread::scope`], so
-/// borrowed data may flow into tasks freely and no thread outlives the
-/// call. Clones share the queue-depth counter, so a supervisor holding a
-/// clone can observe saturation of maps running on other threads.
+/// The worker count [`JOBS_ENV`] asks for: `Some(n)` when it holds a
+/// positive integer, else `None`, so each caller keeps its own default.
+#[must_use]
+pub fn env_jobs() -> Option<usize> {
+    std::env::var(JOBS_ENV)
+        .ok()?
+        .trim()
+        .parse()
+        .ok()
+        .filter(|&n| n > 0)
+}
+
+/// A fixed-width fan-out. Threads are spawned per [`Pool::map`] call inside
+/// a [`std::thread::scope`], so tasks may borrow freely and no thread
+/// outlives the call.
 #[derive(Debug, Clone)]
 pub struct Pool {
     jobs: usize,
-    /// Tasks submitted to a `map`/`run` on this pool (or a clone) that have
-    /// not finished yet. Exported as the `runtime.pool.queued` gauge.
-    queued: Arc<AtomicUsize>,
 }
 
 impl Pool {
     /// A pool that runs `jobs` tasks concurrently. `0` is treated as `1`.
     #[must_use]
     pub fn new(jobs: usize) -> Self {
-        Pool {
-            jobs: jobs.max(1),
-            queued: Arc::new(AtomicUsize::new(0)),
-        }
-    }
-
-    /// A pool sized from the environment: the `DVS_JOBS` variable when set
-    /// to a positive integer, otherwise [`std::thread::available_parallelism`]
-    /// (falling back to 1 when even that is unavailable).
-    #[must_use]
-    pub fn from_env() -> Self {
-        let jobs = std::env::var(JOBS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            });
-        Pool::new(jobs)
+        Pool { jobs: jobs.max(1) }
     }
 
     /// The number of concurrent workers this pool uses.
@@ -88,249 +58,72 @@ impl Pool {
         self.jobs
     }
 
-    /// How many tasks submitted to this pool (or a clone of it) have not
-    /// finished yet. `0` whenever no `map`/`run` is in flight.
-    ///
-    /// This is the pool's saturation signal: an admission controller that
-    /// sees `queued()` grow past the worker count knows new work will wait.
-    /// The same value is published as the `runtime.pool.queued` dvs-obs
-    /// gauge every time it changes (when collection is enabled).
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.queued.load(Ordering::Relaxed)
-    }
-
-    /// Adjusts the queued-task counter and republishes the gauge.
-    fn track_queued(&self, add: usize, sub: usize) {
-        let before = if add > 0 {
-            self.queued.fetch_add(add, Ordering::Relaxed) + add
-        } else {
-            self.queued.fetch_sub(sub, Ordering::Relaxed) - sub
-        };
-        if dvs_obs::enabled() {
-            #[allow(clippy::cast_precision_loss)]
-            dvs_obs::gauge("runtime.pool.queued", before as f64);
-        }
-    }
-
     /// Applies `f` to every item, in parallel, returning results **in task
     /// order** (`out[i]` is `f(i, items[i])`).
     ///
-    /// The calling thread participates as worker 0, so `map` with one job
-    /// (or one item) degenerates to a plain sequential loop with no thread
-    /// spawned at all.
+    /// The caller and `min(jobs, items.len()) - 1` scoped helpers each take
+    /// the next unclaimed index until none is left, so with one job or one
+    /// item no thread starts. Helpers run their tasks in the caller's
+    /// [`dvs_obs`] domain, so a task's metrics count where they would
+    /// sequentially.
     ///
     /// # Panics
     ///
-    /// Propagates a panic from `f` after the scope joins (the panic unwinds
-    /// out of [`std::thread::scope`]).
+    /// Re-raises on the caller, with its own payload, a panic from any
+    /// task, after every helper has stopped.
     pub fn map<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
     where
         I: Send,
         T: Send,
         F: Fn(usize, I) -> T + Sync,
     {
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = self.jobs.min(n);
-        self.track_queued(n, 0);
-        if workers <= 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, item)| {
-                    let out = f(i, item);
-                    self.track_queued(0, 1);
-                    out
-                })
-                .collect();
-        }
-
-        // One slot per task. Each index lives in exactly one deque, so the
-        // `take()` below always finds the item; the slot exists only to move
-        // owned items into whichever worker claims the index.
-        let tasks: Vec<Mutex<Option<I>>> =
-            items.into_iter().map(|it| Mutex::new(Some(it))).collect();
-        let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-        // Contiguous chunk per worker, pushed in reverse so LIFO pops walk
-        // the chunk in ascending index order.
-        let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| {
-                let lo = n * w / workers;
-                let hi = n * (w + 1) / workers;
-                Mutex::new((lo..hi).rev().collect())
-            })
-            .collect();
-
-        let worker = |me: usize| loop {
-            // Own deque first (back = most recently pushed = lowest
-            // remaining index of our chunk).
-            let mut claimed = deques[me].lock().expect("deque poisoned").pop_back();
-            if claimed.is_none() {
-                // Steal oldest work from the first non-empty victim.
-                for off in 1..workers {
-                    let victim = (me + off) % workers;
-                    claimed = deques[victim].lock().expect("deque poisoned").pop_front();
-                    if claimed.is_some() {
-                        break;
-                    }
-                }
+        let threads = self.jobs.min(items.len());
+        // Whichever thread claims an index moves its item out of the slot.
+        let slots: Vec<_> = items.into_iter().map(|it| Mutex::new(Some(it))).collect();
+        // Hands out task indices. It publishes no data (items move through
+        // their slots' locks and results return through the joins), so
+        // relaxed ordering suffices.
+        let next = AtomicUsize::new(0);
+        let take_tasks = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else {
+                    return done;
+                };
+                let item = slot
+                    .lock()
+                    .expect("a slot's lock is never held across a task")
+                    .take()
+                    .expect("each index is claimed once");
+                done.push((i, f(i, item)));
             }
-            let Some(idx) = claimed else {
-                // Every deque was empty; nothing is ever re-enqueued.
-                return;
-            };
-            let item = tasks[idx]
-                .lock()
-                .expect("task slot poisoned")
-                .take()
-                .expect("task index claimed twice");
-            let out = f(idx, item);
-            *results[idx].lock().expect("result slot poisoned") = Some(out);
-            self.track_queued(0, 1);
         };
-
-        std::thread::scope(|s| {
-            for w in 1..workers {
-                let worker = &worker;
-                s.spawn(move || worker(w));
+        let domain = dvs_obs::current_domain();
+        let helper = || {
+            let _domain = dvs_obs::enter_domain(domain);
+            take_tasks()
+        };
+        let mut done = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..threads).map(|_| s.spawn(helper)).collect();
+            // A panic here unwinds through the scope, which joins the
+            // helpers and re-raises this payload.
+            let mut done = take_tasks();
+            for h in helpers {
+                done.extend(h.join().unwrap_or_else(|p| panic::resume_unwind(p)));
             }
-            worker(0);
+            done
         });
-
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("worker exited without storing a result")
-            })
-            .collect()
-    }
-
-    /// Runs a batch of independent closures, returning their results in
-    /// input order. Convenience wrapper over [`Pool::map`].
-    pub fn run<T, F>(&self, thunks: Vec<F>) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let cell: Vec<Mutex<Option<F>>> = thunks.into_iter().map(|f| Mutex::new(Some(f))).collect();
-        self.map(cell, |_, f| {
-            let f = f
-                .into_inner()
-                .expect("thunk poisoned")
-                .expect("thunk taken");
-            f()
-        })
-    }
-}
-
-impl Default for Pool {
-    /// Equivalent to [`Pool::from_env`].
-    fn default() -> Self {
-        Pool::from_env()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// A minimal MPSC channel (Mutex + Condvar) for streaming results out of an
-// in-flight `Pool::map` — e.g. the bench harness prints each experiment's
-// report the moment it completes while the pool keeps working.
-// ---------------------------------------------------------------------------
-
-struct ChannelState<T> {
-    queue: VecDeque<T>,
-    senders: usize,
-}
-
-struct Channel<T> {
-    state: Mutex<ChannelState<T>>,
-    ready: Condvar,
-}
-
-/// The sending half of [`channel`]. Cloneable; the channel closes when the
-/// last sender is dropped.
-pub struct Sender<T>(Arc<Channel<T>>);
-
-/// The receiving half of [`channel`].
-pub struct Receiver<T>(Arc<Channel<T>>);
-
-/// Creates an unbounded multi-producer single-consumer channel built on a
-/// `Mutex`-guarded deque and a `Condvar`.
-///
-/// Unlike [`std::sync::mpsc`], both halves are plain structs in this crate,
-/// so the workspace keeps a single, auditable concurrency toolbox.
-#[must_use]
-pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
-    let ch = Arc::new(Channel {
-        state: Mutex::new(ChannelState {
-            queue: VecDeque::new(),
-            senders: 1,
-        }),
-        ready: Condvar::new(),
-    });
-    (Sender(Arc::clone(&ch)), Receiver(ch))
-}
-
-impl<T> Sender<T> {
-    /// Enqueues a value and wakes the receiver.
-    pub fn send(&self, value: T) {
-        let mut st = self.0.state.lock().expect("channel poisoned");
-        st.queue.push_back(value);
-        drop(st);
-        self.0.ready.notify_one();
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        self.0.state.lock().expect("channel poisoned").senders += 1;
-        Sender(Arc::clone(&self.0))
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        let mut st = self.0.state.lock().expect("channel poisoned");
-        st.senders -= 1;
-        let last = st.senders == 0;
-        drop(st);
-        if last {
-            self.0.ready.notify_all();
-        }
-    }
-}
-
-impl<T> Receiver<T> {
-    /// Blocks until a value arrives, returning `None` once every sender has
-    /// been dropped and the queue is drained.
-    pub fn recv(&self) -> Option<T> {
-        let mut st = self.0.state.lock().expect("channel poisoned");
-        loop {
-            if let Some(v) = st.queue.pop_front() {
-                return Some(v);
-            }
-            if st.senders == 0 {
-                return None;
-            }
-            st = self.0.ready.wait(st).expect("channel poisoned");
-        }
-    }
-
-    /// Drains the channel into an iterator (blocking between items).
-    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-        std::iter::from_fn(move || self.recv())
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, t)| t).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn map_preserves_task_order() {
@@ -348,7 +141,7 @@ mod tests {
     #[test]
     fn jobs_one_equals_jobs_many() {
         let work = |_: usize, x: u64| {
-            // A tiny uneven workload so stealing actually happens.
+            // A tiny uneven workload, so threads claim tasks unevenly.
             (0..(x % 37)).fold(x, |a, b| a.wrapping_mul(31).wrapping_add(b))
         };
         let seq = Pool::new(1).map((0..512u64).collect(), work);
@@ -369,14 +162,14 @@ mod tests {
     }
 
     #[test]
-    fn workers_actually_steal_unbalanced_work() {
-        // Front-loaded cost: worker 0's chunk is far heavier, so the other
-        // workers must steal to finish. We only assert correctness (the
-        // pool can't deadlock or drop tasks under imbalance).
+    fn unbalanced_work_finishes_in_order() {
+        // Front-loaded cost: the first 16 tasks are far heavier. We only
+        // assert correctness (the pool can't deadlock or drop tasks under
+        // imbalance).
         let pool = Pool::new(4);
         let out = pool.map((0..64u64).collect(), |i, x| {
             if i < 16 {
-                std::thread::sleep(std::time::Duration::from_millis(2));
+                std::thread::sleep(Duration::from_millis(2));
             }
             x + 1
         });
@@ -390,20 +183,13 @@ mod tests {
         let pool = Pool::new(8);
         let t0 = std::time::Instant::now();
         pool.map((0..8u32).collect(), |_, _| {
-            std::thread::sleep(std::time::Duration::from_millis(30));
+            std::thread::sleep(Duration::from_millis(30));
         });
         assert!(
-            t0.elapsed() < std::time::Duration::from_millis(200),
+            t0.elapsed() < Duration::from_millis(200),
             "8 sleeps did not overlap: {:?}",
             t0.elapsed()
         );
-    }
-
-    #[test]
-    fn run_executes_closures_in_order() {
-        let pool = Pool::new(3);
-        let out = pool.run((0..20).map(|i| move || i * i).collect::<Vec<_>>());
-        assert_eq!(out, (0..20).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
@@ -419,62 +205,62 @@ mod tests {
         assert_eq!(Pool::new(0).jobs(), 1);
     }
 
-    #[test]
-    fn queued_tracks_outstanding_tasks_and_drains_to_zero() {
-        let pool = Pool::new(2);
-        assert_eq!(pool.queued(), 0);
-        // A clone observes the same counter from another thread while the
-        // original is blocked inside `map` — the serve daemon's admission
-        // control does exactly this.
-        let observer = pool.clone();
-        let saw_depth = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for _ in 0..200 {
-                    saw_depth.fetch_max(observer.queued(), Ordering::Relaxed);
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                }
-            });
-            pool.map((0..16u64).collect(), |_, x| {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                x
-            });
-        });
-        assert_eq!(pool.queued(), 0, "all tasks finished");
-        assert!(
-            saw_depth.load(Ordering::Relaxed) > 0,
-            "observer never saw a nonzero queue depth"
-        );
+    /// Spins until `flag` is set, for at most 10 s.
+    fn wait_for(flag: &AtomicBool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !flag.load(Ordering::SeqCst) && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
-    fn channel_streams_and_closes() {
-        let (tx, rx) = channel::<usize>();
-        let tx2 = tx.clone();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                for i in 0..50 {
-                    tx.send(i);
-                }
-            });
-            s.spawn(move || {
-                for i in 50..100 {
-                    tx2.send(i);
-                }
-            });
-            let mut got: Vec<usize> = rx.iter().collect();
-            got.sort_unstable();
-            assert_eq!(got, (0..100).collect::<Vec<_>>());
-        });
+    fn a_task_panic_reaches_the_caller_with_its_payload() {
+        for jobs in [1, 4] {
+            let caller = std::thread::current().id();
+            let (first, took_37) = (AtomicBool::new(true), AtomicBool::new(false));
+            let got = panic::catch_unwind(|| {
+                Pool::new(jobs).map((0..64u32).collect(), |i, _| {
+                    if i == 37 {
+                        took_37.store(true, Ordering::SeqCst);
+                        panic!("task 37 failed");
+                    }
+                    // With helpers, the caller holds its first task until
+                    // one of them has taken task 37.
+                    if jobs > 1
+                        && std::thread::current().id() == caller
+                        && first.swap(false, Ordering::SeqCst)
+                    {
+                        wait_for(&took_37);
+                    }
+                })
+            })
+            .expect_err("task 37 panics");
+            let msg = got
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| got.downcast_ref::<&str>().copied());
+            assert_eq!(msg, Some("task 37 failed"), "jobs {jobs}");
+        }
     }
 
     #[test]
-    fn channel_recv_after_close_returns_none() {
-        let (tx, rx) = channel::<u8>();
-        tx.send(1);
-        drop(tx);
-        assert_eq!(rx.recv(), Some(1));
-        assert_eq!(rx.recv(), None);
-        assert_eq!(rx.recv(), None);
+    fn every_task_records_in_the_callers_domain() {
+        let domain = dvs_obs::register_domain("runtime.test");
+        let _domain = dvs_obs::enter_domain(domain);
+        let caller = std::thread::current().id();
+        for jobs in [1, 4] {
+            let (first, helped) = (AtomicBool::new(true), AtomicBool::new(false));
+            let seen = Pool::new(jobs).map((0..64u32).collect(), |_, _| {
+                if std::thread::current().id() != caller {
+                    helped.store(true, Ordering::SeqCst);
+                } else if jobs > 1 && first.swap(false, Ordering::SeqCst) {
+                    // Hold the caller until a helper has run a task.
+                    wait_for(&helped);
+                }
+                dvs_obs::current_domain()
+            });
+            assert_eq!(seen, vec![domain; 64], "jobs {jobs}");
+            assert_eq!(helped.load(Ordering::SeqCst), jobs > 1, "jobs {jobs}");
+        }
     }
 }

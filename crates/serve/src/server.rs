@@ -51,9 +51,9 @@ pub struct ServeConfig {
     /// Listen address, e.g. `127.0.0.1:7411` (port `0` picks a free one).
     pub addr: String,
     /// Worker threads, each running one solve at a time. A worker that
-    /// profiles a stage times its operating points on every available
-    /// core (`Machine::run_points`), so it briefly uses more than one
-    /// thread.
+    /// profiles a stage times its operating points in the lockstep lanes
+    /// of `Machine::time_points`, whose passes follow the walk on helper
+    /// threads, so it briefly uses more than one thread.
     pub jobs: usize,
     /// Byte budget for the solve cache.
     pub cache_bytes: usize,

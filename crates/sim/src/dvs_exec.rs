@@ -199,7 +199,8 @@ impl Machine {
     /// The pass follows the walk of the caches and predictor as
     /// [`Machine::run_points`]'s do: on two or more CPUs a scoped helper
     /// walks while the caller times, waiting only at segments the walk has
-    /// not published; with one CPU or a short trace the caller walks first.
+    /// not published; with one CPU, a short trace or a record of one
+    /// segment the caller walks first.
     ///
     /// # Panics
     ///

@@ -291,13 +291,13 @@ impl Machine {
     /// with up to `min(passes, available_parallelism() - 1) - 1` more
     /// helpers; each pass waits only at a segment the walk has not
     /// reached, and every thread, the walker once done, takes the next
-    /// untimed pass until none is left. With one CPU or a trace of fewer
-    /// than [`FAN_OUT_MIN_INSTS`] dynamic instructions the caller walks,
-    /// then runs every pass, and spawns no thread (nor asks for the CPU
-    /// count). Helpers record their `sim.record` span and one `sim.run`
-    /// span per pass in the caller's `dvs_obs` domain; the per-run counters
-    /// (`sim.runs` one per point) are recorded on the caller after the
-    /// join, in `points` order.
+    /// untimed pass until none is left. With one CPU, a trace of fewer
+    /// than [`FAN_OUT_MIN_INSTS`] dynamic instructions, or one pass over a
+    /// record of one segment, the caller walks, then runs every pass, and
+    /// spawns no thread (nor asks for the CPU count). Helpers record their
+    /// `sim.record` span and one `sim.run` span per pass in the caller's
+    /// `dvs_obs` domain; the per-run counters (`sim.runs` one per point)
+    /// are recorded on the caller after the join, in `points` order.
     ///
     /// # Panics
     ///
@@ -617,7 +617,8 @@ impl Watch for Classify {
 /// ([`Machine::run_points`], [`Machine::time_points`],
 /// [`Machine::run_scheduled`]) walks on a helper thread while its passes
 /// follow on the caller and on more helpers; below it the caller walks,
-/// then times, and starts no thread.
+/// then times, and starts no thread, as it does for a call whose one pass
+/// follows a record of one segment.
 ///
 /// A helper pays for itself once the work it takes outlasts its spawn and
 /// join plus the `available_parallelism` call (which reads the cgroup CPU
@@ -626,12 +627,15 @@ impl Watch for Classify {
 /// instruction over the six default inputs, and an 8-lane pass 2.8–2.9
 /// times that. Timing a 32-instruction loop walked first against streamed,
 /// 13 points (two passes, the walker taking the second) broke even near
-/// 4,000 dynamic instructions; 3 points, one pass, gain only the walk's
-/// overlap, which takes a second segment of the record, and streamed
-/// slower at every length up to 32,768 instructions (one segment there).
-/// The bound stays at 4,096: dvs-check's random programs run at most about
-/// 100 instructions and stay on the caller, and every bundled trace
-/// (47,000 instructions or more, 3 to 78 segments) streams.
+/// 4,000 dynamic instructions. 3 points, one pass, gain only the walk's
+/// overlap, which takes a second segment of the record, so a one-pass call
+/// over one segment walks first at any length: on that loop (one segment
+/// up to 65,536 instructions) a 3-point call took 175–187 µs walked first
+/// against 219–341 µs streamed at 8,192 instructions, and 676–1,019 µs
+/// against 725–1,189 µs at 32,768 (medians of six alternating runs of 300
+/// calls). The bound stays at 4,096: dvs-check's random programs run at
+/// most about 100 instructions and stay on the caller, and every bundled
+/// trace (47,000 instructions or more, 3 to 78 segments) streams.
 pub const FAN_OUT_MIN_INSTS: u64 = 4096;
 
 /// The analytical model's Noverlap/Ndependent: the paper counts

@@ -561,9 +561,10 @@ impl Machine {
     /// while the caller and `min(jobs, cpus - 1) - 1` more helpers start
     /// their jobs at once, each waiting only at a segment the walk has not
     /// published; once done, the walker takes the next job like any
-    /// helper. Otherwise the caller walks first and then runs every job,
-    /// and no thread starts (nor is the CPU count asked for). Helpers
-    /// record in the caller's `dvs_obs` domain.
+    /// helper. Otherwise, or when one job follows a one-segment record
+    /// (it could not start before the walk ends), the caller walks first
+    /// and then runs every job, and no thread starts (nor is the CPU count
+    /// asked for). Helpers record in the caller's `dvs_obs` domain.
     ///
     /// # Panics
     ///
@@ -594,8 +595,11 @@ impl Machine {
                 done.push((ix, job(rec, ix)));
             }
         };
-        // A short trace needs no helper, nor the CPU count.
-        let cpus = if jobs > 0 && rec.insts >= FAN_OUT_MIN_INSTS {
+        // A short trace needs no helper, nor the CPU count, and neither
+        // does one job that would wait at the one segment for the whole
+        // walk.
+        let overlaps = jobs > 1 || (jobs == 1 && rec.segments.len() > 1);
+        let cpus = if overlaps && rec.insts >= FAN_OUT_MIN_INSTS {
             std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
         } else {
             1

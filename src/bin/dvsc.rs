@@ -52,8 +52,8 @@
 //! solve cache, request coalescing, bounded admission queue); `client`
 //! sends one request to a running daemon (`evaluate` compiles with
 //! validation off and scores the emitted schedule through the
-//! `dvs-replay` bytecode fast path, sharing compiled bytecode across
-//! requests that differ only in deadline or solver); `loadtest` hammers a daemon
+//! `dvs-replay` bytecode fast path, each request compiling its own
+//! bytecode); `loadtest` hammers a daemon
 //! from N concurrent connections and writes throughput/latency
 //! percentiles (plus trace-derived queue-wait and cache-lookup means)
 //! to `results/serve.csv`. `client trace <op>` runs one solve and

@@ -4,14 +4,6 @@
 
 use compile_time_dvs::check::{run_check, CheckConfig, Counterexample, OracleKind, Tolerances};
 
-fn env_jobs() -> usize {
-    std::env::var(compile_time_dvs::runtime::JOBS_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&j| j >= 1)
-        .unwrap_or(4)
-}
-
 /// The PR's headline property: across 200 seeded random programs, every
 /// oracle agrees with the MILP — brute-force enumeration finds the same
 /// optimum and the same feasibility verdict, the LP relaxation and the
@@ -25,7 +17,7 @@ fn two_hundred_seeded_cases_agree_with_every_oracle() {
         seeds: 200,
         seed_base: 42,
         max_blocks: 6,
-        jobs: env_jobs(),
+        jobs: compile_time_dvs::runtime::env_jobs().unwrap_or(4),
         ..CheckConfig::default()
     };
     let report = run_check(&config, &Tolerances::default());

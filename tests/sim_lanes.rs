@@ -23,13 +23,12 @@
 //! are therefore also held to [`scalar_times`], an independent one-point
 //! body of the timing recurrence.
 
-use compile_time_dvs::check::{gen_cfg, gen_trace, Gen};
-use compile_time_dvs::ir::{BlockId, Cfg, Opcode};
+use compile_time_dvs::check::{gen_cfg, gen_long_trace, gen_trace, Gen};
+use compile_time_dvs::ir::{Cfg, Opcode};
 use compile_time_dvs::runtime::Pool;
 use compile_time_dvs::sim::{
     BlockStats, BranchPredictor, ClockGating, DataLevel, EnergyBreakdown, EnergyModel, Machine,
-    MemoryHierarchy, RunStats, SimConfig, TimedRun, Trace, TraceBuilder, FAN_OUT_MIN_INSTS, LANES,
-    SEGMENT_BLOCKS,
+    MemoryHierarchy, RunStats, SimConfig, TimedRun, Trace, FAN_OUT_MIN_INSTS, LANES,
 };
 use compile_time_dvs::vf::{OperatingPoint, VoltageLadder};
 use compile_time_dvs::workloads::Benchmark;
@@ -386,62 +385,6 @@ fn random_programs_on_stress_machines_match_run_points_walked_first() {
     );
 }
 
-/// Distances in edges from each block to the exit.
-fn dist_to_exit(cfg: &Cfg) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; cfg.num_blocks()];
-    let mut queue = std::collections::VecDeque::from([cfg.exit()]);
-    dist[cfg.exit().index()] = 0;
-    while let Some(b) = queue.pop_front() {
-        for p in cfg.predecessors(b) {
-            if dist[p.index()] == usize::MAX {
-                dist[p.index()] = dist[b.index()] + 1;
-                queue.push_back(p);
-            }
-        }
-    }
-    dist
-}
-
-/// A random entry-to-exit walk of `cfg` lengthened past two segments and
-/// `FAN_OUT_MIN_INSTS`, as in `tests/sim_record_once.rs`: while short, it
-/// takes a successor that leads no nearer the exit when there is one, and
-/// then heads for the exit by a shortest path. `None` when the walk finds
-/// no loop to stay in.
-fn long_trace(g: &mut Gen, cfg: &Cfg) -> Option<Trace> {
-    let dist = dist_to_exit(cfg);
-    let mut tb = TraceBuilder::new(cfg);
-    let (mut blocks, mut insts) = (0, 0);
-    let mut cur = cfg.entry();
-    loop {
-        let addrs = (0..cfg.block(cur).mem_inst_count())
-            .map(|_| 4 * g.below(4096))
-            .collect();
-        tb.step(cur, addrs);
-        blocks += 1;
-        insts += cfg.block(cur).len() as u64;
-        if cur == cfg.exit() {
-            break;
-        }
-        let succs: Vec<BlockId> = cfg.successors(cur).collect();
-        let away: Vec<BlockId> = succs
-            .iter()
-            .copied()
-            .filter(|s| dist[s.index()] >= dist[cur.index()])
-            .collect();
-        let short = blocks <= 2 * SEGMENT_BLOCKS || insts < FAN_OUT_MIN_INSTS;
-        cur = match (short, away.is_empty()) {
-            (true, false) => away[g.below(away.len() as u64) as usize],
-            (true, true) => succs[g.below(succs.len() as u64) as usize],
-            (false, _) => *succs
-                .iter()
-                .min_by_key(|s| dist[s.index()])
-                .expect("every block reaches the exit"),
-        };
-    }
-    let trace = tb.finish().expect("walk ends at the exit");
-    (blocks > 2 * SEGMENT_BLOCKS && insts >= FAN_OUT_MIN_INSTS).then_some(trace)
-}
-
 #[test]
 fn lengthened_random_programs_on_stress_machines_match_run_points_streamed() {
     let machines = stress_machines();
@@ -450,7 +393,7 @@ fn lengthened_random_programs_on_stress_machines_match_run_points_streamed() {
     for seed in 0..seeds {
         let mut g = Gen::from_seed(seed ^ 0x1a7e_10e6);
         let cfg = gen_cfg(&mut g, 8);
-        let Some(trace) = long_trace(&mut g, &cfg) else {
+        let Some(trace) = gen_long_trace(&mut g, &cfg) else {
             continue;
         };
         long += 1;

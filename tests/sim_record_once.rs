@@ -13,7 +13,7 @@
 //! a machine wide enough that one cycle's compute latency overflows the
 //! byte a timing pass keeps per cycle.
 
-use compile_time_dvs::check::{gen_cfg, gen_ladder, gen_trace, Gen};
+use compile_time_dvs::check::{gen_cfg, gen_ladder, gen_long_trace, gen_trace, Gen};
 use compile_time_dvs::compiler::DeadlineScheme;
 use compile_time_dvs::ir::{
     BlockId, BlockModeCost, Cfg, CfgBuilder, Inst, MemWidth, Opcode, Profile, ProfileBuilder, Reg,
@@ -671,9 +671,10 @@ fn a_cycle_with_more_compute_latency_than_a_byte_matches_the_oracle() {
 /// alternate, `a` twice at the start when the count is odd. Light blocks
 /// hold one instruction each (a load in `a`, a branch in `b`), so that up
 /// to `2 * SEGMENT_BLOCKS + 1` blocks stay under `FAN_OUT_MIN_INSTS` and
-/// the caller walks first; heavy ones hold four and two, so that the walk
-/// streams on two or more CPUs. Every segment carries fetches, data
-/// accesses and branches.
+/// the caller walks first; heavy ones hold four and two, so that on two or
+/// more CPUs the walk streams, except under a one-pass call over a
+/// one-segment trace, which walks first. Every segment carries fetches,
+/// data accesses and branches.
 fn segmented(blocks: usize, heavy: bool) -> (Cfg, Trace) {
     let mut bld = CfgBuilder::new("segmented");
     let entry = bld.block("entry");
@@ -736,70 +737,19 @@ fn segment_boundaries_match_the_oracle_streamed_and_walked_first() {
             assert_eq!(
                 insts >= FAN_OUT_MIN_INSTS,
                 heavy,
-                "{blocks} blocks: only the heavy trace streams"
+                "{blocks} blocks: only the heavy trace reaches the fan-out bound"
             );
-            let how = if heavy { "streamed" } else { "walked first" };
+            // A one-pass call over one segment (`run`, and the 3-point
+            // `time_points` of `DeadlineScheme::measure`) walks first too.
+            let how = match (heavy, blocks > seg) {
+                (false, _) => "walked first",
+                (true, false) => "one segment, streamed under several passes",
+                (true, true) => "streamed",
+            };
             checked += check_program(&machine, &cfg, &trace, &format!("{blocks} blocks, {how}"));
         }
     }
     assert_eq!(checked, 4 * 2 * 23);
-}
-
-/// Distances in edges from each block to the exit.
-fn dist_to_exit(cfg: &Cfg) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; cfg.num_blocks()];
-    let mut queue = std::collections::VecDeque::from([cfg.exit()]);
-    dist[cfg.exit().index()] = 0;
-    while let Some(b) = queue.pop_front() {
-        for p in cfg.predecessors(b) {
-            if dist[p.index()] == usize::MAX {
-                dist[p.index()] = dist[b.index()] + 1;
-                queue.push_back(p);
-            }
-        }
-    }
-    dist
-}
-
-/// A random entry-to-exit walk of `cfg` with addresses as dvs-check's
-/// `gen_trace` draws them, lengthened past two segments and
-/// `FAN_OUT_MIN_INSTS`: while short, it takes a random successor that
-/// leads no nearer the exit when there is one, which keeps it in the
-/// first loop it enters, and then heads for the exit by a shortest path.
-/// `None` when the walk finds no loop to stay in.
-fn long_trace(g: &mut Gen, cfg: &Cfg) -> Option<Trace> {
-    let dist = dist_to_exit(cfg);
-    let mut tb = TraceBuilder::new(cfg);
-    let (mut blocks, mut insts) = (0, 0);
-    let mut cur = cfg.entry();
-    loop {
-        let addrs = (0..cfg.block(cur).mem_inst_count())
-            .map(|_| 4 * g.below(4096))
-            .collect();
-        tb.step(cur, addrs);
-        blocks += 1;
-        insts += cfg.block(cur).len() as u64;
-        if cur == cfg.exit() {
-            break;
-        }
-        let succs: Vec<BlockId> = cfg.successors(cur).collect();
-        let away: Vec<BlockId> = succs
-            .iter()
-            .copied()
-            .filter(|s| dist[s.index()] >= dist[cur.index()])
-            .collect();
-        let short = blocks <= 2 * SEGMENT_BLOCKS || insts < FAN_OUT_MIN_INSTS;
-        cur = match (short, away.is_empty()) {
-            (true, false) => away[g.below(away.len() as u64) as usize],
-            (true, true) => succs[g.below(succs.len() as u64) as usize],
-            (false, _) => *succs
-                .iter()
-                .min_by_key(|s| dist[s.index()])
-                .expect("every block reaches the exit"),
-        };
-    }
-    let trace = tb.finish().expect("walk ends at the exit");
-    (blocks > 2 * SEGMENT_BLOCKS && insts >= FAN_OUT_MIN_INSTS).then_some(trace)
 }
 
 #[test]
@@ -827,7 +777,7 @@ fn lengthened_random_programs_on_stress_machines_match_the_oracle() {
     for seed in 0..40u64 {
         let mut g = Gen::from_seed(seed ^ 0x10_6e57_ea4d);
         let cfg = gen_cfg(&mut g, 8);
-        let Some(trace) = long_trace(&mut g, &cfg) else {
+        let Some(trace) = gen_long_trace(&mut g, &cfg) else {
             continue;
         };
         long += 1;

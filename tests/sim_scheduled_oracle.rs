@@ -594,7 +594,9 @@ fn walk_counts_match_the_oracle() {
 /// follows, so a schedule can switch there alone. Light blocks hold one
 /// instruction each (a load, a branch) and stay under
 /// `FAN_OUT_MIN_INSTS`, so the caller walks first; heavy ones hold four,
-/// so that the walk streams on two or more CPUs.
+/// so that the walk streams on two or more CPUs. Every trace holds at
+/// least `SEGMENT_BLOCKS + 1` blocks, two segments, so the one scheduled
+/// pass follows the walk rather than waiting for all of it.
 fn switch_at(at: usize, heavy: bool) -> (Cfg, Trace) {
     let mut bld = CfgBuilder::new("switch-at");
     let entry = bld.block("entry");
@@ -639,6 +641,7 @@ fn a_mode_switch_on_a_segment_boundary_matches_the_oracle() {
                 heavy,
                 "only the heavy trace streams"
             );
+            assert!(trace.len() > seg, "two segments, so one pass streams");
             let walked = Walked::new(&machine, &cfg, &trace);
             let into_b = cfg
                 .edge_between(BlockId(1), BlockId(2))
