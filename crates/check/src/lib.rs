@@ -54,8 +54,8 @@ mod runner;
 mod shrink;
 
 pub use cases::{
-    gen_case, gen_cfg, gen_ladder, gen_long_trace, gen_trace, gen_transition, CaseSpec, CheckCase,
-    DeadlineSpec,
+    gen_case, gen_cfg, gen_deadline, gen_ladder, gen_long_trace, gen_trace, gen_transition,
+    CaseSpec, CheckCase, DeadlineSpec,
 };
 pub use gen::Gen;
 pub use mutate::Mutation;

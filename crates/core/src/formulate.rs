@@ -1,8 +1,11 @@
 use crate::EdgeFilter;
 use dvs_ir::{Cfg, EdgeId, LocalPath, Profile};
-use dvs_milp::{LinExpr, MilpError, Model, Sense, SolveOptions, SolveStats, SolverChoice, Var};
+use dvs_milp::{
+    LinExpr, MilpError, Model, Sense, Solution, SolveOptions, SolveStats, SolverChoice, Var,
+};
 use dvs_sim::EdgeSchedule;
 use dvs_vf::{ModeId, TransitionModel, VoltageLadder};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// Mode-variable granularity.
@@ -73,26 +76,27 @@ pub struct MilpFormulation<'a> {
     filter: EdgeFilter,
     granularity: Granularity,
     deadline_us: f64,
-    pinned: Vec<(EdgeId, ModeId)>,
     solver: SolverChoice,
     certify: bool,
 }
 
-/// Internal handle: variables of one mode group.
-pub(crate) struct GroupVars {
-    /// `k[m]` binaries, one per ladder mode.
-    pub k: Vec<Var>,
-}
-
 /// A fully assembled model plus the handles needed to warm-start it and to
-/// read the solution back out. Shared between the integral solve and the
-/// continuous relaxation.
-struct BuiltMilp {
-    model: Model,
-    groups: Vec<Option<GroupVars>>,
+/// read the solution back out. Shared by the integral solve, the continuous
+/// relaxation and the §4.3 multi-category solve.
+pub(crate) struct BuiltMilp {
+    pub(crate) model: Model,
+    /// `groups[r]`: the `k[m]` binaries, one per ladder mode, of
+    /// representative edge `r`.
+    groups: Vec<Option<Vec<Var>>>,
+    /// The start mode's binaries.
     start: Vec<Var>,
-    time: LinExpr,
-    transition_energy: LinExpr,
+    /// `reps[e]`: the representative whose group edge `e` uses.
+    reps: Vec<EdgeId>,
+    /// Per category, the left side of its deadline row: block time plus
+    /// transition time.
+    pub(crate) times: Vec<LinExpr>,
+    /// Per category, its transition energy.
+    transition_energy: Vec<LinExpr>,
     /// Auxiliary absolute-value variables and the expressions they bound
     /// (`aux >= |expr|`): at any candidate point, setting `aux = |expr|`
     /// makes the four linearization rows tight — used when assembling
@@ -100,17 +104,179 @@ struct BuiltMilp {
     aux_abs: Vec<(Var, LinExpr)>,
 }
 
+/// Adds one mode group: a binary per ladder mode, summing to 1, as an SOS1
+/// set.
+fn mode_group(model: &mut Model, n_modes: usize, label: impl std::fmt::Display) -> Vec<Var> {
+    let k: Vec<Var> = (0..n_modes)
+        .map(|m| model.bool_var(format!("k_{label}_{m}")))
+        .collect();
+    let mut sum = LinExpr::zero();
+    for &v in &k {
+        sum += LinExpr::from(v);
+    }
+    model.add_eq(sum, 1.0);
+    model.add_sos1(k.clone());
+    k
+}
+
 impl BuiltMilp {
-    /// The `k` variables of the group owning `slot` (`None` = start mode).
-    fn kvars(&self, rep: Option<EdgeId>) -> &[Var] {
-        match rep {
-            Some(r) => {
-                &self.groups[r.index()]
-                    .as_ref()
-                    .expect("group created for every rep")
-                    .k
+    /// Assembles the §4.2 model over one or more input categories (§4.3),
+    /// each given as (weight, profile, deadline µs): one binary group per
+    /// representative edge (`reps[e]` for edge `e`, in edge order) plus the
+    /// start group; each category's block costs attributed per incoming
+    /// edge and its transition costs per local path, through one
+    /// |ΔV²|/|ΔV| auxiliary pair per path, shared by every category that
+    /// takes it; one deadline row per category; and the objective
+    /// Σ weight · (block energy + transition energy).
+    pub(crate) fn assemble(
+        cfg: &Cfg,
+        reps: Vec<EdgeId>,
+        categories: &[(f64, &Profile, f64)],
+        ladder: &VoltageLadder,
+        transition: &TransitionModel,
+    ) -> Self {
+        let n_modes = ladder.len();
+        let mut model = Model::new(Sense::Minimize);
+
+        // --- mode variable groups: one per representative edge + start ---
+        let mut groups: Vec<Option<Vec<Var>>> = vec![None; cfg.num_edges()];
+        for r in &reps {
+            if groups[r.index()].is_none() {
+                groups[r.index()] = Some(mode_group(&mut model, n_modes, r.index()));
             }
+        }
+        let start = mode_group(&mut model, n_modes, "start");
+        let mut built = BuiltMilp {
+            model,
+            groups,
+            start,
+            reps,
+            times: Vec::with_capacity(categories.len()),
+            transition_energy: Vec::with_capacity(categories.len()),
+            aux_abs: Vec::new(),
+        };
+
+        let ce = transition.energy_uj(1.0, 0.0); // (1-u)·c
+        let ct = transition.time_us(1.0, 0.0); // 2c/IMAX
+        let mut switch_aux: BTreeMap<LocalPath, (Var, Var)> = BTreeMap::new();
+        let mut weighted_energy = Vec::with_capacity(categories.len());
+        for &(weight, profile, _) in categories {
+            // --- block energy & time, attributed per incoming edge ---
+            let mut energy = LinExpr::zero();
+            let mut time = LinExpr::zero();
+            for e in cfg.edges() {
+                let g = profile.edge_count(e.id) as f64;
+                if g == 0.0 {
+                    continue;
+                }
+                for (m, &kv) in built.kvars(Some(e.id)).iter().enumerate() {
+                    let c = profile.block_cost(e.dst, m);
+                    energy += (g * c.energy_uj) * kv;
+                    time += (g * c.time_us) * kv;
+                }
+            }
+            // Entry block runs under the start mode once per run.
+            let entry_runs = profile.block_count(cfg.entry()) as f64;
+            for (m, &kv) in built.start.iter().enumerate() {
+                let c = profile.block_cost(cfg.entry(), m);
+                energy += (entry_runs * c.energy_uj) * kv;
+                time += (entry_runs * c.time_us) * kv;
+            }
+
+            // --- transition costs per local path ---
+            let mut transition_energy = LinExpr::zero();
+            if ce > 0.0 || ct > 0.0 {
+                for (path, d) in profile.local_paths() {
+                    let Some(exit) = path.exit else { continue };
+                    let enter_rep = path.enter.map(|e| built.reps[e.index()]);
+                    if enter_rep == Some(built.reps[exit.index()]) {
+                        continue; // same variable group: never a transition
+                    }
+                    let (ep, tp) = *switch_aux
+                        .entry(path)
+                        .or_insert_with(|| built.add_switch_aux(path, exit, ladder));
+                    let d = d as f64;
+                    transition_energy += (d * ce) * ep;
+                    time += (d * ct) * tp;
+                }
+            }
+
+            weighted_energy.push(weight * (energy + transition_energy.clone()));
+            built.times.push(time);
+            built.transition_energy.push(transition_energy);
+        }
+        for (time, &(_, _, deadline_us)) in built.times.iter().zip(categories) {
+            built.model.add_le(time.clone(), deadline_us);
+        }
+        // Summed onto the first category's terms, not re-inserted into an
+        // empty expression.
+        let objective = weighted_energy.into_iter().reduce(|sum, e| sum + e);
+        built.model.set_objective(objective.unwrap_or_default());
+        built
+    }
+
+    /// Adds the auxiliaries of a switch along `path` (leaving by `exit`):
+    /// `e_p ≥ |X|` and `t_p ≥ |Y|`, with X = Σ V²_m (ke_m − kx_m) and Y
+    /// likewise with V.
+    fn add_switch_aux(
+        &mut self,
+        path: LocalPath,
+        exit: EdgeId,
+        ladder: &VoltageLadder,
+    ) -> (Var, Var) {
+        let ke = self.kvars(path.enter);
+        let kx = self.kvars(Some(exit));
+        let mut x = LinExpr::zero();
+        let mut y = LinExpr::zero();
+        for (m, pt) in ladder.iter() {
+            let (vv, v) = (pt.voltage * pt.voltage, pt.voltage);
+            x += vv * ke[m.index()];
+            x -= vv * kx[m.index()];
+            y += v * ke[m.index()];
+            y -= v * kx[m.index()];
+        }
+        let model = &mut self.model;
+        let ep = model.num_var(format!("e_p{}", path.block.index()), 0.0, f64::INFINITY);
+        let tp = model.num_var(format!("t_p{}", path.block.index()), 0.0, f64::INFINITY);
+        model.add_ge(LinExpr::from(ep) - x.clone(), 0.0);
+        model.add_ge(LinExpr::from(ep) + x.clone(), 0.0);
+        model.add_ge(LinExpr::from(tp) - y.clone(), 0.0);
+        model.add_ge(LinExpr::from(tp) + y.clone(), 0.0);
+        self.aux_abs.push((ep, x));
+        self.aux_abs.push((tp, y));
+        (ep, tp)
+    }
+
+    /// The `k` variables of edge `e`'s group (`None` = the start group).
+    fn kvars(&self, e: Option<EdgeId>) -> &[Var] {
+        match e {
+            Some(e) => self.groups[self.reps[e.index()].index()]
+                .as_deref()
+                .expect("group created for every rep"),
             None => &self.start,
+        }
+    }
+
+    /// The schedule a solution picks: in each group, the mode of its
+    /// largest binary.
+    pub(crate) fn schedule(&self, sol: &Solution) -> EdgeSchedule {
+        let pick = |ks: &[Var]| -> ModeId {
+            let mut best = 0;
+            let mut bv = f64::NEG_INFINITY;
+            for (m, &kv) in ks.iter().enumerate() {
+                let v = sol.value(kv);
+                if v > bv {
+                    bv = v;
+                    best = m;
+                }
+            }
+            ModeId(best)
+        };
+        EdgeSchedule {
+            initial: pick(&self.start),
+            edge_modes: (0..self.reps.len())
+                .map(|e| pick(self.kvars(Some(EdgeId(e)))))
+                .collect(),
         }
     }
 }
@@ -133,7 +299,6 @@ impl<'a> MilpFormulation<'a> {
             filter: EdgeFilter::identity(cfg),
             granularity: Granularity::Edge,
             deadline_us,
-            pinned: Vec::new(),
             solver: SolverChoice::Auto,
             certify: false,
         }
@@ -171,16 +336,6 @@ impl<'a> MilpFormulation<'a> {
         self
     }
 
-    /// Forces the mode on `edge` to `mode` — e.g. pinning an I/O or
-    /// latency-critical region to a specific speed regardless of what the
-    /// optimizer would choose. Pins apply to the edge's representative
-    /// group, so tied edges inherit them.
-    #[must_use]
-    pub fn with_pinned_edge(mut self, edge: EdgeId, mode: ModeId) -> Self {
-        self.pinned.push((edge, mode));
-        self
-    }
-
     /// Installs an [`EdgeFilter`] (variable tying).
     #[must_use]
     pub fn with_filter(mut self, filter: EdgeFilter) -> Self {
@@ -210,128 +365,21 @@ impl<'a> MilpFormulation<'a> {
         }
     }
 
-    /// Assembles the §4.2 model: one binary group per representative edge
-    /// plus the start group, block costs attributed per incoming edge,
-    /// transition costs per local path, and the deadline row.
+    /// Assembles the §4.2 model, one category at weight 1
+    /// ([`BuiltMilp::assemble`]), under the `pass.formulate` span.
     fn build_model(&self) -> BuiltMilp {
-        let formulate_span = dvs_obs::span!("pass.formulate");
+        let _span = dvs_obs::span!("pass.formulate");
         let build_start = Instant::now();
-        let n_modes = self.ladder.len();
-        let mut model = Model::new(Sense::Minimize);
-
-        // --- mode variable groups: one per representative edge + start ---
-        let mut groups: Vec<Option<GroupVars>> = (0..self.cfg.num_edges()).map(|_| None).collect();
-        for e in self.cfg.edges() {
-            let r = self.rep(e.id);
-            if groups[r.index()].is_none() {
-                let k: Vec<Var> = (0..n_modes)
-                    .map(|m| model.bool_var(format!("k_{}_{m}", r.index())))
-                    .collect();
-                let mut sum = LinExpr::zero();
-                for &v in &k {
-                    sum += LinExpr::from(v);
-                }
-                model.add_eq(sum, 1.0);
-                model.add_sos1(k.clone());
-                groups[r.index()] = Some(GroupVars { k });
-            }
-        }
-        let start: Vec<Var> = (0..n_modes)
-            .map(|m| model.bool_var(format!("k_start_{m}")))
-            .collect();
-        {
-            let mut sum = LinExpr::zero();
-            for &v in &start {
-                sum += LinExpr::from(v);
-            }
-            model.add_eq(sum, 1.0);
-            model.add_sos1(start.clone());
-        }
-        let kvars = |slot: Option<EdgeId>| -> &[Var] {
-            match slot {
-                Some(e) => {
-                    &groups[self.rep(e).index()]
-                        .as_ref()
-                        .expect("group created for every rep")
-                        .k
-                }
-                None => &start,
-            }
-        };
-
-        // --- block energy & time, attributed per incoming edge ---
-        let mut energy = LinExpr::zero();
-        let mut time = LinExpr::zero();
-        for e in self.cfg.edges() {
-            let g = self.profile.edge_count(e.id) as f64;
-            if g == 0.0 {
-                continue;
-            }
-            let ks = kvars(Some(e.id));
-            for (m, &kv) in ks.iter().enumerate() {
-                let c = self.profile.block_cost(e.dst, m);
-                energy += (g * c.energy_uj) * kv;
-                time += (g * c.time_us) * kv;
-            }
-        }
-        // Entry block runs under the start mode once per run.
-        let entry_runs = self.profile.block_count(self.cfg.entry()) as f64;
-        for (m, &kv) in start.iter().enumerate() {
-            let c = self.profile.block_cost(self.cfg.entry(), m);
-            energy += (entry_runs * c.energy_uj) * kv;
-            time += (entry_runs * c.time_us) * kv;
-        }
-
-        // --- transition costs per local path ---
-        let ce = self.transition.energy_uj(1.0, 0.0); // (1-u)·c
-        let ct = self.transition.time_us(1.0, 0.0); // 2c/IMAX
-        let mut transition_energy = LinExpr::zero();
-        let mut aux_abs: Vec<(Var, LinExpr)> = Vec::new();
-        if ce > 0.0 || ct > 0.0 {
-            for (path, d) in self.profile.local_paths() {
-                let Some(exit) = path.exit else { continue };
-                let d = d as f64;
-                let enter_rep = path.enter.map(|e| self.rep(e));
-                let exit_rep = self.rep(exit);
-                if enter_rep == Some(exit_rep) {
-                    continue; // same variable group: never a transition
-                }
-                let ke = kvars(path.enter);
-                let kx = kvars(Some(exit));
-                // X = Σ V²_m (ke_m - kx_m); Y likewise with V.
-                let mut x = LinExpr::zero();
-                let mut y = LinExpr::zero();
-                for (m, pt) in self.ladder.iter() {
-                    let (vv, v) = (pt.voltage * pt.voltage, pt.voltage);
-                    x += vv * ke[m.index()];
-                    x -= vv * kx[m.index()];
-                    y += v * ke[m.index()];
-                    y -= v * kx[m.index()];
-                }
-                let ep = model.num_var(format!("e_p{}", path.block.index()), 0.0, f64::INFINITY);
-                let tp = model.num_var(format!("t_p{}", path.block.index()), 0.0, f64::INFINITY);
-                aux_abs.push((ep, x.clone()));
-                aux_abs.push((tp, y.clone()));
-                model.add_ge(LinExpr::from(ep) - x.clone(), 0.0);
-                model.add_ge(LinExpr::from(ep) + x, 0.0);
-                model.add_ge(LinExpr::from(tp) - y.clone(), 0.0);
-                model.add_ge(LinExpr::from(tp) + y, 0.0);
-                transition_energy += (d * ce) * ep;
-                time += (d * ct) * tp;
-            }
-        }
-
-        // User pins: the chosen group member is fixed to 1.
-        for &(edge, mode) in &self.pinned {
-            let ks = kvars(Some(edge));
-            model.add_eq(LinExpr::from(ks[mode.index()]), 1.0);
-        }
-
-        let objective = energy + transition_energy.clone();
-        model.set_objective(objective);
-        model.add_le(time.clone(), self.deadline_us);
-
+        let reps = self.cfg.edges().map(|e| self.rep(e.id)).collect();
+        let built = BuiltMilp::assemble(
+            self.cfg,
+            reps,
+            &[(1.0, self.profile, self.deadline_us)],
+            self.ladder,
+            self.transition,
+        );
         if dvs_obs::enabled() {
+            let model = &built.model;
             dvs_obs::gauge("milp.num_vars", model.num_vars() as f64);
             dvs_obs::gauge("milp.num_binary_vars", model.num_int_vars() as f64);
             dvs_obs::gauge("milp.num_constraints", model.num_constraints() as f64);
@@ -340,16 +388,7 @@ impl<'a> MilpFormulation<'a> {
                 build_start.elapsed().as_secs_f64() * 1e6,
             );
         }
-        drop(formulate_span);
-
-        BuiltMilp {
-            model,
-            groups,
-            start,
-            time,
-            transition_energy,
-            aux_abs,
-        }
+        built
     }
 
     /// A warm-start point from the exact continuous-voltage algorithm:
@@ -366,19 +405,15 @@ impl<'a> MilpFormulation<'a> {
             .terms()
             .map(|(v, c)| (v.index(), c))
             .collect();
-        let tcoef: std::collections::HashMap<usize, f64> =
-            built.time.terms().map(|(v, c)| (v.index(), c)).collect();
+        let tcoef: std::collections::HashMap<usize, f64> = built.times[0]
+            .terms()
+            .map(|(v, c)| (v.index(), c))
+            .collect();
         let mut sub = Model::new(Sense::Minimize);
         let mut sobj = LinExpr::zero();
         let mut stime = LinExpr::zero();
         let mut map: Vec<(usize, Var)> = Vec::new();
-        for ks in built
-            .groups
-            .iter()
-            .flatten()
-            .map(|g| &g.k)
-            .chain(std::iter::once(&built.start))
-        {
+        for ks in built.groups.iter().flatten().chain([&built.start]) {
             let mut sum = LinExpr::zero();
             for &kv in ks {
                 let v = sub.bool_var(format!("s{}", kv.index()));
@@ -403,7 +438,7 @@ impl<'a> MilpFormulation<'a> {
         for (av, expr) in &built.aux_abs {
             x[av.index()] = expr.eval(&x).abs();
         }
-        (built.time.eval(&x) <= self.deadline_us).then_some(x)
+        (built.times[0].eval(&x) <= self.deadline_us).then_some(x)
     }
 
     /// Builds and solves the MILP.
@@ -421,8 +456,7 @@ impl<'a> MilpFormulation<'a> {
         // meets the deadline (always feasible: all groups at one mode,
         // zero transition cost), and the rounded continuous-voltage (YDS)
         // point, which mixes modes per group and usually prunes far
-        // harder. Either is rejected by the solver's feasibility check if
-        // a user pin contradicts it, so seeding is always safe.
+        // harder.
         let uniform: Option<Vec<f64>> = self
             .ladder
             .modes()
@@ -430,7 +464,7 @@ impl<'a> MilpFormulation<'a> {
             .map(|m| {
                 let mut x = vec![0.0; built.model.num_vars()];
                 for g in built.groups.iter().flatten() {
-                    x[g.k[m.index()].index()] = 1.0;
+                    x[g[m.index()].index()] = 1.0;
                 }
                 x[built.start[m.index()].index()] = 1.0;
                 for (av, expr) in &built.aux_abs {
@@ -492,34 +526,11 @@ impl<'a> MilpFormulation<'a> {
             None
         };
 
-        // --- extract the schedule ---
-        let pick = |ks: &[Var]| -> ModeId {
-            let mut best = 0;
-            let mut bv = f64::NEG_INFINITY;
-            for (m, &kv) in ks.iter().enumerate() {
-                let v = sol.value(kv);
-                if v > bv {
-                    bv = v;
-                    best = m;
-                }
-            }
-            ModeId(best)
-        };
-        let edge_modes: Vec<ModeId> = self
-            .cfg
-            .edges()
-            .map(|e| pick(built.kvars(Some(self.rep(e.id)))))
-            .collect();
-        let schedule = EdgeSchedule {
-            initial: pick(&built.start),
-            edge_modes,
-        };
-
         Ok(MilpOutcome {
-            schedule,
+            schedule: built.schedule(&sol),
             predicted_energy_uj: sol.objective,
-            predicted_time_us: built.time.eval(&sol.values),
-            predicted_transition_energy_uj: built.transition_energy.eval(&sol.values),
+            predicted_time_us: built.times[0].eval(&sol.values),
+            predicted_transition_energy_uj: built.transition_energy[0].eval(&sol.values),
             solve_stats: sol.stats,
             solve_time,
             binary_vars,
@@ -572,14 +583,5 @@ impl<'a> MilpFormulation<'a> {
     #[must_use]
     pub fn filter(&self) -> &EdgeFilter {
         &self.filter
-    }
-
-    /// The local paths that would receive transition variables.
-    #[must_use]
-    pub fn transition_paths(&self) -> Vec<(LocalPath, u64)> {
-        self.profile
-            .local_paths()
-            .filter(|(p, _)| p.exit.is_some())
-            .collect()
     }
 }

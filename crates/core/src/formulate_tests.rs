@@ -170,37 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_edges_override_the_optimizer() {
-        let (cfg, profile) = setup();
-        let ladder = two_level_ladder();
-        let free = TransitionModel::free();
-        let a = cfg.block_by_label("a").expect("a");
-        let e_a = cfg.in_edges(a).next().expect("edge into a");
-        // Unpinned optimum runs a fast (see free_transitions test); pin it
-        // slow and the solver must re-plan: a slow (10 µs, 1 µJ) forces
-        // b fast (10 µs, 8 µJ) to stay within 25 µs. Energy 9 > 6.
-        let out = MilpFormulation::new(&cfg, &profile, &ladder, &free, 25.0)
-            .with_pinned_edge(e_a, ModeId(0))
-            .solve()
-            .expect("still feasible");
-        assert_eq!(out.schedule.edge_modes[e_a.index()], ModeId(0));
-        assert!(
-            (out.predicted_energy_uj - 9.0).abs() < 1e-6,
-            "E = {}",
-            out.predicted_energy_uj
-        );
-        // Pinning both blocks slow is infeasible at this deadline.
-        let b = cfg.block_by_label("b").expect("b");
-        let e_b = cfg.in_edges(b).next().expect("edge into b");
-        let err = MilpFormulation::new(&cfg, &profile, &ladder, &free, 25.0)
-            .with_pinned_edge(e_a, ModeId(0))
-            .with_pinned_edge(e_b, ModeId(0))
-            .solve()
-            .unwrap_err();
-        assert!(matches!(err, dvs_milp::MilpError::Infeasible));
-    }
-
-    #[test]
     fn relaxation_lower_bounds_the_integral_objective() {
         let (cfg, profile) = setup();
         let ladder = two_level_ladder();

@@ -19,7 +19,9 @@
 //!    statically silent mode-sets ([`ScheduleAnalysis`]).
 //!
 //! Also provided: the multi-input-category formulation of §4.3
-//! ([`MultiCategory`]), the baselines the paper compares against
+//! ([`MultiCategory`]), which is the same §4.2 model assembly taken over
+//! several categories' profiles, each weighted in the objective and held to
+//! its own deadline row; the baselines the paper compares against
 //! ([`baseline`]), the Fig. 16 deadline-selection scheme
 //! ([`DeadlineScheme`]), and the bridge from simulator runs to the
 //! analytical model's program parameters ([`analyze_params`]).

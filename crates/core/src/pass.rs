@@ -613,7 +613,14 @@ impl DvsCompiler {
     /// # Errors
     ///
     /// [`PassError::Solve`] wrapping [`dvs_milp::MilpError::Infeasible`]
-    /// when no shared assignment meets every category deadline.
+    /// when no shared assignment meets every category deadline;
+    /// [`PassError::Profile`]/[`PassError::Formulate`] for a malformed
+    /// category, checked as [`DvsCompiler::compile`] checks its input, or a
+    /// weight that is not finite and non-negative.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `categories` is empty or `traces` has a different length.
     pub fn compile_multi(
         &self,
         cfg: &Cfg,
@@ -625,6 +632,15 @@ impl DvsCompiler {
             traces.len(),
             "one trace per category required"
         );
+        for cat in categories {
+            self.check_inputs(&cat.profile, cat.deadline_us)?;
+            if !cat.weight.is_finite() || cat.weight < 0.0 {
+                return Err(PassError::Formulate(format!(
+                    "category weight {} is not a finite non-negative number",
+                    cat.weight
+                )));
+            }
+        }
         let ref_mode = self.ladder.len() - 1;
         let filter = if self.tail_fraction > 0.0 {
             // Filter from the heaviest-weight category's profile.
