@@ -103,51 +103,6 @@ pub fn emit_instrumented(
     )
 }
 
-/// Renders `cfg` in Graphviz DOT with each edge coloured and labelled by
-/// its assigned mode — the visual counterpart of the emitted listing.
-/// Silent mode-sets are drawn dashed.
-#[must_use]
-pub fn schedule_to_dot(
-    cfg: &Cfg,
-    ladder: &VoltageLadder,
-    schedule: &EdgeSchedule,
-    analysis: &ScheduleAnalysis,
-) -> String {
-    use std::fmt::Write as _;
-    // A fixed palette cycled by mode index; slow modes cool, fast warm.
-    const COLORS: [&str; 6] = [
-        "#4575b4", "#91bfdb", "#e0f3f8", "#fee090", "#fc8d59", "#d73027",
-    ];
-    let mut s = String::new();
-    let _ = writeln!(s, "digraph \"{}\" {{", cfg.name());
-    let _ = writeln!(
-        s,
-        "  label=\"initial mode: {}\"; node [shape=box fontname=monospace];",
-        ladder.point(schedule.initial)
-    );
-    for b in cfg.blocks() {
-        let _ = writeln!(s, "  {} [label=\"{}\"];", b.id.index(), b.label);
-    }
-    for e in cfg.edges() {
-        let mode = schedule.edge_modes[e.id.index()];
-        let color = COLORS[mode.index() * COLORS.len() / ladder.len().max(1) % COLORS.len()];
-        let style = if analysis.is_silent(e.id) {
-            "dashed"
-        } else {
-            "solid"
-        };
-        let _ = writeln!(
-            s,
-            "  {} -> {} [color=\"{color}\" style={style} label=\"{:.0}MHz\"];",
-            e.src.index(),
-            e.dst.index(),
-            ladder.point(mode).frequency_mhz
-        );
-    }
-    s.push_str("}\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,26 +165,6 @@ mod tests {
         // h -> x: h has two successors but x has a single predecessor, so
         // the mode-set can live at the top of x: not critical.
         assert_eq!(stats.critical_edge_sets, 0);
-    }
-
-    #[test]
-    fn dot_renders_modes_and_silence() {
-        let mut b = CfgBuilder::new("dots");
-        let e = b.block("entry");
-        let x = b.block("exit");
-        b.edge(e, x);
-        let cfg = b.finish(e, x).unwrap();
-        let mut pb = ProfileBuilder::new(&cfg, 3);
-        pb.record_walk(&cfg, &[e, x]);
-        let profile = pb.finish();
-        let schedule = dvs_sim::EdgeSchedule::uniform(&cfg, ModeId(2));
-        let analysis = ScheduleAnalysis::new(&cfg, &profile, &schedule);
-        let ladder = dvs_vf::VoltageLadder::xscale3(&AlphaPower::paper());
-        let dot = schedule_to_dot(&cfg, &ladder, &schedule, &analysis);
-        assert!(dot.contains("digraph"));
-        assert!(dot.contains("800MHz"));
-        assert!(dot.contains("style=dashed"), "uniform edge is silent");
-        assert!(dot.contains("initial mode: 800 MHz"));
     }
 
     #[test]

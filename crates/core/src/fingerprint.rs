@@ -3,7 +3,7 @@
 //! The serve daemon keys its solve cache by *content*: two requests that
 //! would run the exact same profile → filter → MILP pipeline must hash to
 //! the same 64-bit digest, and any semantic difference (a different ladder
-//! point, tail fraction, hoisting toggle, deadline, workload) must change
+//! point, tail fraction, certify toggle, deadline, workload) must change
 //! it. The hasher is a hand-rolled FNV-1a over a canonical byte encoding —
 //! no `std::hash::Hasher` involvement, because `Hash` implementations are
 //! allowed to change between compiler releases while cache keys should

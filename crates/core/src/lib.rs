@@ -89,7 +89,7 @@ pub use analyze::analyze_params;
 pub use baseline::{lee_sakurai, LeeSakurai};
 pub use deadline::DeadlineScheme;
 pub use dvs_milp::SolverChoice;
-pub use emit::{emit_instrumented, schedule_to_dot, EmitStats};
+pub use emit::{emit_instrumented, EmitStats};
 pub use error::PassError;
 pub use filter::EdgeFilter;
 pub use formulate::{CertifyOutcome, Granularity, MilpFormulation, MilpOutcome};

@@ -233,7 +233,6 @@ impl CompileResult {
 ///     TransitionModel::with_capacitance_uf(0.05),
 /// )
 /// .tail_fraction(0.02)
-/// .hoisting(true)
 /// .validation(true)
 /// .jobs(4)
 /// .build()
@@ -246,7 +245,6 @@ pub struct CompilerBuilder {
     ladder: VoltageLadder,
     transition: TransitionModel,
     tail_fraction: f64,
-    hoisting: bool,
     validation: bool,
     verify_emitted: bool,
     certify: bool,
@@ -256,7 +254,7 @@ pub struct CompilerBuilder {
 
 impl CompilerBuilder {
     /// Starts a builder from the three mandatory inputs. Defaults: the
-    /// paper's 2% filter tail, hoisting on, validation on, one job.
+    /// paper's 2% filter tail, validation on, one job.
     #[must_use]
     pub fn new(machine: Machine, ladder: VoltageLadder, transition: TransitionModel) -> Self {
         CompilerBuilder {
@@ -264,7 +262,6 @@ impl CompilerBuilder {
             ladder,
             transition,
             tail_fraction: 0.02,
-            hoisting: true,
             validation: true,
             verify_emitted: false,
             certify: false,
@@ -278,15 +275,6 @@ impl CompilerBuilder {
     #[must_use]
     pub fn tail_fraction(mut self, fraction: f64) -> Self {
         self.tail_fraction = fraction;
-        self
-    }
-
-    /// Enables or disables the hoisting post-pass that marks silent
-    /// mode-sets for removal (§4.2's loop-back-edge observation). With
-    /// hoisting off, every mode-set is reported live to the emitter.
-    #[must_use]
-    pub fn hoisting(mut self, on: bool) -> Self {
-        self.hoisting = on;
         self
     }
 
@@ -371,7 +359,6 @@ impl CompilerBuilder {
             ladder: self.ladder,
             transition: self.transition,
             tail_fraction: self.tail_fraction,
-            hoisting: self.hoisting,
             validation: self.validation,
             verify_emitted: self.verify_emitted,
             certify: self.certify,
@@ -393,7 +380,6 @@ pub struct DvsCompiler {
     ladder: VoltageLadder,
     transition: TransitionModel,
     tail_fraction: f64,
-    hoisting: bool,
     validation: bool,
     verify_emitted: bool,
     certify: bool,
@@ -445,7 +431,7 @@ impl DvsCompiler {
     /// A canonical 64-bit digest of every setting that can change what
     /// [`DvsCompiler::compile`] produces: the voltage ladder's operating
     /// points, the regulator transition model, the filter tail fraction,
-    /// the hoisting/verify/certify toggles and the solver choice.
+    /// the verify/certify toggles and the solver choice.
     ///
     /// `jobs` and the validation toggle are excluded — `jobs` only trades
     /// wall-clock, and callers that cache validated results should fold
@@ -465,7 +451,9 @@ impl DvsCompiler {
         h.write_f64(self.transition.efficiency);
         h.write_f64(self.transition.i_max_a);
         h.write_f64(self.tail_fraction);
-        h.write_bool(self.hoisting);
+        // The slot of the removed hoisting toggle, which was always on:
+        // keeps every digest, and so every daemon cache key, stable.
+        h.write_bool(true);
         h.write_bool(self.verify_emitted);
         h.write_bool(self.certify);
         h.write_str(self.solver.as_str());
@@ -540,12 +528,7 @@ impl DvsCompiler {
             }
         }
         let analysis = timed("pass.schedule", "pass.schedule.wall_us", || {
-            let a = ScheduleAnalysis::new(cfg, profile, &milp.schedule);
-            if self.hoisting {
-                a
-            } else {
-                a.without_hoisting()
-            }
+            ScheduleAnalysis::new(cfg, profile, &milp.schedule)
         });
         let verify = if self.verify_emitted {
             let report = timed("pass.verify", "pass.verify.wall_us", || {
@@ -918,37 +901,6 @@ mod tests {
     }
 
     #[test]
-    fn hoisting_toggle_marks_everything_live() {
-        let (cfg, trace) = two_phase_program();
-        let mk = |hoist: bool| {
-            DvsCompiler::builder(
-                Machine::paper_default(),
-                VoltageLadder::xscale3(&AlphaPower::paper()),
-                TransitionModel::with_capacitance_uf(10.0),
-            )
-            .hoisting(hoist)
-            .build()
-            .unwrap()
-        };
-        let on = mk(true);
-        let off = mk(false);
-        let (profile, runs) = on.profile(&cfg, &trace);
-        let t_slow = runs[0].total_time_us;
-        let d = t_slow * 1.5;
-        let r_on = on.compile(&cfg, &profile, d).unwrap();
-        let r_off = off.compile(&cfg, &profile, d).unwrap();
-        // Same schedule either way; hoisting only changes the analysis.
-        assert_eq!(r_on.milp.schedule, r_off.milp.schedule);
-        assert!(r_on.analysis.num_silent() > 0);
-        assert_eq!(r_off.analysis.num_silent(), 0);
-        assert_eq!(r_off.analysis.num_live(), cfg.num_edges());
-        assert_eq!(
-            r_on.analysis.predicted_dynamic_transitions(),
-            r_off.analysis.predicted_dynamic_transitions()
-        );
-    }
-
-    #[test]
     fn verify_gate_accepts_emitted_schedules_and_stores_the_report() {
         let (cfg, trace) = two_phase_program();
         let c = DvsCompiler::builder(
@@ -1109,7 +1061,6 @@ mod tests {
         // Semantic knobs do.
         for other in [
             mk().tail_fraction(0.05).build().unwrap().config_digest(),
-            mk().hoisting(false).build().unwrap().config_digest(),
             mk().verify_emitted(true).build().unwrap().config_digest(),
             mk().certify(true).build().unwrap().config_digest(),
             DvsCompiler::builder(

@@ -55,19 +55,6 @@ impl ScheduleAnalysis {
         }
     }
 
-    /// This analysis with the hoisting post-pass disabled: every mode-set
-    /// is reported live, so an emitter keeps all naive mode-sets. Dynamic
-    /// transition prediction is unchanged — it is a property of the
-    /// schedule, not of hoisting.
-    #[must_use]
-    pub fn without_hoisting(mut self) -> Self {
-        for s in &mut self.silent {
-            *s = false;
-        }
-        self.back_edge_silent = 0;
-        self
-    }
-
     /// Whether the mode-set on `e` never fires at run time.
     #[must_use]
     pub fn is_silent(&self, e: EdgeId) -> bool {

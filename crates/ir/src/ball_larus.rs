@@ -50,8 +50,6 @@ pub struct BallLarus {
     /// graph. (Paths that begin/end at loop boundaries reuse the same
     /// numbering, offset by where they enter.)
     num_paths: u64,
-    /// `num_from[b]`: acyclic paths from `b` to the exit.
-    num_from: Vec<u64>,
 }
 
 impl BallLarus {
@@ -62,7 +60,8 @@ impl BallLarus {
         let dom = Dominators::compute(cfg);
         let is_back: Vec<bool> = cfg.edges().map(|e| dom.dominates(e.dst, e.src)).collect();
 
-        // NumPaths(v) over the DAG in reverse topological order.
+        // NumPaths(v), the acyclic paths from v to the exit, over the DAG
+        // in reverse topological order.
         let order = cfg.reverse_post_order();
         let mut num_from = vec![0u64; cfg.num_blocks()];
         let mut increments: Vec<Option<u64>> = cfg
@@ -87,7 +86,6 @@ impl BallLarus {
         BallLarus {
             increments,
             num_paths: num_from[cfg.entry().0],
-            num_from,
         }
     }
 
@@ -96,13 +94,6 @@ impl BallLarus {
     #[must_use]
     pub fn num_paths(&self) -> u64 {
         self.num_paths
-    }
-
-    /// Number of acyclic paths from `b` to the exit (the local numbering
-    /// space for paths that begin at `b`, e.g. a loop header).
-    #[must_use]
-    pub fn num_paths_from(&self, b: BlockId) -> u64 {
-        self.num_from[b.0]
     }
 
     /// The run-time increment for `e`, or `None` if `e` is a back edge

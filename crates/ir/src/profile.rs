@@ -270,16 +270,6 @@ impl ProfileBuilder {
         self.block_costs[block.0][mode] = cost;
     }
 
-    /// Adds `n` traversals of `edge`.
-    pub fn add_edge_count(&mut self, edge: EdgeId, n: u64) {
-        self.edge_counts[edge.0] += n;
-    }
-
-    /// Adds `n` occurrences of `path`.
-    pub fn add_path_count(&mut self, path: LocalPath, n: u64) {
-        *self.path_counts.entry(path).or_insert(0) += n;
-    }
-
     /// Adds `n` invocations of `block`.
     pub fn add_block_count(&mut self, block: BlockId, n: u64) {
         self.block_counts[block.0] += n;

@@ -65,11 +65,6 @@ impl LinExpr {
         }
     }
 
-    /// Adds a constant.
-    pub fn add_constant(&mut self, c: f64) {
-        self.constant += c;
-    }
-
     /// The coefficient of `var` (zero if absent).
     #[must_use]
     pub fn coeff(&self, var: Var) -> f64 {

@@ -125,10 +125,10 @@ pub enum SolveOp {
     /// Compile (validation off) plus the `dvs-verify` static pass,
     /// returning the verify report.
     Verify,
-    /// Compile (validation off) plus a `dvs-replay` bytecode evaluation
-    /// of the emitted schedule, returning measured time/energy and the
-    /// bytecode shape. Each request compiles its own bytecode from the
-    /// trace; only the result body is cached.
+    /// Compile plus the simulator's validation run of the emitted
+    /// schedule (`Machine::run_scheduled`, as in `Compile`), returning the
+    /// measured time, energy and transitions beside the MILP's predicted
+    /// energy.
     Evaluate,
     /// Compile (validation off) with the certified-optimality gate: the
     /// solver's proof is exported as a `dvs-cert` certificate, replayed by

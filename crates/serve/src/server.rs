@@ -645,7 +645,7 @@ fn build_compiler(req: &SolveRequest, ladder: VoltageLadder) -> Result<DvsCompil
         ladder,
         TransitionModel::with_capacitance_uf(req.capacitance_uf),
     )
-    .validation(req.op == SolveOp::Compile)
+    .validation(matches!(req.op, SolveOp::Compile | SolveOp::Evaluate))
     .certify(req.op == SolveOp::Certify)
     .solver(solver)
     .build()
@@ -750,8 +750,8 @@ fn execute_solve(state: &State, req: &SolveRequest) -> Result<Solved, String> {
     let ladder = VoltageLadder::paper(req.levels).map_err(|e| e.to_string())?;
     let compiler = build_compiler(req, ladder.clone())?;
     let cfg = b.build_cfg();
-    // Built only if a stage miss, validation or the bytecode compile needs
-    // it; verify and certify on a resident stage never do.
+    // Built only if a stage miss or validation needs it; verify and
+    // certify on a resident stage never do.
     let trace_cell = OnceCell::new();
     let trace = || trace_cell.get_or_init(|| b.trace(&cfg, &b.default_input()));
     let stage = stage(state, b, &compiler, &cfg, trace);
@@ -830,17 +830,12 @@ fn execute_solve(state: &State, req: &SolveRequest) -> Result<Solved, String> {
         }
         SolveOp::Evaluate => {
             let result = compiler
-                .compile(&cfg, profile, deadline)
+                .compile_and_validate(&cfg, trace(), profile, deadline)
                 .map_err(|e| format!("compile failed: {e}"))?;
-            let code = dvs_replay::compile(
-                compiler.machine(),
-                &cfg,
-                trace(),
-                &ladder,
-                compiler.transition(),
-            );
-            let run = code.replay(&result.milp.schedule);
-            let stats = code.stats();
+            let run = result
+                .validated
+                .as_ref()
+                .ok_or("evaluate solve produced no validation run")?;
             Ok(Solved::plain(header(vec![(
                 "evaluate".to_string(),
                 Json::obj([
@@ -853,16 +848,6 @@ fn execute_solve(state: &State, req: &SolveRequest) -> Result<Solved, String> {
                     (
                         "predicted_energy_uj",
                         Json::from(result.milp.predicted_energy_uj),
-                    ),
-                    (
-                        "bytecode",
-                        Json::obj([
-                            ("trace_blocks", Json::from(stats.trace_blocks)),
-                            ("trace_insts", Json::from(stats.trace_insts)),
-                            ("block_ops", Json::from(stats.block_ops)),
-                            ("variants", Json::from(stats.variants)),
-                            ("variant_insts", Json::from(stats.variant_insts)),
-                        ]),
                     ),
                 ]),
             )])))

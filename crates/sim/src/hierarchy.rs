@@ -12,14 +12,6 @@ pub enum DataLevel {
     Memory,
 }
 
-impl DataLevel {
-    /// Whether the access left the chip.
-    #[must_use]
-    pub fn is_memory(self) -> bool {
-        matches!(self, DataLevel::Memory)
-    }
-}
-
 /// The full memory hierarchy: split L1s, unified L2, I/D TLBs, and an
 /// asynchronous DRAM behind them.
 ///

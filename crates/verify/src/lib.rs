@@ -16,10 +16,7 @@
 //!   on emitted edges;
 //! * [`verify`] — the full lint set with stable codes `V001`–`V009`
 //!   ([`DiagCode`]), from redundant/dead mode-sets through loop mode
-//!   churn to deadline violations, rendered as text or JSON;
-//! * [`replay_check`] — the dynamic complement: measured time/energy for a
-//!   concrete trace via the `dvs-replay` bytecode fast path, with the
-//!   cycle-level simulator retained as a 1e-6 cross-checking oracle.
+//!   churn to deadline violations, rendered as text or JSON.
 //!
 //! Severity is deliberate: only provable defects (executed-path mode
 //! conflicts, flow corruption, modeled deadline misses) are
@@ -64,12 +61,10 @@
 
 mod dataflow;
 mod diag;
-mod replay_check;
 mod verifier;
 mod wcet;
 
 pub use dataflow::ModeFlow;
 pub use diag::{DiagCode, Diagnostic, Severity};
-pub use replay_check::{replay_check, ReplayCheck, REPLAY_ORACLE_REL};
 pub use verifier::{verify, VerifyInput, VerifyReport};
 pub use wcet::{compute_wcet, WcetReport};

@@ -41,28 +41,27 @@
 //! `--repro-out` saves the repro command lines). `verify` compiles each
 //! benchmark (all of them by default, fanned out over a worker pool) and
 //! runs the `dvs-verify` static pass over the emitted schedule: mode
-//! confluence, WCET deadline bound and the V001–V009 lints. `--deny`
-//! exits 1 if any error-severity diagnostic fires, `--json` switches to
-//! machine-readable output, `--dot` writes a mode-colored CFG overlay,
-//! and `--mutate SEED` deliberately corrupts one hot mode-set first (for
-//! testing that the verifier catches it). Invoking `dvsc` with flags but
-//! no subcommand implies `compile`.
+//! confluence, WCET deadline bound and the V001–V009 lints. Each row also
+//! gives the schedule's simulated time and transitions on the benchmark's
+//! trace. `--deny` exits 1 if any error-severity diagnostic fires,
+//! `--json` switches to machine-readable output, `--dot` writes a
+//! mode-colored CFG overlay, and `--mutate SEED` deliberately corrupts one
+//! hot mode-set first (for testing that the verifier catches it).
+//! Invoking `dvsc` with flags but no subcommand implies `compile`.
 //!
 //! `serve` runs the compilation-as-a-service daemon (content-addressed
 //! solve cache, request coalescing, bounded admission queue); `client`
-//! sends one request to a running daemon (`evaluate` compiles with
-//! validation off and scores the emitted schedule through the
-//! `dvs-replay` bytecode fast path, each request compiling its own
-//! bytecode); `loadtest` hammers a daemon
-//! from N concurrent connections and writes throughput/latency
-//! percentiles (plus trace-derived queue-wait and cache-lookup means)
-//! to `results/serve.csv`. `client trace <op>` runs one solve and
-//! prints the server's per-request trace tree (queue wait, cache
-//! lookup, solve, emit spans); `client traces` fetches the daemon's
-//! recent trace ring as Chrome trace events. The global `--timeout
-//! <secs>` flag bounds `compile`/`verify`/`check` wall-clock (exit code
-//! 3 on expiry) and doubles as the server-side request deadline for
-//! `client` and `loadtest`.
+//! sends one request to a running daemon (`evaluate` compiles and scores
+//! the emitted schedule with the simulator's validation run, as `compile`
+//! does); `loadtest` hammers a daemon from N concurrent connections and
+//! writes throughput/latency percentiles (plus trace-derived queue-wait
+//! and cache-lookup means) to `results/serve.csv`. `client trace <op>`
+//! runs one solve and prints the server's per-request trace tree (queue
+//! wait, cache lookup, solve, emit spans); `client traces` fetches the
+//! daemon's recent trace ring as Chrome trace events. The global
+//! `--timeout <secs>` flag bounds `compile`/`verify`/`check` wall-clock
+//! (exit code 3 on expiry) and doubles as the server-side request
+//! deadline for `client` and `loadtest`.
 //!
 //! `bench-solver` runs the pinned MILP benchmark grid (CFG sizes ×
 //! ladder shapes × deadline tightnesses × solver backends) and writes
@@ -87,7 +86,7 @@ use compile_time_dvs::model::DiscreteModel;
 use compile_time_dvs::obs;
 use compile_time_dvs::runtime::Pool;
 use compile_time_dvs::serve;
-use compile_time_dvs::sim::{Machine, ModeProfiler};
+use compile_time_dvs::sim::{Machine, ModeProfiler, ScheduledRun};
 use compile_time_dvs::verify;
 use compile_time_dvs::vf::{TransitionModel, VoltageLadder};
 use compile_time_dvs::workloads::Benchmark;
@@ -876,14 +875,13 @@ fn run_checker(args: &Args) -> u8 {
 
 /// Everything `verify` learned about one benchmark that compiled: the
 /// static report, the resolved deadline, an optional mutation note, an
-/// optional rendered DOT overlay, and the dynamic bytecode replay with its
-/// simulator cross-check.
+/// optional rendered DOT overlay, and the simulator's run of the schedule.
 struct VerifyOk {
     report: verify::VerifyReport,
     deadline: f64,
     mutation: Option<String>,
     dot: Option<String>,
-    replay: verify::ReplayCheck,
+    simulated: ScheduledRun,
 }
 
 /// Per-benchmark outcome: findings or the reason the compile could not
@@ -978,16 +976,15 @@ fn verify_one(b: Benchmark, ladder: &VoltageLadder, args: &Args, want_dot: bool)
             };
             ir::cfg_to_dot_overlay(&cfg, Some(&profile), &overlay)
         });
-        // Dynamic complement to the static report: bytecode fast path with
-        // the cycle-level simulator cross-checking it to 1e-6.
-        let replay =
-            verify::replay_check(&machine, &cfg, &trace, ladder, &transition, &schedule, true);
+        // Dynamic complement to the static report: the schedule measured
+        // on the trace.
+        let simulated = machine.run_scheduled(&cfg, &trace, ladder, &schedule, &transition);
         Ok(VerifyOk {
             report,
             deadline,
             mutation,
             dot,
-            replay,
+            simulated,
         })
     };
     VerifyOut {
@@ -1036,9 +1033,9 @@ fn run_verify(args: &Args) -> u8 {
                 deadline,
                 mutation,
                 dot,
-                replay,
+                simulated,
             }) => {
-                let failed = !report.ok() || !replay.ok();
+                let failed = !report.ok();
                 denied |= failed;
                 if args.json {
                     let mut row = vec![
@@ -1049,32 +1046,18 @@ fn run_verify(args: &Args) -> u8 {
                         ),
                         ("report", report.to_json()),
                         (
-                            "replay",
+                            "simulated",
                             obs::json::Json::obj(vec![
-                                ("time_us", obs::json::Json::from(replay.run.time_us)),
+                                ("time_us", obs::json::Json::from(simulated.time_us)),
                                 (
                                     "processor_energy_uj",
-                                    obs::json::Json::from(replay.run.processor_energy_uj),
+                                    obs::json::Json::from(simulated.processor_energy_uj),
                                 ),
                                 (
                                     "dram_energy_uj",
-                                    obs::json::Json::from(replay.run.dram_energy_uj),
+                                    obs::json::Json::from(simulated.dram_energy_uj),
                                 ),
-                                ("transitions", obs::json::Json::from(replay.run.transitions)),
-                                (
-                                    "oracle_checked",
-                                    obs::json::Json::from(replay.oracle_checked),
-                                ),
-                                (
-                                    "disagreements",
-                                    obs::json::Json::Arr(
-                                        replay
-                                            .disagreements
-                                            .iter()
-                                            .map(|d| obs::json::Json::from(d.as_str()))
-                                            .collect(),
-                                    ),
-                                ),
+                                ("transitions", obs::json::Json::from(simulated.transitions)),
                             ]),
                         ),
                     ];
@@ -1085,7 +1068,7 @@ fn run_verify(args: &Args) -> u8 {
                 } else {
                     println!(
                         "{}: {} — {} errors, {} warnings, {} infos; modeled {:.1} µs, \
-                         wcet {:.1} µs, replayed {:.1} µs ({} transitions, sim-checked), \
+                         wcet {:.1} µs, simulated {:.1} µs ({} transitions), \
                          deadline D{} = {:.1} µs",
                         r.name,
                         if failed { "FAIL" } else { "ok" },
@@ -1094,8 +1077,8 @@ fn run_verify(args: &Args) -> u8 {
                         report.count(verify::Severity::Info),
                         report.modeled_time_us,
                         report.wcet.bound_us,
-                        replay.run.time_us,
-                        replay.run.transitions,
+                        simulated.time_us,
+                        simulated.transitions,
                         args.deadline_index,
                         deadline
                     );
@@ -1104,9 +1087,6 @@ fn run_verify(args: &Args) -> u8 {
                     }
                     for d in &report.diagnostics {
                         println!("  {}", d.render());
-                    }
-                    for d in &replay.disagreements {
-                        println!("  replay-oracle: {d}");
                     }
                 }
                 if let (Some(path), Some(dot)) = (&args.dot, dot) {

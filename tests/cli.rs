@@ -92,6 +92,40 @@ fn a_thirteen_level_compile_walks_its_trace_three_times() {
     assert_eq!(metric_value(&text, "sim.scheduled_runs"), 1.0);
 }
 
+/// `verify` profiles the trace and runs the schedule on the simulator
+/// once: the profile's walk (plus the deadline scheme's own walk on a
+/// ladder without its reference points) and one scheduled pass's walk.
+#[test]
+fn verify_walks_its_trace_once_per_simulator_call() {
+    for (levels, walks) in [("3", 2.0), ("7", 3.0)] {
+        let out = dvsc()
+            .args([
+                "verify",
+                "--benchmark",
+                "adpcm",
+                "--deadline",
+                "2",
+                "--levels",
+                levels,
+                "--metrics",
+            ])
+            .output()
+            .expect("dvsc runs");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(metric_value(&text, "sim.walks"), walks, "{levels} levels");
+        assert_eq!(metric_value(&text, "sim.scheduled_runs"), 1.0);
+        assert!(
+            !text.lines().any(|l| l.trim_start().starts_with("replay.")),
+            "{levels} levels: a replay metric in:\n{text}"
+        );
+    }
+}
+
 /// The value of the `--metrics` table line that starts with `name`.
 fn metric_value(text: &str, name: &str) -> f64 {
     let line = text

@@ -1,7 +1,7 @@
 //! The daemon computes the deadline-independent stage of a request — the
 //! profile and the deadline scheme of its (benchmark, ladder) — once, and
 //! every later request on that pair walks the trace only for its own
-//! validation or bytecode compile.
+//! validation.
 //!
 //! dvs-obs counters are process-wide, so this file holds one test: no
 //! other test's simulator walks can land in its counts.
@@ -51,7 +51,7 @@ fn a_resident_stage_leaves_each_request_only_its_own_walks() {
     assert_eq!(walks_of(SolveOp::Verify, 1), 0, "verify reads the stage");
     assert_eq!(walks_of(SolveOp::Certify, 2), 0, "certify reads the stage");
     assert_eq!(walks_of(SolveOp::Compile, 4), 1, "validation only");
-    assert_eq!(walks_of(SolveOp::Evaluate, 5), 1, "bytecode compile only");
+    assert_eq!(walks_of(SolveOp::Evaluate, 5), 1, "validation only");
     client
         .request(&Request::Shutdown)
         .expect("graceful shutdown");
