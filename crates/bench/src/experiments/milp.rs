@@ -2,9 +2,9 @@
 //! block-vs-edge granularity ablation.
 //!
 //! The grid-shaped experiments fan their independent cells out over the
-//! context's job count (`Context::par_map` / `DvsCompiler::compile_grid`);
-//! rows are assembled in benchmark order afterwards, so the reports are
-//! byte-identical whatever the parallelism.
+//! context's job count (`Context::par_map`); rows are assembled in
+//! benchmark order afterwards, so the reports are byte-identical whatever
+//! the parallelism.
 
 use crate::context::{ladder_of, scaled_capacitance_uf};
 use crate::{Context, Report};
@@ -166,9 +166,9 @@ pub fn fig15(ctx: &Context) -> Report {
     r
 }
 
-/// Fig. 17: impact of the deadline on optimized energy. Uses
-/// [`DvsCompiler::compile_grid`] to solve one benchmark's five deadlines in
-/// parallel over the shared immutable profile.
+/// Fig. 17: impact of the deadline on optimized energy. Solves one
+/// benchmark's five deadlines in parallel ([`Context::par_map`]) over the
+/// shared immutable profile.
 #[must_use]
 pub fn fig17(ctx: &Context) -> Report {
     let mut r = Report::new("fig17", "Impact of deadline on energy");
@@ -177,15 +177,14 @@ pub fn fig17(ctx: &Context) -> Report {
     let rows = ctx.par_map(Benchmark::all().to_vec(), |_, b| {
         let (profile, _) = ctx.profile_of(b, 3);
         let bd = ctx.bench(b);
-        let comp = DvsCompiler::builder(
-            ctx.machine.clone(),
-            ladder_of(3),
-            TransitionModel::with_capacitance_uf(scaled_capacitance_uf(b, bd.scheme.t_slow_us)),
-        )
-        .jobs(ctx.jobs())
-        .build()
-        .expect("experiment compiler settings are valid");
-        let results = comp.compile_grid(&bd.cfg, &profile, &deadline_grid(&bd.scheme));
+        let comp = compiler(
+            &ctx.machine,
+            3,
+            scaled_capacitance_uf(b, bd.scheme.t_slow_us),
+        );
+        let results = ctx.par_map(deadline_grid(&bd.scheme), |_, deadline| {
+            comp.compile(&bd.cfg, &profile, deadline)
+        });
         results
             .into_iter()
             .zip(1..)
@@ -277,8 +276,8 @@ pub fn table5(ctx: &Context) -> Report {
 }
 
 /// Table 6: MILP energy savings for 3/7/13 voltage levels × 5 deadlines.
-/// Each (benchmark, levels) pair is an independent parallel task whose five
-/// deadline cells run through [`DvsCompiler::compile_grid`].
+/// Each (benchmark, levels) pair is an independent parallel task that
+/// compiles its five deadline cells in order.
 #[must_use]
 pub fn table6(ctx: &Context) -> Report {
     let mut r = Report::new(
@@ -300,8 +299,8 @@ pub fn table6(ctx: &Context) -> Report {
             scaled_capacitance_uf(b, bd.scheme.t_slow_us),
         );
         let mut cells = vec![b.name().to_string(), levels.to_string()];
-        for res in comp.compile_grid(&bd.cfg, &profile, &deadline_grid(&bd.scheme)) {
-            match res {
+        for deadline in deadline_grid(&bd.scheme) {
+            match comp.compile(&bd.cfg, &profile, deadline) {
                 Ok(res) => cells.push(
                     res.savings_vs_single()
                         .map_or("n/a".to_string(), |s| format!("{s:.2}")),

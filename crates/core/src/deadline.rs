@@ -44,9 +44,10 @@ impl DeadlineScheme {
     /// Measures the three reference runtimes of `trace` at the paper's
     /// 200/600/800 MHz XScale points: one walk of the caches and predictor,
     /// and one unclassified timing pass per point
-    /// ([`Machine::time_points`]).
+    /// ([`Machine::time_points`]), under the `deadline.measure` span.
     #[must_use]
     pub fn measure(machine: &Machine, cfg: &Cfg, trace: &Trace) -> Self {
+        let _span = dvs_obs::span!("deadline.measure");
         let runs = machine.time_points(cfg, trace, &reference_points());
         Self::from_runs(&runs).expect("runs at every reference point")
     }

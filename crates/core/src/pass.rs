@@ -5,13 +5,14 @@ use dvs_sim::{Machine, ModeProfiler, ScheduledRun, TimedRun, Trace};
 use dvs_vf::{TransitionModel, VoltageLadder};
 
 /// Runs `f` under a named span and records its wall time as a
-/// `pass.<stage>.wall_us` gauge. Costs one atomic load when observability
-/// is disabled.
+/// `pass.<stage>.wall_us` gauge. The span opens first, so a
+/// [`dvs_obs::collect`] scope sees it with collection disabled; with
+/// nothing listening it costs two atomic loads.
 fn timed<T>(span_name: &'static str, gauge_name: &'static str, f: impl FnOnce() -> T) -> T {
+    let _span = dvs_obs::span(span_name);
     if !dvs_obs::enabled() {
         return f();
     }
-    let _span = dvs_obs::span(span_name);
     let start = std::time::Instant::now();
     let out = f();
     dvs_obs::gauge(gauge_name, start.elapsed().as_secs_f64() * 1e6);
@@ -234,7 +235,6 @@ impl CompileResult {
 /// )
 /// .tail_fraction(0.02)
 /// .validation(true)
-/// .jobs(4)
 /// .build()
 /// .unwrap();
 /// # let _ = compiler;
@@ -248,13 +248,12 @@ pub struct CompilerBuilder {
     validation: bool,
     verify_emitted: bool,
     certify: bool,
-    jobs: usize,
     solver: SolverChoice,
 }
 
 impl CompilerBuilder {
     /// Starts a builder from the three mandatory inputs. Defaults: the
-    /// paper's 2% filter tail, validation on, one job.
+    /// paper's 2% filter tail, validation on.
     #[must_use]
     pub fn new(machine: Machine, ladder: VoltageLadder, transition: TransitionModel) -> Self {
         CompilerBuilder {
@@ -265,7 +264,6 @@ impl CompilerBuilder {
             validation: true,
             verify_emitted: false,
             certify: false,
-            jobs: 1,
             solver: SolverChoice::Auto,
         }
     }
@@ -311,15 +309,6 @@ impl CompilerBuilder {
         self
     }
 
-    /// Worker threads for [`DvsCompiler::compile_grid`]'s per-deadline
-    /// cells. `0` is treated as 1. Grid results are byte-identical for
-    /// every jobs value.
-    #[must_use]
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
     /// Does nothing: the MILP search is sequential.
     #[deprecated(note = "the MILP search is sequential; this setting does nothing")]
     #[must_use]
@@ -362,7 +351,6 @@ impl CompilerBuilder {
             validation: self.validation,
             verify_emitted: self.verify_emitted,
             certify: self.certify,
-            jobs: self.jobs.max(1),
             solver: self.solver,
         })
     }
@@ -373,7 +361,7 @@ impl CompilerBuilder {
 ///
 /// Construct one with [`DvsCompiler::builder`]. The compiler is immutable
 /// and internally share-nothing, so `&DvsCompiler` may be used freely from
-/// many threads ([`DvsCompiler::compile_grid`] does exactly that).
+/// many threads.
 #[derive(Debug)]
 pub struct DvsCompiler {
     machine: Machine,
@@ -383,7 +371,6 @@ pub struct DvsCompiler {
     validation: bool,
     verify_emitted: bool,
     certify: bool,
-    jobs: usize,
     solver: SolverChoice,
 }
 
@@ -422,20 +409,14 @@ impl DvsCompiler {
         self.tail_fraction
     }
 
-    /// Worker threads used by [`DvsCompiler::compile_grid`].
-    #[must_use]
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
     /// A canonical 64-bit digest of every setting that can change what
     /// [`DvsCompiler::compile`] produces: the voltage ladder's operating
     /// points, the regulator transition model, the filter tail fraction,
     /// the verify/certify toggles and the solver choice.
     ///
-    /// `jobs` and the validation toggle are excluded — `jobs` only trades
-    /// wall-clock, and callers that cache validated results should fold
-    /// validation into their own request key the way `dvs-serve` does. Two
+    /// The validation toggle is excluded: callers that cache validated
+    /// results should fold validation into their own request key the way
+    /// `dvs-serve` does. Two
     /// compilers with equal digests given byte-equal inputs produce
     /// byte-equal [`CompileResult::to_json`] output.
     #[must_use]
@@ -566,24 +547,6 @@ impl DvsCompiler {
             validated: None,
             filter,
             verify,
-        })
-    }
-
-    /// Compiles one shared profile against many deadlines concurrently on a
-    /// [`dvs_runtime::Pool`] of [`CompilerBuilder::jobs`] workers.
-    ///
-    /// Results are index-aligned with `deadlines_us`, and each cell is one
-    /// [`DvsCompiler::compile`], so the output is identical for every jobs
-    /// value — `jobs` trades wall-clock only. Metrics recorded by cells
-    /// land in the caller's `dvs_obs` domain.
-    pub fn compile_grid(
-        &self,
-        cfg: &Cfg,
-        profile: &Profile,
-        deadlines_us: &[f64],
-    ) -> Vec<Result<CompileResult, PassError>> {
-        dvs_runtime::Pool::new(self.jobs).map(deadlines_us.to_vec(), |_, deadline_us| {
-            self.compile(cfg, profile, deadline_us)
         })
     }
 
@@ -813,8 +776,6 @@ mod tests {
         assert!(matches!(err, PassError::Filter(_)), "got {err}");
         let err = mk().tail_fraction(f64::NAN).build().unwrap_err();
         assert!(matches!(err, PassError::Filter(_)), "got {err}");
-        // Jobs are clamped, not rejected.
-        assert_eq!(mk().jobs(0).build().unwrap().jobs(), 1);
     }
 
     #[test]
@@ -837,48 +798,6 @@ mod tests {
         let (p5, _) = five.profile(&cfg, &trace);
         let err = c.compile(&cfg, &p5, 1000.0).unwrap_err();
         assert!(matches!(err, PassError::Profile(_)), "got {err}");
-    }
-
-    #[test]
-    fn compile_grid_matches_sequential_compiles() {
-        let (cfg, trace) = two_phase_program();
-        let seq = compiler();
-        let par = DvsCompiler::builder(
-            Machine::paper_default(),
-            VoltageLadder::xscale3(&AlphaPower::paper()),
-            TransitionModel::with_capacitance_uf(10.0),
-        )
-        .jobs(4)
-        .build()
-        .unwrap();
-        let (profile, runs) = seq.profile(&cfg, &trace);
-        let t_fast = runs.last().unwrap().total_time_us;
-        let t_slow = runs[0].total_time_us;
-        // Includes one infeasible cell on purpose.
-        let deadlines: Vec<f64> = vec![
-            t_fast * 0.5,
-            t_fast + 0.25 * (t_slow - t_fast),
-            t_fast + 0.5 * (t_slow - t_fast),
-            t_fast + 0.75 * (t_slow - t_fast),
-            t_slow * 1.2,
-        ];
-        let grid = par.compile_grid(&cfg, &profile, &deadlines);
-        assert_eq!(grid.len(), deadlines.len());
-        for (i, d) in deadlines.iter().enumerate() {
-            match (&grid[i], seq.compile(&cfg, &profile, *d)) {
-                (Ok(g), Ok(s)) => {
-                    assert_eq!(
-                        g.milp.schedule, s.milp.schedule,
-                        "cell {i}: schedules differ"
-                    );
-                    assert!(
-                        (g.milp.predicted_energy_uj - s.milp.predicted_energy_uj).abs() < 1e-12
-                    );
-                }
-                (Err(ge), Err(se)) => assert_eq!(ge.to_string(), se.to_string()),
-                (g, s) => panic!("cell {i}: grid {g:?} vs sequential {s:?}"),
-            }
-        }
     }
 
     #[test]
@@ -1049,14 +968,10 @@ mod tests {
         };
         let base = mk().build().unwrap().config_digest();
         assert_eq!(base, mk().build().unwrap().config_digest(), "stable");
-        // Parallelism and validation knobs don't change results → same key.
+        // The validation knob doesn't change results → same key.
         assert_eq!(
             base,
-            mk().jobs(4)
-                .validation(false)
-                .build()
-                .unwrap()
-                .config_digest()
+            mk().validation(false).build().unwrap().config_digest()
         );
         // Semantic knobs do.
         for other in [

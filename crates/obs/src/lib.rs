@@ -14,9 +14,13 @@
 //! * **Snapshots** — [`MetricsSnapshot::capture`] freezes everything into
 //!   a plain value with JSON ([`MetricsSnapshot::to_json`]) and
 //!   human-readable table ([`MetricsSnapshot::summary_table`]) renderings.
+//! * **Collect scopes** — [`collect`] hands back the spans that end on the
+//!   calling thread while a closure runs, whether or not collection is on;
+//!   the daemon builds each request's trace tree from them.
 //!
-//! Collection is **off by default** and the whole layer then costs one
-//! relaxed atomic load per call site ([`enabled`]); the instrumented crates
+//! Collection is **off by default**, and with no scope open either the
+//! whole layer costs one relaxed atomic load per call site ([`enabled`]);
+//! the instrumented crates
 //! additionally record only per-run/per-solve aggregates, never per-cycle
 //! events, so the disabled overhead on the simulator hot loop is
 //! unmeasurable (see `crates/bench/benches/simulator.rs`).
@@ -46,18 +50,20 @@ pub mod json;
 mod metrics;
 
 pub use metrics::{
-    chrome_trace, chrome_trace_string, counter, current_domain, disable, domain_name, enable,
-    enabled, enter_domain, format_us, gauge, histogram, record_span, register_domain, reset,
-    thread_id, DomainGuard, HistogramSummary, MetricsSnapshot, SpanEvent, SpanSummary,
+    chrome_trace, chrome_trace_string, collect, counter, current_domain, disable, domain_name,
+    enable, enabled, enter_domain, epoch_us, format_us, gauge, histogram, record_span,
+    register_domain, reset, thread_id, DomainGuard, HistogramSummary, MetricsSnapshot, SpanEvent,
+    SpanSummary,
 };
 
 use std::time::Instant;
 
 /// An RAII guard that records a span from construction to drop.
 ///
-/// Obtain one through [`span()`] or the [`span!`] macro. When collection is
-/// disabled at construction time the guard is inert (no clock read, no
-/// allocation, nothing recorded at drop).
+/// Obtain one through [`span()`] or the [`span!`] macro. When nothing
+/// listens at construction time (collection disabled and no [`collect`]
+/// scope open) the guard is inert (no clock read, no allocation, nothing
+/// recorded at drop).
 #[derive(Debug)]
 pub struct SpanGuard {
     name: &'static str,
@@ -86,11 +92,7 @@ impl Drop for SpanGuard {
 /// `"pass.solve"`) so recording never allocates.
 #[must_use]
 pub fn span(name: &'static str) -> SpanGuard {
-    let start = if enabled() {
-        Some(Instant::now())
-    } else {
-        None
-    };
+    let start = metrics::listening().then(Instant::now);
     SpanGuard { name, start }
 }
 
@@ -257,6 +259,58 @@ mod tests {
         );
         // Unitless histograms keep the plain numeric form.
         assert!(table.contains("t.unitless  n=1 sum=0.500"), "{table}");
+    }
+
+    fn names(spans: &[SpanEvent]) -> Vec<&'static str> {
+        spans.iter().map(|s| s.name).collect()
+    }
+
+    #[test]
+    fn collect_takes_this_threads_spans_with_collection_off_or_on() {
+        let _l = TEST_LOCK.lock().unwrap();
+        for on in [false, true] {
+            if on {
+                enable();
+            } else {
+                disable();
+            }
+            reset();
+            let ((), spans) = collect(|| {
+                drop(span("c.outer"));
+                let ((), inner) = collect(|| drop(span("c.inner")));
+                assert_eq!(names(&inner), ["c.inner"]);
+                std::thread::spawn(|| drop(span("c.other"))).join().unwrap();
+                let t = Instant::now();
+                record_span("c.recorded", t, t);
+                drop(span("c.after"));
+            });
+            assert_eq!(names(&spans), ["c.outer", "c.recorded", "c.after"]);
+            assert!(spans.iter().all(|s| s.tid == thread_id()));
+            let global: Vec<String> = MetricsSnapshot::capture()
+                .spans
+                .into_iter()
+                .map(|s| s.name)
+                .collect();
+            if on {
+                let all = ["c.after", "c.inner", "c.other", "c.outer", "c.recorded"];
+                assert_eq!(global, all, "collection on: every span reaches the sink");
+            } else {
+                assert!(global.is_empty(), "collection off: the sink stays empty");
+            }
+        }
+        disable();
+        reset();
+        // A panic closes its scope: nothing listens afterwards.
+        let caught = std::panic::catch_unwind(|| {
+            collect(|| {
+                let _g = span("c.panics");
+                panic!("inside a collect scope");
+            })
+        });
+        assert!(caught.is_err());
+        assert!(span("c.inert").start.is_none(), "the scope stayed open");
+        assert!(collect(|| ()).1.is_empty());
+        assert_eq!(MetricsSnapshot::capture().spans.len(), 0);
     }
 
     // Worker threads must start in domain 0 even when spawned from a thread

@@ -1,12 +1,13 @@
 //! The global metrics sink: typed counters, gauges and histograms plus the
 //! span-event buffer, all behind one mutex that is only ever touched when
-//! collection is enabled.
+//! collection is enabled, and the per-thread [`collect`] scopes that
+//! gather spans whether or not it is.
 
 use crate::json::Json;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -14,10 +15,19 @@ use std::time::Instant;
 /// events is maintained past this point so truncation is never silent.
 const MAX_SPAN_EVENTS: usize = 1 << 20;
 
-/// The single global "is collection on?" flag. Every recording entry point
-/// checks this with one relaxed atomic load and returns immediately when
-/// off, which is what keeps the disabled layer out of hot-loop profiles.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// The one word every recording entry point reads, with one relaxed atomic
+/// load, before doing anything else: bit 0 says collection is on, and the
+/// bits above it count the [`collect`] scopes open on any thread. A span
+/// site that finds it zero returns at once, which is what keeps the idle
+/// layer out of hot-loop profiles. It publishes no other data, so relaxed
+/// ordering suffices.
+static STATE: AtomicUsize = AtomicUsize::new(0);
+
+/// [`STATE`]'s enabled bit.
+const ENABLED: usize = 1;
+
+/// One open [`collect`] scope in [`STATE`].
+const SCOPE: usize = 2;
 
 static SINK: OnceLock<Mutex<Sink>> = OnceLock::new();
 
@@ -28,6 +38,8 @@ static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 thread_local! {
     static TID: u32 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
     static DOMAIN: Cell<u32> = const { Cell::new(0) };
+    /// The spans of this thread's innermost open [`collect`] scope.
+    static COLLECTED: RefCell<Option<Vec<SpanEvent>>> = const { RefCell::new(None) };
 }
 
 /// The compact id of the calling thread (stable for the thread's life).
@@ -212,23 +224,76 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
+/// `t` on the span time base: µs since the epoch that [`SpanEvent::ts_us`]
+/// counts from, which the first call of this, [`enable`] or [`collect`]
+/// pins. Instants before the epoch read 0.
+#[must_use]
+pub fn epoch_us(t: Instant) -> f64 {
+    t.saturating_duration_since(epoch()).as_secs_f64() * 1e6
+}
+
 /// Whether collection is currently enabled. One relaxed atomic load.
 #[inline]
 #[must_use]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    STATE.load(Ordering::Relaxed) & ENABLED != 0
+}
+
+/// Whether a finished span would be kept anywhere: collection is enabled,
+/// or some thread has a [`collect`] scope open. One relaxed atomic load.
+#[inline]
+pub(crate) fn listening() -> bool {
+    STATE.load(Ordering::Relaxed) != 0
 }
 
 /// Turns collection on (idempotent). Also pins the trace epoch, so `ts`
 /// values in a Chrome trace are relative to (roughly) the first `enable`.
 pub fn enable() {
     let _ = epoch();
-    ENABLED.store(true, Ordering::Relaxed);
+    STATE.fetch_or(ENABLED, Ordering::Relaxed);
 }
 
 /// Turns collection off. Already-recorded data is kept until [`reset`].
 pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+    STATE.fetch_and(!ENABLED, Ordering::Relaxed);
+}
+
+/// Runs `f` and returns its result with every span that ended on the
+/// calling thread while it ran, in the order they ended, whether or not
+/// collection is enabled.
+///
+/// A nested scope takes the spans that end inside it, and this one resumes
+/// when it returns. Spans of other threads are never gathered. With
+/// collection enabled, the spans also reach the global sink as usual;
+/// counters, gauges and histograms record only then. A panic in `f` closes
+/// the scope and discards what it gathered.
+pub fn collect<T>(f: impl FnOnce() -> T) -> (T, Vec<SpanEvent>) {
+    let _scope = Scope::open();
+    let out = f();
+    (out, COLLECTED.with(RefCell::take).unwrap_or_default())
+}
+
+/// An open [`collect`] scope. Dropping it, on return or on unwind, gives
+/// the thread back the enclosing scope's spans and closes the count.
+struct Scope {
+    outer: Option<Vec<SpanEvent>>,
+}
+
+impl Scope {
+    fn open() -> Scope {
+        let _ = epoch();
+        STATE.fetch_add(SCOPE, Ordering::Relaxed);
+        Scope {
+            outer: COLLECTED.with(|c| c.replace(Some(Vec::new()))),
+        }
+    }
+}
+
+impl Drop for Scope {
+    fn drop(&mut self) {
+        let _ = COLLECTED.try_with(|c| c.replace(self.outer.take()));
+        STATE.fetch_sub(SCOPE, Ordering::Relaxed);
+    }
 }
 
 /// Clears every counter, gauge, histogram and span event.
@@ -273,27 +338,39 @@ pub fn histogram(name: &'static str, value: f64) {
     s.histograms.entry(key).or_default().record(value);
 }
 
-/// Records a finished span. Called by the [`crate::SpanGuard`] drop; public
-/// so exporters can be tested without real time passing.
+/// Records a finished span into the calling thread's [`collect`] scope, if
+/// one is open, and into the global sink while collection is enabled.
+/// Called by the [`crate::SpanGuard`] drop; public so that a span measured
+/// elsewhere (a queue wait) can be recorded, and so exporters can be
+/// tested without real time passing.
 pub fn record_span(name: &'static str, start: Instant, end: Instant) {
-    if !enabled() {
+    let state = STATE.load(Ordering::Relaxed);
+    if state == 0 {
         return;
     }
-    let e = epoch();
-    let ts_us = start.saturating_duration_since(e).as_secs_f64() * 1e6;
-    let dur_us = end.saturating_duration_since(start).as_secs_f64() * 1e6;
+    let ev = SpanEvent {
+        name,
+        tid: thread_id(),
+        domain: current_domain(),
+        ts_us: epoch_us(start),
+        dur_us: end.saturating_duration_since(start).as_secs_f64() * 1e6,
+    };
+    if state >= SCOPE {
+        let _ = COLLECTED.try_with(|c| {
+            if let Some(spans) = c.borrow_mut().as_mut() {
+                spans.push(ev.clone());
+            }
+        });
+    }
+    if state & ENABLED == 0 {
+        return;
+    }
     let mut s = sink().lock().expect("obs sink poisoned");
     if s.spans.len() >= MAX_SPAN_EVENTS {
         s.dropped_spans += 1;
         return;
     }
-    s.spans.push(SpanEvent {
-        name,
-        tid: thread_id(),
-        domain: current_domain(),
-        ts_us,
-        dur_us,
-    });
+    s.spans.push(ev);
 }
 
 /// Aggregated statistics of one histogram at snapshot time.

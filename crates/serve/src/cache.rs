@@ -12,16 +12,15 @@
 //! when the strings match — a collision degrades to a miss, never to a
 //! wrong answer.
 //!
-//! Eviction is least-recently-used under a byte budget. Recency is
-//! tracked with a lazy stamp deque: every touch pushes `(stamp, key)` and
-//! bumps the entry's own stamp; stale deque entries (whose stamp no
-//! longer matches the entry's) are discarded when they surface during
-//! eviction, so touches are O(1) and eviction is amortized O(1).
+//! Eviction is least-recently-used under a byte budget. Recency is an
+//! ordered index from stamp to key holding one record per resident entry:
+//! a touch moves the entry's record to a fresh stamp, and eviction pops
+//! the first record. Touches and evictions are O(log n), and the index
+//! never outgrows the entries it ranks.
 
 use dvs_compiler::DeadlineScheme;
 use dvs_ir::{BlockModeCost, Cfg, LocalPath, Profile};
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, HashMap};
 use std::mem::size_of;
 use std::sync::Arc;
 
@@ -91,8 +90,7 @@ struct Entry {
     /// Canonical string — the collision guard.
     canonical: String,
     value: Value,
-    /// Recency stamp; only the deque record carrying this exact stamp is
-    /// live, older records for the same key are stale.
+    /// Recency stamp: the key of the entry's record in the index.
     stamp: u64,
 }
 
@@ -135,8 +133,9 @@ pub struct CacheStats {
 /// Not internally synchronized — the server wraps it in a `Mutex`.
 pub struct SolveCache {
     entries: HashMap<u64, Entry>,
-    /// `(stamp, key)` in touch order; lazily pruned of stale records.
-    recency: VecDeque<(u64, u64)>,
+    /// Stamp → key, one record per entry; the first is the least
+    /// recently used.
+    recency: BTreeMap<u64, u64>,
     next_stamp: u64,
     used_bytes: usize,
     capacity_bytes: usize,
@@ -165,7 +164,7 @@ impl SolveCache {
     pub fn new(capacity_bytes: usize) -> Self {
         SolveCache {
             entries: HashMap::new(),
-            recency: VecDeque::new(),
+            recency: BTreeMap::new(),
             next_stamp: 0,
             used_bytes: 0,
             capacity_bytes,
@@ -178,10 +177,11 @@ impl SolveCache {
         }
     }
 
-    fn touch(stamp: &mut u64, next: &mut u64, recency: &mut VecDeque<(u64, u64)>, key: u64) {
+    fn touch(stamp: &mut u64, next: &mut u64, recency: &mut BTreeMap<u64, u64>, key: u64) {
+        recency.remove(stamp);
         *next += 1;
         *stamp = *next;
-        recency.push_back((*next, key));
+        recency.insert(*next, key);
     }
 
     /// Reads the entry under `key` through `read` when its canonical
@@ -262,6 +262,7 @@ impl SolveCache {
     fn store(&mut self, key: u64, canonical: &str, value: Value) {
         if let Some(old) = self.entries.remove(&key) {
             self.used_bytes -= old.cost();
+            self.recency.remove(&old.stamp);
         }
         let entry = Entry {
             canonical: canonical.to_string(),
@@ -283,21 +284,17 @@ impl SolveCache {
 
     fn evict_to_budget(&mut self) {
         while self.used_bytes > self.capacity_bytes {
-            let Some((stamp, key)) = self.recency.pop_front() else {
+            let Some((_, key)) = self.recency.pop_first() else {
                 debug_assert!(
                     false,
                     "byte accounting drifted: over budget with no entries"
                 );
                 return;
             };
-            // Stale record: the entry was touched again later (or already
-            // evicted and possibly re-inserted); its live record is further
-            // back in the deque.
-            let live = self.entries.get(&key).is_some_and(|e| e.stamp == stamp);
-            if !live {
-                continue;
-            }
-            let e = self.entries.remove(&key).expect("checked above");
+            let e = self
+                .entries
+                .remove(&key)
+                .expect("one record per resident entry");
             self.used_bytes -= e.cost();
             self.evictions += 1;
             if dvs_obs::enabled() {
@@ -402,24 +399,36 @@ mod tests {
     }
 
     #[test]
-    fn stale_recency_records_do_not_evict_live_entries() {
+    fn eviction_follows_the_last_touch_not_the_touch_count() {
         let per = 100 + 5 + ENTRY_OVERHEAD_BYTES;
         let mut c = SolveCache::new(2 * per);
         c.insert(1, "req-1", body(100));
-        // Pile up stale records for key 1.
         for _ in 0..50 {
             assert!(c.get(1, "req-1").is_some());
         }
         c.insert(2, "req-2", body(100));
         c.insert(3, "req-3", body(100));
-        // Key 1 was touched most recently before 2 and 3; the eviction to
-        // fit 3 must skip its stale records and take key 2... but key 1's
-        // live stamp is older than 2's insert, so key 1 goes. Either way,
-        // exactly one eviction and byte accounting holds.
+        // Key 1's last touch is older than 2's insert, so fitting 3 evicts
+        // key 1: exactly one eviction, and byte accounting holds.
         let s = c.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.entries, 2);
         assert!(s.used_bytes <= s.capacity_bytes);
         assert!(c.get(3, "req-3").is_some(), "newest entry resident");
+        assert_eq!(c.get(1, "req-1"), None, "least recently used evicted");
+    }
+
+    #[test]
+    fn recency_holds_one_record_per_resident_entry() {
+        let mut c = SolveCache::new(4096);
+        c.insert(1, "req-1", body(10));
+        c.insert(2, "req-2", body(10));
+        for _ in 0..10_000 {
+            assert!(c.get(1, "req-1").is_some());
+        }
+        c.insert(2, "req-2", body(20));
+        assert_eq!(c.stats().evictions, 0, "the cache stayed within budget");
+        assert_eq!(c.recency.len(), c.stats().entries);
+        assert_eq!(c.recency.values().copied().collect::<Vec<_>>(), [1, 2]);
     }
 }

@@ -23,11 +23,14 @@
 //!   an explicit `busy` reply, per-request deadlines abandon waits (the
 //!   solve still completes and populates the cache), and a `shutdown`
 //!   request drains the daemon gracefully.
-//! * **Request tracing** ([`trace`]) — every completed solve reply
-//!   carries a per-request trace tree (queue wait, cache lookup,
-//!   coalesce join, solve, emit spans) in its **envelope** — never the
-//!   cached body — and the `traces` op replays the last 64 trees as
-//!   Chrome trace events.
+//! * **Request tracing** — every completed solve reply carries a
+//!   per-request trace tree in its **envelope**, never the cached body.
+//!   The tree holds the `dvs_obs` spans that the request's connection
+//!   thread and its worker recorded inside `dvs_obs::collect` scopes:
+//!   cache lookup, cache hit or coalesce join, queue wait, emit, and
+//!   `solve` with the pass's own stages (build, `pass.profile`,
+//!   `pass.solve`, `pass.validate`, ...) nested under it. The `traces` op
+//!   replays the last 64 trees as Chrome trace events.
 //! * **Clients** ([`client`], [`loadtest`]) — a blocking request/reply
 //!   client and a multi-connection load generator whose request mix is a
 //!   pure function of the global request index, making results
@@ -62,11 +65,9 @@ pub mod client;
 pub mod loadtest;
 pub mod protocol;
 pub mod server;
-pub mod trace;
 
 pub use cache::{CacheStats, SolveCache, Stage};
 pub use client::{Client, Reply};
 pub use loadtest::{run_loadtest, LatencyStats, LoadtestConfig, LoadtestReport};
 pub use protocol::{Request, SolveOp, SolveRequest};
 pub use server::{ServeConfig, ServeSummary, Server};
-pub use trace::{TraceCtx, TraceSpan};

@@ -10,7 +10,6 @@
 
 use crate::client::Client;
 use crate::protocol::{Request, SolveOp, SolveRequest};
-use crate::trace::span_dur_us;
 use dvs_obs::json::Json;
 use dvs_workloads::Benchmark;
 use std::io;
@@ -162,6 +161,16 @@ fn fetch_counters(addr: &str) -> io::Result<(u64, u64, u64)> {
         .result
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "stats reply has no result"))?;
     Ok(counters_of(&result))
+}
+
+/// The duration of the first span named `name` in a reply's trace tree;
+/// `None` when the tree has no such span.
+fn span_dur_us(tree: &Json, name: &str) -> Option<f64> {
+    tree.get("spans")?.as_arr()?.iter().find_map(|s| {
+        (s.get("name").and_then(Json::as_str) == Some(name))
+            .then(|| s.get("dur_us").and_then(Json::as_f64))
+            .flatten()
+    })
 }
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {

@@ -26,10 +26,10 @@ use crate::protocol::{
     error_envelope, ok_envelope, ok_envelope_traced, read_frame, write_frame, Request, SolveOp,
     SolveRequest,
 };
-use crate::trace::{self, TraceCtx, ROOT_SPAN};
 use dvs_compiler::{DeadlineScheme, DvsCompiler};
 use dvs_ir::Cfg;
 use dvs_obs::json::Json;
+use dvs_obs::SpanEvent;
 use dvs_sim::{Machine, Trace};
 use dvs_vf::{TransitionModel, VoltageLadder};
 use dvs_workloads::Benchmark;
@@ -87,25 +87,14 @@ struct Job {
     enqueued: Instant,
 }
 
-/// What one executed solve produced: the result body plus the timings
-/// the worker side measured, which the connection thread turns into
-/// `queue-wait` and `solve` trace spans (plus `cert-prove` and
-/// `cert-check` spans for certify solves).
+/// What one executed solve produced: the result body, and the spans the
+/// worker's thread recorded for the job (`queue-wait`, then `solve` with
+/// the pass's stages under it), which the request that enqueued the job
+/// adds to its trace tree.
 #[derive(Clone)]
 struct SolveOutcome {
     body: Result<String, String>,
-    queue_wait_us: f64,
-    solve_us: f64,
-    /// Wall times of the certificate prover and of the independent check,
-    /// when the solve was a [`SolveOp::Certify`].
-    cert_us: Option<CertTimes>,
-}
-
-/// Worker-measured wall times of a certify solve's two certificate stages.
-#[derive(Clone, Copy)]
-struct CertTimes {
-    prove_us: f64,
-    check_us: f64,
+    spans: Vec<SpanEvent>,
 }
 
 /// The rendezvous between one computation and its waiters: an in-flight
@@ -237,6 +226,9 @@ impl Server {
     pub fn bind(config: &ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let jobs = config.jobs.max(1);
+        // Pins the span time base before the first request arrives, so
+        // every arrival lies on it.
+        let _ = dvs_obs::epoch_us(Instant::now());
         Ok(Server {
             listener,
             state: State {
@@ -390,9 +382,10 @@ enum Admission {
 
 /// The admission path described in the module docs: cache → coalesce →
 /// admit/shed, then wait for the solve (bounded by the request's own
-/// deadline when it has one). Every completed solve records a trace
-/// tree — queue wait, cache lookup, coalesce join, solve, emit — that
-/// rides the reply envelope and lands in the `traces` ring.
+/// deadline when it has one). The connection thread runs both inside a
+/// `dvs_obs` collect scope. Every completed solve renders those spans, and
+/// the worker's when this request enqueued the solve, as its trace tree,
+/// which rides the reply envelope and lands in the `traces` ring.
 fn handle_solve(state: &State, req: &SolveRequest, started: Instant) -> String {
     let op = req.op.name();
     let (key, canonical) = match request_key(req) {
@@ -405,15 +398,45 @@ fn handle_solve(state: &State, req: &SolveRequest, started: Instant) -> String {
     let trace_id = req
         .trace_id
         .unwrap_or_else(|| state.next_trace.fetch_add(1, Ordering::Relaxed));
-    let mut tr = TraceCtx::new(trace_id, started);
-    let lookup = tr.begin(ROOT_SPAN, "cache-lookup");
+    let (served, mut spans) =
+        dvs_obs::collect(|| admit_and_wait(state, req, key, canonical, started));
+    let (body, cached, worker_spans) = match served {
+        Ok(served) => served,
+        Err(reply) => return reply,
+    };
+    spans.extend(worker_spans);
+    let tree = trace_tree(trace_id, started, spans);
+    {
+        let mut ring = state.traces.lock().expect("traces poisoned");
+        while ring.len() >= TRACE_RING {
+            ring.pop_front();
+        }
+        ring.push_back(tree.clone());
+    }
+    ok_envelope_traced(op, cached, us_since(started), &body, Some(&tree.dump()))
+}
+
+/// Admission and the wait for one keyed solve request: the reply body,
+/// whether the cache answered it, and the worker's spans when this request
+/// enqueued the solve. `Err` holds an error reply.
+fn admit_and_wait(
+    state: &State,
+    req: &SolveRequest,
+    key: u64,
+    canonical: String,
+    started: Instant,
+) -> Result<(String, bool, Vec<SpanEvent>), String> {
+    let op = req.op.name();
     let admission = {
+        // Declared first, so it ends after `coord` unlocks: before a
+        // worker is woken.
+        let _lookup = dvs_obs::span!("cache-lookup");
         let mut coord = state.coord.lock().expect("coord poisoned");
         // Checked under the coordination lock: `handle_shutdown` sets the
         // flag while holding it, so no job can slip into the queue after
         // the workers have observed shutdown and exited.
         if state.shutdown.load(Ordering::SeqCst) {
-            return error_envelope(op, "shutting_down", "server is draining");
+            return Err(error_envelope(op, "shutting_down", "server is draining"));
         }
         if let Some(body) = coord.cache.get(key, &canonical) {
             Admission::Hit(body)
@@ -429,11 +452,11 @@ fn handle_solve(state: &State, req: &SolveRequest, started: Instant) -> String {
                 if dvs_obs::enabled() {
                     dvs_obs::counter("serve.shed", 1);
                 }
-                return error_envelope(
+                return Err(error_envelope(
                     op,
                     "busy",
                     &format!("pending queue full ({} solves waiting)", coord.queue.len()),
-                );
+                ));
             }
             let inf = Rendezvous::new();
             coord.inflight.insert(key, Arc::clone(&inf));
@@ -444,108 +467,86 @@ fn handle_solve(state: &State, req: &SolveRequest, started: Instant) -> String {
                 enqueued: Instant::now(),
             });
             state.counters.solves.fetch_add(1, Ordering::Relaxed);
-            drop(coord);
-            state.work_ready.notify_one();
             Admission::Fresh(inf)
         }
     };
-    tr.end(lookup);
-    if dvs_obs::enabled() {
-        dvs_obs::histogram("serve.cache_lookup_us", tr.now_us());
-    }
-    let timeout = req.timeout_ms.map(Duration::from_millis);
-    let (inflight, join_span) = match admission {
+    dvs_obs::histogram("serve.cache_lookup_us", us_since(started));
+    let (inflight, joined) = match admission {
         Admission::Hit(body) => {
-            let hit = tr.begin(ROOT_SPAN, "cache-hit");
-            tr.end(hit);
-            return finish_traced(state, tr, op, true, started, &body);
+            drop(dvs_obs::span!("cache-hit"));
+            drop(dvs_obs::span!("emit"));
+            return Ok((body, true, Vec::new()));
         }
-        Admission::Join(inf) => {
-            let join = tr.begin(ROOT_SPAN, "coalesce-join");
-            (inf, Some(join))
+        Admission::Join(inf) => (inf, true),
+        Admission::Fresh(inf) => {
+            state.work_ready.notify_one();
+            (inf, false)
         }
-        Admission::Fresh(inf) => (inf, None),
     };
-    match inflight.wait(timeout) {
-        Some(outcome) => {
-            match join_span {
-                // A coalesced waiter only observed the join; the solve
-                // spans belong to the request that enqueued the job.
-                Some(join) => tr.end(join),
-                None => {
-                    // Place the worker-measured spans on the request
-                    // timeline by working backwards from the wakeup.
-                    let queue_start =
-                        (tr.now_us() - outcome.solve_us - outcome.queue_wait_us).max(0.0);
-                    tr.record(ROOT_SPAN, "queue-wait", queue_start, outcome.queue_wait_us);
-                    tr.record(
-                        ROOT_SPAN,
-                        "solve",
-                        queue_start + outcome.queue_wait_us,
-                        outcome.solve_us,
-                    );
-                    // The prover and then the independent check run at the
-                    // tail of the solve; surface each as its own span so
-                    // `dvsc client trace certify` shows where the
-                    // certification time went.
-                    if let Some(cert) = outcome.cert_us {
-                        let solve_end = queue_start + outcome.queue_wait_us + outcome.solve_us;
-                        let check_start = (solve_end - cert.check_us).max(0.0);
-                        let prove_start = (check_start - cert.prove_us).max(0.0);
-                        tr.record(ROOT_SPAN, "cert-prove", prove_start, cert.prove_us);
-                        tr.record(ROOT_SPAN, "cert-check", check_start, cert.check_us);
-                    }
-                    if dvs_obs::enabled() {
-                        dvs_obs::histogram("serve.queue_wait_us", outcome.queue_wait_us);
-                    }
-                }
-            }
-            match outcome.body {
-                Ok(body) => finish_traced(state, tr, op, false, started, &body),
-                Err(msg) => {
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    error_envelope(op, "solve_error", &msg)
-                }
-            }
+    let outcome = {
+        let _join = joined.then(|| dvs_obs::span!("coalesce-join"));
+        inflight.wait(req.timeout_ms.map(Duration::from_millis))
+    };
+    let Some(outcome) = outcome else {
+        state.counters.timeouts.fetch_add(1, Ordering::Relaxed);
+        if dvs_obs::enabled() {
+            dvs_obs::counter("serve.timeouts", 1);
         }
-        None => {
-            state.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-            if dvs_obs::enabled() {
-                dvs_obs::counter("serve.timeouts", 1);
-            }
-            error_envelope(
-                op,
-                "timeout",
-                &format!(
-                    "solve did not finish within {} ms (it keeps running and will populate the cache)",
-                    req.timeout_ms.unwrap_or(0)
-                ),
-            )
-        }
-    }
+        return Err(error_envelope(
+            op,
+            "timeout",
+            &format!(
+                "solve did not finish within {} ms (it keeps running and will populate the cache)",
+                req.timeout_ms.unwrap_or(0)
+            ),
+        ));
+    };
+    let body = outcome.body.map_err(|msg| {
+        state.counters.errors.fetch_add(1, Ordering::Relaxed);
+        error_envelope(op, "solve_error", &msg)
+    })?;
+    drop(dvs_obs::span!("emit"));
+    // A coalesced waiter only observed the join; the solve's spans belong
+    // to the request that enqueued the job.
+    let spans = if joined { Vec::new() } else { outcome.spans };
+    Ok((body, false, spans))
 }
 
-/// Records the `emit` span, closes the trace, retains it in the ring and
-/// wraps the result body in a traced success envelope.
-fn finish_traced(
-    state: &State,
-    mut tr: TraceCtx,
-    op: &str,
-    cached: bool,
-    started: Instant,
-    body: &str,
-) -> String {
-    let emit = tr.begin(ROOT_SPAN, "emit");
-    tr.end(emit);
-    let tree = tr.finish();
-    {
-        let mut ring = state.traces.lock().expect("traces poisoned");
-        while ring.len() >= TRACE_RING {
-            ring.pop_front();
-        }
-        ring.push_back(tree.clone());
+/// Renders one request's trace tree,
+/// `{"trace_id": N, "spans": [{id, parent, name, ts_us, dur_us}, ...]}`:
+/// the root `request` span (id 1) first, then `spans` in start order, each
+/// under the innermost span of its own thread that is still open when it
+/// starts, or else under the root. Times are µs from the request's
+/// arrival.
+fn trace_tree(trace_id: u64, arrival: Instant, mut spans: Vec<SpanEvent>) -> Json {
+    let row = |id: u64, parent: u64, name: &str, ts_us: f64, dur_us: f64| {
+        Json::obj([
+            ("id", Json::from(id)),
+            ("parent", Json::from(parent)),
+            ("name", Json::from(name)),
+            ("ts_us", Json::from(ts_us)),
+            ("dur_us", Json::from(dur_us)),
+        ])
+    };
+    let mut rows = vec![row(1, 0, "request", 0.0, us_since(arrival))];
+    let t0 = dvs_obs::epoch_us(arrival);
+    // A span that starts with its parent ends no later, so it sorts after.
+    spans.sort_by(|a, b| {
+        a.ts_us
+            .total_cmp(&b.ts_us)
+            .then(b.dur_us.total_cmp(&a.dur_us))
+    });
+    for (i, s) in spans.iter().enumerate() {
+        let parent = spans[..i]
+            .iter()
+            .rposition(|p| p.tid == s.tid && p.ts_us + p.dur_us > s.ts_us)
+            .map_or(1, |j| j as u64 + 2);
+        rows.push(row(i as u64 + 2, parent, s.name, s.ts_us - t0, s.dur_us));
     }
-    ok_envelope_traced(op, cached, us_since(started), body, Some(&tree.dump()))
+    Json::obj([
+        ("trace_id", Json::from(trace_id)),
+        ("spans", Json::Arr(rows)),
+    ])
 }
 
 /// The `traces` response body: the retained trace trees (oldest first)
@@ -559,12 +560,41 @@ fn traces_json(state: &State) -> Json {
         .iter()
         .cloned()
         .collect();
-    let chrome: Vec<Json> = trees.iter().flat_map(trace::chrome_events).collect();
+    let chrome: Vec<Json> = trees.iter().flat_map(chrome_events).collect();
     Json::obj([
         ("count", Json::from(trees.len())),
         ("traces", Json::Arr(trees)),
         ("chrome", Json::Arr(chrome)),
     ])
+}
+
+/// One trace tree as Chrome trace events: one complete (`"ph":"X"`) event
+/// per span, with the trace id as the `tid` so each request gets its own
+/// track in `chrome://tracing` / Perfetto, and the tree links in `args`.
+fn chrome_events(tree: &Json) -> Vec<Json> {
+    let trace_id = tree.get("trace_id").and_then(Json::as_u64).unwrap_or(0);
+    let Some(spans) = tree.get("spans").and_then(Json::as_arr) else {
+        return Vec::new();
+    };
+    spans
+        .iter()
+        .map(|s| {
+            let field = |k: &str| s.get(k).cloned().unwrap_or(Json::from(0u64));
+            Json::obj([
+                ("name", field("name")),
+                ("cat", Json::from("dvs.serve")),
+                ("ph", Json::from("X")),
+                ("ts", field("ts_us")),
+                ("dur", field("dur_us")),
+                ("pid", Json::from(1u64)),
+                ("tid", Json::from(trace_id)),
+                (
+                    "args",
+                    Json::obj([("span", field("id")), ("parent", field("parent"))]),
+                ),
+            ])
+        })
+        .collect()
 }
 
 /// Sets the shutdown flag, waits for the pending queue and in-flight
@@ -594,18 +624,15 @@ fn handle_shutdown(state: &State, started: Instant) -> String {
 fn worker(state: &State) {
     let _domain = dvs_obs::enter_domain(state.domain);
     while let Some(job) = next_job(state) {
-        let queue_wait_us = us_since(job.enqueued);
-        let solve_start = Instant::now();
-        let (body, cert_us) = match execute_solve(state, &job.request) {
-            Ok(s) => (Ok(s.body), s.cert_us),
-            Err(e) => (Err(e), None),
-        };
-        let outcome = SolveOutcome {
-            body,
-            queue_wait_us,
-            solve_us: us_since(solve_start),
-            cert_us,
-        };
+        let (body, spans) = dvs_obs::collect(|| {
+            let taken = Instant::now();
+            dvs_obs::record_span("queue-wait", job.enqueued, taken);
+            let wait = taken.saturating_duration_since(job.enqueued);
+            dvs_obs::histogram("serve.queue_wait_us", wait.as_secs_f64() * 1e6);
+            let _solve = dvs_obs::span!("solve");
+            execute_solve(state, &job.request)
+        });
+        let outcome = SolveOutcome { body, spans };
         let inflight = {
             let mut coord = state.coord.lock().expect("coord poisoned");
             if let Ok(b) = &outcome.body {
@@ -726,34 +753,26 @@ fn stage<'t>(
     stage
 }
 
-/// A finished solve: the canonical JSON body plus worker-side timings
-/// that ride the trace tree but never the (cacheable) body.
-struct Solved {
-    body: String,
-    cert_us: Option<CertTimes>,
-}
-
-impl Solved {
-    fn plain(body: String) -> Solved {
-        Solved {
-            body,
-            cert_us: None,
-        }
-    }
-}
-
 /// Runs one solve to its canonical JSON body. This is the expensive path
 /// (tens to hundreds of milliseconds per workload); everything above it
 /// exists to avoid re-entering it.
-fn execute_solve(state: &State, req: &SolveRequest) -> Result<Solved, String> {
+fn execute_solve(state: &State, req: &SolveRequest) -> Result<String, String> {
     let b = Benchmark::find(&req.benchmark)?;
     let ladder = VoltageLadder::paper(req.levels).map_err(|e| e.to_string())?;
     let compiler = build_compiler(req, ladder.clone())?;
-    let cfg = b.build_cfg();
+    let cfg = {
+        let _build = dvs_obs::span!("build");
+        b.build_cfg()
+    };
     // Built only if a stage miss or validation needs it; verify and
     // certify on a resident stage never do.
     let trace_cell = OnceCell::new();
-    let trace = || trace_cell.get_or_init(|| b.trace(&cfg, &b.default_input()));
+    let trace = || {
+        trace_cell.get_or_init(|| {
+            let _build = dvs_obs::span!("build");
+            b.trace(&cfg, &b.default_input())
+        })
+    };
     let stage = stage(state, b, &compiler, &cfg, trace);
     let profile = stage.profile();
     let deadline = stage.scheme().deadline_us(req.deadline_index);
@@ -771,10 +790,7 @@ fn execute_solve(state: &State, req: &SolveRequest) -> Result<Solved, String> {
             let result = compiler
                 .compile_and_validate(&cfg, trace(), profile, deadline)
                 .map_err(|e| format!("compile failed: {e}"))?;
-            Ok(Solved::plain(header(vec![(
-                "compile".to_string(),
-                result.to_json(),
-            )])))
+            Ok(header(vec![("compile".to_string(), result.to_json())]))
         }
         SolveOp::Certify => {
             let result = compiler
@@ -790,7 +806,7 @@ fn execute_solve(state: &State, req: &SolveRequest) -> Result<Solved, String> {
             // document (`Json` round-trips numbers bit-exactly).
             let encoded = Json::parse(&cert.encoded)
                 .map_err(|e| format!("certificate did not re-parse: {e}"))?;
-            let body = header(vec![
+            Ok(header(vec![
                 ("compile".to_string(), result.to_json()),
                 (
                     "certificate".to_string(),
@@ -800,14 +816,7 @@ fn execute_solve(state: &State, req: &SolveRequest) -> Result<Solved, String> {
                         ("encoded", encoded),
                     ]),
                 ),
-            ]);
-            Ok(Solved {
-                body,
-                cert_us: Some(CertTimes {
-                    prove_us: cert.prove_us,
-                    check_us: cert.check_us,
-                }),
-            })
+            ]))
         }
         SolveOp::Verify => {
             let result = compiler
@@ -823,10 +832,7 @@ fn execute_solve(state: &State, req: &SolveRequest) -> Result<Solved, String> {
                 emitted: Some(&emitted),
                 deadline_us: Some(deadline),
             });
-            Ok(Solved::plain(header(vec![(
-                "report".to_string(),
-                report.to_json(),
-            )])))
+            Ok(header(vec![("report".to_string(), report.to_json())]))
         }
         SolveOp::Evaluate => {
             let result = compiler
@@ -836,7 +842,7 @@ fn execute_solve(state: &State, req: &SolveRequest) -> Result<Solved, String> {
                 .validated
                 .as_ref()
                 .ok_or("evaluate solve produced no validation run")?;
-            Ok(Solved::plain(header(vec![(
+            Ok(header(vec![(
                 "evaluate".to_string(),
                 Json::obj([
                     ("time_us", Json::from(run.time_us)),
@@ -850,7 +856,7 @@ fn execute_solve(state: &State, req: &SolveRequest) -> Result<Solved, String> {
                         Json::from(result.milp.predicted_energy_uj),
                     ),
                 ]),
-            )])))
+            )]))
         }
     }
 }

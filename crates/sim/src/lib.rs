@@ -63,6 +63,6 @@ pub use hierarchy::{DataLevel, MemoryHierarchy};
 pub use machine::{BlockStats, Machine, PointRun, RunStats, TimedRun, FAN_OUT_MIN_INSTS};
 pub use pipeline::{FRONTEND_DEPTH, LANES};
 pub use predictor::{BranchPredictor, PredictorConfig};
-pub use profiler::{ModeProfiler, ProgramParams};
+pub use profiler::ModeProfiler;
 pub use record::{Access, Decoded, InstOutcome, Recording, SEGMENT_BLOCKS};
 pub use trace::{DynBlock, Trace, TraceBuilder};

@@ -2,69 +2,12 @@ use crate::{BlockStats, Machine, RunStats, TimedRun, Trace};
 use dvs_ir::{BlockModeCost, Cfg, Profile, ProfileBuilder};
 use dvs_vf::{OperatingPoint, VoltageLadder};
 
-/// The four program parameters of the paper's analytical model (§3),
-/// extracted from cycle-level simulation exactly as Table 7 does.
-///
-/// Cycle counts are frequency-independent program properties; the stall
-/// time `tinvariant` is absolute because memory is asynchronous.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProgramParams {
-    /// `Noverlap`: computation cycles that ran while a main-memory miss was
-    /// outstanding.
-    pub n_overlap: f64,
-    /// `Ndependent`: computation cycles with no miss outstanding.
-    pub n_dependent: f64,
-    /// `Ncache`: cycles spent in cache-hit memory-operation latencies.
-    pub n_cache: f64,
-    /// `tinvariant`: absolute time (µs) the processor spent stalled on
-    /// asynchronous memory.
-    pub t_invariant_us: f64,
-}
-
-impl ProgramParams {
-    /// Derives the parameters from a fixed-frequency run.
-    ///
-    /// The raw counters sum instruction *latencies*, which on a superscalar
-    /// core exceed wall-clock cycles (several instructions retire per
-    /// cycle). The analytical model, however, assumes its cycle counts
-    /// execute serially: `t(f) = max(tinv + Ncache/f, Noverlap/f) +
-    /// Ndependent/f`. To keep the model's single-frequency time consistent
-    /// with the simulator's measured runtime — so that deadlines derived
-    /// from simulation are feasible in the model — the three cycle counts
-    /// are scaled by a common factor chosen such that `t(f_profile)`
-    /// equals the measured wall time. Ratios between the counts (which
-    /// drive the model's case analysis) are preserved.
-    #[must_use]
-    pub fn from_run(run: &RunStats) -> Self {
-        let f = run.point.frequency_mhz;
-        let raw = ProgramParams {
-            n_overlap: run.overlap_cycles,
-            n_dependent: run.dependent_cycles,
-            n_cache: run.cache_hit_cycles,
-            t_invariant_us: run.stall_cycles / f,
-        };
-        let t_wall = run.total_cycles / f;
-        let mem = raw.t_invariant_us + raw.n_cache / f;
-        let compute = raw.n_overlap / f;
-        let t_model = mem.max(compute) + raw.n_dependent / f;
-        let denom = t_model - raw.t_invariant_us;
-        let target = (t_wall - raw.t_invariant_us).max(0.0);
-        let kappa = if denom > 1e-12 { target / denom } else { 1.0 };
-        ProgramParams {
-            n_overlap: raw.n_overlap * kappa,
-            n_dependent: raw.n_dependent * kappa,
-            n_cache: raw.n_cache * kappa,
-            t_invariant_us: raw.t_invariant_us,
-        }
-    }
-}
-
 /// Profiles a program once per DVS mode, assembling the [`Profile`] the
 /// MILP consumes (per-block `T(j,m)`/`E(j,m)` plus edge and local-path
 /// counts). [`ModeProfiler::profile`] classifies every mode's run for the
 /// analytical model, [`ModeProfiler::profile_unclassified`] none, and
 /// [`ModeProfiler::profile_with_fastest`] only the fastest mode's, the one
-/// [`ProgramParams::from_run`] reads.
+/// the analytical model's parameters are read from.
 #[derive(Debug)]
 pub struct ModeProfiler {
     machine: Machine,
@@ -126,7 +69,7 @@ impl ModeProfiler {
     }
 
     /// [`ModeProfiler::profile_unclassified`], and the fastest mode's run
-    /// classified for [`ProgramParams::from_run`] from the same walk, in
+    /// classified for the analytical model from the same walk, in
     /// which only that mode's pass classifies
     /// ([`Machine::time_points_classifying`]).
     ///
@@ -282,10 +225,19 @@ mod tests {
         assert_eq!(fast_profile, profile);
         assert_eq!(timed.len(), runs.len());
         assert_eq!(fastest.point, ladder.fastest());
-        let params = ProgramParams::from_run(&fastest);
-        assert_eq!(params, ProgramParams::from_run(&runs[2]));
-        assert!(params.n_dependent > 0.0);
-        assert!(params.n_cache > 0.0);
-        assert!(params.t_invariant_us >= 0.0);
+        let classes = |r: &RunStats| {
+            [
+                r.overlap_cycles,
+                r.dependent_cycles,
+                r.cache_hit_cycles,
+                r.stall_cycles,
+                r.total_cycles,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(classes(&fastest), classes(&runs[2]));
+        assert!(fastest.dependent_cycles > 0.0);
+        assert!(fastest.cache_hit_cycles > 0.0);
+        assert!(fastest.stall_cycles >= 0.0);
     }
 }

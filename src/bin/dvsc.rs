@@ -56,8 +56,9 @@
 //! does); `loadtest` hammers a daemon from N concurrent connections and
 //! writes throughput/latency percentiles (plus trace-derived queue-wait
 //! and cache-lookup means) to `results/serve.csv`. `client trace <op>`
-//! runs one solve and prints the server's per-request trace tree (queue
-//! wait, cache lookup, solve, emit spans); `client traces` fetches the
+//! runs one solve and prints the server's per-request trace tree (cache
+//! lookup, queue wait, emit, and `solve` with the pass's stages nested
+//! under it); `client traces` fetches the
 //! daemon's recent trace ring as Chrome trace events. The global
 //! `--timeout <secs>` flag bounds `compile`/`verify`/`check` wall-clock
 //! (exit code 3 on expiry) and doubles as the server-side request
@@ -443,45 +444,51 @@ fn run_serve(args: &Args) -> u8 {
 }
 
 /// Renders a per-request trace tree as an indented span listing, children
-/// under their parents in recorded order.
+/// under their parents in recorded order. The name column is as wide as
+/// the deepest row needs, so the time columns line up at every depth.
 fn print_trace(tree: &obs::json::Json) {
-    let trace_id = tree.get("trace_id").and_then(obs::json::Json::as_u64);
-    let Some(spans) = tree.get("spans").and_then(obs::json::Json::as_arr) else {
+    use obs::json::Json;
+    let trace_id = tree.get("trace_id").and_then(Json::as_u64);
+    let Some(spans) = tree.get("spans").and_then(Json::as_arr) else {
         return;
     };
     println!("trace {}", trace_id.unwrap_or(0));
-    fn walk(spans: &[obs::json::Json], parent: u64, depth: usize) {
+    /// `(depth, name, ts_us, dur_us)` of `parent`'s subtree, depth first.
+    fn walk<'a>(
+        spans: &'a [Json],
+        parent: u64,
+        depth: usize,
+        rows: &mut Vec<(usize, &'a str, f64, f64)>,
+    ) {
         for s in spans {
-            let get_u64 = |k: &str| s.get(k).and_then(obs::json::Json::as_u64);
-            if get_u64("parent") != Some(parent) {
+            if s.get("parent").and_then(Json::as_u64) != Some(parent) {
                 continue;
             }
-            let name = s
-                .get("name")
-                .and_then(obs::json::Json::as_str)
-                .unwrap_or("?");
-            let ts = s
-                .get("ts_us")
-                .and_then(obs::json::Json::as_f64)
-                .unwrap_or(0.0);
-            let dur = s
-                .get("dur_us")
-                .and_then(obs::json::Json::as_f64)
-                .unwrap_or(0.0);
-            println!(
-                "  {:indent$}{name:<width$} +{:<9} {}",
-                "",
-                obs::format_us(ts),
-                obs::format_us(dur),
-                indent = depth * 2,
-                width = 14usize.saturating_sub(depth * 2),
-            );
-            if let Some(id) = get_u64("id") {
-                walk(spans, id, depth + 1);
+            let num = |k: &str| s.get(k).and_then(Json::as_f64).unwrap_or(0.0);
+            let name = s.get("name").and_then(Json::as_str).unwrap_or("?");
+            rows.push((depth, name, num("ts_us"), num("dur_us")));
+            if let Some(id) = s.get("id").and_then(Json::as_u64) {
+                walk(spans, id, depth + 1, rows);
             }
         }
     }
-    walk(spans, 0, 0);
+    let mut rows = Vec::new();
+    walk(spans, 0, 0, &mut rows);
+    let width = rows
+        .iter()
+        .map(|&(depth, name, _, _)| depth * 2 + name.chars().count())
+        .max()
+        .unwrap_or(0);
+    for (depth, name, ts, dur) in rows {
+        println!(
+            "  {:indent$}{name:<pad$} +{:<9} {}",
+            "",
+            obs::format_us(ts),
+            obs::format_us(dur),
+            indent = depth * 2,
+            pad = width - depth * 2,
+        );
+    }
 }
 
 /// `dvsc client <op>`: one request against a running daemon.

@@ -1,5 +1,5 @@
 //! The parallel runtime must be invisible in the results: running the
-//! experiment harness or `compile_grid` with `--jobs 4` has to produce
+//! experiment harness or a deadline grid with `--jobs 4` has to produce
 //! byte-identical reports and identical chosen schedules to `--jobs 1`.
 //! (Timing-column experiments like fig18 are excluded — wall-clock varies
 //! run to run even sequentially.) It must be invisible in the metrics too:
@@ -8,6 +8,7 @@
 
 use compile_time_dvs::obs;
 use compile_time_dvs::prelude::*;
+use compile_time_dvs::runtime::Pool;
 use dvs_bench::{run_experiment, scaled_capacitance_uf, Context};
 
 /// Grid experiments whose cells fan out under `--jobs`: every cell value is
@@ -40,16 +41,17 @@ fn compile_grid_is_deterministic_across_jobs() {
     let cap = scaled_capacitance_uf(b, bd.scheme.t_slow_us);
     let deadlines: Vec<f64> = (1..=5).map(|i| bd.scheme.deadline_us(i)).collect();
 
+    let comp = DvsCompiler::builder(
+        ctx.machine.clone(),
+        VoltageLadder::xscale3(&AlphaPower::paper()),
+        TransitionModel::with_capacitance_uf(cap),
+    )
+    .build()
+    .expect("valid settings");
     let grid = |jobs: usize| {
-        let comp = DvsCompiler::builder(
-            ctx.machine.clone(),
-            VoltageLadder::xscale3(&AlphaPower::paper()),
-            TransitionModel::with_capacitance_uf(cap),
-        )
-        .jobs(jobs)
-        .build()
-        .expect("valid settings");
-        comp.compile_grid(&bd.cfg, &profile, &deadlines)
+        Pool::new(jobs).map(deadlines.clone(), |_, deadline| {
+            comp.compile(&bd.cfg, &profile, deadline)
+        })
     };
 
     let seq = grid(1);

@@ -203,6 +203,14 @@ fn loadtest_results_are_independent_of_client_count() {
         serial.digests, parallel.digests,
         "per-request results changed with the client count"
     );
+    // The serial run's cold solves waited in the queue, and every request
+    // looked the cache up: both figures come from the reply traces.
+    assert!(
+        serial.mean_queue_wait_us > 0.0 && serial.mean_cache_lookup_us > 0.0,
+        "trace-derived means must be positive: queue wait {} µs, lookup {} µs",
+        serial.mean_queue_wait_us,
+        serial.mean_cache_lookup_us
+    );
     // The serial run already populated the cache's 2 distinct entries, so
     // the repeated mix from 8 clients must be served almost entirely warm.
     assert!(
