@@ -324,9 +324,15 @@ impl<'a> Checker<'a> {
         for (i, row) in s.rows.iter().enumerate() {
             let mut act = Dyadic::zero();
             for &(j, a) in &row.terms {
-                act = act.add(&dy(a).mul(&dy(x[j])));
+                act.add_product(a, x[j]);
             }
             let tol = self.cert.feas_tol * row.rhs.abs().max(1.0);
+            if !tol.is_finite() {
+                return Err(reject(
+                    RejectCode::Malformed,
+                    format!("row {i}: feas_tol scaled by the rhs overflows"),
+                ));
+            }
             let hi = dy(row.rhs).add(&dy(tol));
             if act.cmp_val(&hi) == Ordering::Greater {
                 return Err(reject(
@@ -354,10 +360,16 @@ impl<'a> Checker<'a> {
         }
         // Exact objective vs the claim.
         let mut obj = dy(s.obj_offset);
-        for (j, &c) in s.obj.iter().enumerate() {
-            obj = obj.add(&dy(c).mul(&dy(x[j])));
+        for (&c, &xj) in s.obj.iter().zip(x) {
+            obj.add_product(c, xj);
         }
         let tol = self.cert.obj_tol * self.cert.objective.abs().max(1.0);
+        if !tol.is_finite() {
+            return Err(reject(
+                RejectCode::Malformed,
+                "obj_tol scaled by the objective overflows",
+            ));
+        }
         let diff = obj.sub(&dy(self.cert.objective));
         let bound = dy(tol);
         if diff.cmp_val(&bound) == Ordering::Greater
@@ -580,10 +592,9 @@ impl<'a> Checker<'a> {
                     format!("dual {y} > 0 on <= row {i}"),
                 ));
             }
-            let yd = dy(y);
-            sum = sum.add(&yd.mul(&dy(row.rhs)));
+            sum.add_product(y, row.rhs);
             for &(j, a) in &row.terms {
-                d[j] = d[j].sub(&yd.mul(&dy(a)));
+                d[j].add_product(-y, a);
             }
         }
         let weak_code = if with_obj {
@@ -603,7 +614,7 @@ impl<'a> Checker<'a> {
                     format!("reduced cost on var {j} points along an unbounded direction"),
                 ));
             }
-            sum = sum.add(&dj.mul(&dy(b)));
+            sum.add_scaled(dj, b);
         }
         Ok(sum)
     }
@@ -810,6 +821,22 @@ mod tests {
 
         let mut c = tiny();
         c.tolerance = -1.0;
+        assert_eq!(check(&c).reject.unwrap().code, RejectCode::Malformed);
+    }
+
+    #[test]
+    fn tolerances_that_overflow_when_scaled_are_malformed() {
+        // Both tolerances pass structural validation (finite, non-negative)
+        // but overflow once scaled by |rhs| or |objective| = 2.
+        let mut c = tiny();
+        c.feas_tol = f64::MAX;
+        c.snapshot.rows[0].rhs = 2.0;
+        assert_eq!(check(&c).reject.unwrap().code, RejectCode::Malformed);
+
+        let mut c = tiny();
+        c.obj_tol = f64::MAX;
+        c.objective = 2.0;
+        c.incumbent = vec![0.0, 1.0];
         assert_eq!(check(&c).reject.unwrap().code, RejectCode::Malformed);
     }
 

@@ -11,6 +11,15 @@
 //! `i128` is not wide enough: a product of three 53-bit mantissas already
 //! needs ~159 bits, and row-activity sums accumulate thousands of such
 //! terms, so the mantissa is a little-endian `Vec<u64>` limb string.
+//!
+//! Two kinds of operation share that representation. [`Dyadic::add_product`]
+//! (`self += a·b` over two `f64`s) and [`Dyadic::add_scaled`] (`self += d·b`)
+//! accumulate in place: they align, add or subtract and canonicalize inside
+//! `self`'s own limbs, so a Lagrangian term `dⱼ −= yᵢ·aᵢⱼ` allocates
+//! nothing once `dⱼ` has grown to its width. The value-returning
+//! [`Dyadic::add`], [`Dyadic::sub`] and [`Dyadic::mul`] build fresh
+//! mantissas; they serve the few once-per-certificate values and are the
+//! reference the in-place kernel is tested against (`tests/dyadic_oracle.rs`).
 
 use std::cmp::Ordering;
 
@@ -182,6 +191,112 @@ impl Dyadic {
         }
     }
 
+    /// `self += a·b`, exactly, accumulated in place; panics unless `a` and
+    /// `b` are finite. The two 53-bit mantissas multiply in a `u128`, and
+    /// `self −= a·b` is `add_product(-a, b)`, since negating an `f64` is
+    /// exact.
+    pub fn add_product(&mut self, a: f64, b: f64) {
+        let (Some((na, ma, ea)), Some((nb, mb, eb))) = (split(a), split(b)) else {
+            return;
+        };
+        let p = u128::from(ma) * u128::from(mb);
+        let limbs = [p as u64, (p >> 64) as u64];
+        let len = if limbs[1] == 0 { 1 } else { 2 };
+        self.accumulate(na != nb, &limbs[..len], ea + eb);
+    }
+
+    /// `self += d·b`, exactly, accumulated in place; panics unless `b` is
+    /// finite. The limb product is formed on the stack unless `d` is
+    /// longer than `STACK_LIMBS − 1` limbs.
+    pub fn add_scaled(&mut self, d: &Dyadic, b: f64) {
+        let Some((nb, mb, eb)) = split(b).filter(|_| !d.is_zero()) else {
+            return;
+        };
+        let n = d.mant.len() + 1;
+        let mut stack = [0u64; STACK_LIMBS];
+        let mut heap = Vec::new();
+        let prod = if n <= STACK_LIMBS {
+            &mut stack[..n]
+        } else {
+            heap.resize(n, 0);
+            &mut heap[..]
+        };
+        let mut carry = 0u64;
+        for (out, &x) in prod.iter_mut().zip(&d.mant) {
+            let t = u128::from(x) * u128::from(mb) + u128::from(carry);
+            *out = t as u64;
+            carry = (t >> 64) as u64;
+        }
+        prod[n - 1] = carry;
+        let len = if carry == 0 { n - 1 } else { n };
+        self.accumulate(d.neg != nb, &prod[..len], d.exp + eb);
+    }
+
+    /// The in-place core: `self += (−1)^neg · m · 2^e` for a magnitude `m`
+    /// with a non-zero top limb. `self` is shifted left only when the
+    /// addend's exponent is the smaller one; otherwise the addend's
+    /// shifted limbs are read on the fly.
+    fn accumulate(&mut self, neg: bool, m: &[u64], e: i64) {
+        if self.is_zero() {
+            (self.neg, self.exp) = (neg, e);
+        } else if e < self.exp {
+            let k = usize::try_from(self.exp - e).expect("aligned shift");
+            shl_in_place(&mut self.mant, k);
+            self.exp = e;
+        }
+        let b = Shifted::new(m, usize::try_from(e - self.exp).expect("aligned shift"));
+        let a = &mut self.mant;
+        let sub = self.neg != neg;
+        if sub && b.exceeds(a) {
+            // |b| > |a|: a = b − a, and the sum takes the addend's sign.
+            a.resize(b.len, 0);
+            let mut borrow = false;
+            for (i, x) in a.iter_mut().enumerate() {
+                (*x, borrow) = add_limb(b.limb(i), *x, borrow, true);
+            }
+            self.neg = neg;
+        } else {
+            // a ± b, stopping once b's limbs and the carry (or borrow) end.
+            a.resize(a.len().max(b.len), 0);
+            let mut carry = false;
+            for (i, x) in a.iter_mut().enumerate().skip(b.limbs) {
+                (*x, carry) = add_limb(*x, b.limb(i), carry, sub);
+                if !carry && i + 1 >= b.len {
+                    break;
+                }
+            }
+            if carry {
+                a.push(1);
+            }
+        }
+        self.canonicalize();
+    }
+
+    /// Drops top zero limbs and folds trailing zero bits into `exp`, in
+    /// place, so the derived `==` stays value equality.
+    fn canonicalize(&mut self) {
+        while self.mant.last() == Some(&0) {
+            self.mant.pop();
+        }
+        if self.mant.is_empty() {
+            (self.neg, self.exp) = (false, 0);
+            return;
+        }
+        let tz = trailing_zero_bits(&self.mant);
+        self.mant.drain(..tz / 64);
+        let bits = tz % 64;
+        if bits > 0 {
+            let m = &mut self.mant;
+            for i in 0..m.len() {
+                m[i] = (m[i] >> bits) | m.get(i + 1).map_or(0, |&x| x << (64 - bits));
+            }
+            if m.last() == Some(&0) {
+                m.pop();
+            }
+        }
+        self.exp += tz as i64;
+    }
+
     /// Nearest-ish `f64` for diagnostics only: rounds the top 53 mantissa
     /// bits; over/underflow saturates to `±inf`/`0`.
     #[must_use]
@@ -201,6 +316,100 @@ impl Dyadic {
             mag
         }
     }
+}
+
+/// Limbs of an [`Dyadic::add_scaled`] product kept on the stack.
+const STACK_LIMBS: usize = 16;
+
+/// A finite non-zero `f64` as `(negative, odd mantissa, exponent)`; `None`
+/// for ±0. Subnormals decompose as in [`Dyadic::from_f64`].
+fn split(v: f64) -> Option<(bool, u64, i64)> {
+    assert!(v.is_finite(), "finite value");
+    if v == 0.0 {
+        return None;
+    }
+    let bits = v.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as i64;
+    // A biased exponent of 0 (subnormal) has no implicit bit.
+    let m = (bits & ((1u64 << 52) - 1)) | (u64::from(biased != 0) << 52);
+    let e = biased.max(1) - 1075;
+    let tz = m.trailing_zeros();
+    Some((bits >> 63 == 1, m >> tz, e + i64::from(tz)))
+}
+
+/// `x + y + carry`, or `x − y − borrow` when `sub`, with the carry or
+/// borrow out.
+fn add_limb(x: u64, y: u64, carry: bool, sub: bool) -> (u64, bool) {
+    if sub {
+        let (d, b1) = x.overflowing_sub(y);
+        let (d, b2) = d.overflowing_sub(u64::from(carry));
+        (d, b1 | b2)
+    } else {
+        let (s, c1) = x.overflowing_add(y);
+        let (s, c2) = s.overflowing_add(u64::from(carry));
+        (s, c1 | c2)
+    }
+}
+
+/// A magnitude `m · 2^shift`, read limb by limb without being built.
+struct Shifted<'a> {
+    m: &'a [u64],
+    /// Whole zero limbs below `m`.
+    limbs: usize,
+    bits: u32,
+    /// Limbs up to and including the top non-zero one.
+    len: usize,
+}
+
+impl<'a> Shifted<'a> {
+    fn new(m: &'a [u64], shift: usize) -> Self {
+        let (limbs, bits) = (shift / 64, (shift % 64) as u32);
+        let spill = bits > 0 && m[m.len() - 1] >> (64 - bits) != 0;
+        let len = limbs + m.len() + usize::from(spill);
+        Shifted {
+            m,
+            limbs,
+            bits,
+            len,
+        }
+    }
+
+    fn limb(&self, i: usize) -> u64 {
+        // Indices below `limbs` wrap past the end of `m` and read as 0.
+        let k = i.wrapping_sub(self.limbs);
+        let lo = self.m.get(k).map_or(0, |&x| x << self.bits);
+        let hi = self.m.get(k.wrapping_sub(1));
+        lo | hi.and_then(|&x| x.checked_shr(64 - self.bits)).unwrap_or(0)
+    }
+
+    /// `true` when this magnitude is larger than `a` (no top zero limbs).
+    fn exceeds(&self, a: &[u64]) -> bool {
+        if self.len != a.len() {
+            return self.len > a.len();
+        }
+        (0..a.len())
+            .rev()
+            .map(|i| (self.limb(i), a[i]))
+            .find(|(b, x)| b != x)
+            .is_some_and(|(b, x)| b > x)
+    }
+}
+
+/// `a << k` in place.
+fn shl_in_place(a: &mut Vec<u64>, k: usize) {
+    let (limbs, bits) = (k / 64, k % 64);
+    if bits > 0 {
+        a.push(0);
+        for i in (1..a.len()).rev() {
+            a[i] = (a[i] << bits) | (a[i - 1] >> (64 - bits));
+        }
+        a[0] <<= bits;
+        if a.last() == Some(&0) {
+            a.pop();
+        }
+    }
+    a.resize(a.len() + limbs, 0);
+    a.rotate_right(limbs);
 }
 
 /// `2^e` as an `f64`, saturating outside the representable range.

@@ -45,6 +45,9 @@ pub(crate) fn branch_and_bound(model: &Model, opts: &SolveOptions) -> Result<Sol
             dvs_obs::counter("milp.incumbents", sol.stats.incumbents.len() as u64);
             dvs_obs::counter("milp.pivots", sol.stats.pivots as u64);
             dvs_obs::counter("milp.dual_pivots", sol.stats.dual_pivots as u64);
+            dvs_obs::counter("milp.degenerate_pivots", sol.stats.degenerate_pivots as u64);
+            dvs_obs::counter("milp.bound_flips", sol.stats.bound_flips as u64);
+            dvs_obs::counter("milp.refactorizations", sol.stats.refactorizations as u64);
             dvs_obs::histogram("milp.bnb_nodes_per_solve", sol.stats.nodes as f64);
             dvs_obs::histogram("milp.simplex_pivots_per_solve", sol.stats.pivots as f64);
             if sol.stats.mip_gap.is_finite() {

@@ -17,7 +17,9 @@
 //! The replay deliberately leaves the solver's counters and incumbent
 //! trajectory untouched: certification is observation, not search, and
 //! [`Solution`] stats stay bit-identical whether or not a proof is
-//! emitted.
+//! emitted. The replay's own work goes to the `certify.nodes`,
+//! `certify.lp_solves` and `certify.pivots` obs counters, once per proof,
+//! never to the search's `milp.*` ones.
 
 use std::cmp::Ordering;
 
@@ -160,11 +162,10 @@ fn eval_lagrangian(
         Dyadic::zero()
     };
     for &(i, y) in duals {
-        let yd = dy(y);
         let row = &snap.rows[i];
-        sum = sum.add(&yd.mul(&dy(row.rhs)));
+        sum.add_product(y, row.rhs);
         for &(j, a) in &row.terms {
-            d[j] = d[j].sub(&yd.mul(&dy(a)));
+            d[j].add_product(-y, a);
         }
     }
     for (j, dj) in d.iter().enumerate() {
@@ -176,7 +177,7 @@ fn eval_lagrangian(
         if b.is_infinite() {
             return Eval::Unbounded { var: j, dir: sign };
         }
-        sum = sum.add(&dj.mul(&dy(b)));
+        sum.add_scaled(dj, b);
     }
     Eval::Value(sum)
 }
@@ -217,9 +218,8 @@ impl<'a> Lagrangian<'a> {
             if yi == 0.0 {
                 continue;
             }
-            let yd = dy(yi);
             for &(j, a) in &row.terms {
-                d[j] = d[j].sub(&yd.mul(&dy(a)));
+                d[j].add_product(-yi, a);
             }
         }
         Lagrangian {
@@ -233,12 +233,12 @@ impl<'a> Lagrangian<'a> {
     }
 
     /// Moves `yᵢ` to `v`: each of row `i`'s reduced costs changes by
-    /// `−(v − yᵢ)·aᵢⱼ`, computed exactly.
+    /// `(v − yᵢ)·(−aᵢⱼ)`, computed exactly.
     fn set(&mut self, i: usize, v: f64) {
         let step = dy(v).sub(&dy(self.y[i]));
         self.y[i] = v;
         for &(j, a) in &self.snap.rows[i].terms {
-            self.d[j] = self.d[j].sub(&step.mul(&dy(a)));
+            self.d[j].add_scaled(&step, -a);
         }
     }
 
@@ -258,9 +258,7 @@ impl<'a> Lagrangian<'a> {
             Dyadic::zero()
         };
         for (row, &yi) in self.snap.rows.iter().zip(&self.y) {
-            if yi != 0.0 {
-                sum = sum.add(&dy(yi).mul(&dy(row.rhs)));
-            }
+            sum.add_product(yi, row.rhs);
         }
         for (j, dj) in self.d.iter().enumerate() {
             let b = match dj.signum() {
@@ -268,7 +266,7 @@ impl<'a> Lagrangian<'a> {
                 1 => self.lb[j],
                 _ => self.ub[j],
             };
-            sum = sum.add(&dj.mul(&dy(b)));
+            sum.add_scaled(dj, b);
         }
         Eval::Value(sum)
     }
@@ -319,6 +317,7 @@ struct Replay {
     target: Dyadic,
     nodes: usize,
     lp_solves: usize,
+    pivots: usize,
     budget: usize,
 }
 
@@ -348,6 +347,7 @@ impl Replay {
             snap,
             nodes: 0,
             lp_solves: 0,
+            pivots: 0,
             budget,
         }
     }
@@ -372,6 +372,7 @@ impl Replay {
         }
         self.lp_solves += 1;
         let lp = self.engine.solve_fresh()?;
+        self.pivots += lp.pivots;
 
         let x = match lp.status {
             LpStatus::Optimal => {
@@ -658,9 +659,8 @@ impl Replay {
         // Exact reduced costs under the current candidate ray.
         let mut d = vec![Dyadic::zero(); self.snap.vars.len()];
         for &(i, y) in cand.iter() {
-            let yd = dy(y);
             for &(j, a) in &self.snap.rows[i].terms {
-                d[j] = d[j].sub(&yd.mul(&dy(a)));
+                d[j].add_product(-y, a);
             }
         }
         for (r, row) in self.snap.rows.iter().enumerate() {
@@ -687,9 +687,8 @@ impl Replay {
             match eval_lagrangian(&self.snap, &self.lb, &self.ub, cand, false) {
                 Eval::Value(l1) if l1.cmp_val(&best) == Ordering::Greater => {
                     best = l1;
-                    let yd = dy(y);
                     for &(j, a) in &row.terms {
-                        d[j] = d[j].sub(&yd.mul(&dy(a)));
+                        d[j].add_product(-y, a);
                     }
                 }
                 _ => {
@@ -854,7 +853,13 @@ fn certify_bnb(
     let tolerance = GAP + SLACK_REL * claimed.abs().max(1.0);
     let target = dy(claimed).sub(&dy(tolerance));
     let mut replay = Replay::new(&p, snap, target, opts.max_nodes);
-    let tree = replay.node()?;
+    let tree = replay.node();
+    if dvs_obs::enabled() {
+        dvs_obs::counter("certify.nodes", replay.nodes as u64);
+        dvs_obs::counter("certify.lp_solves", replay.lp_solves as u64);
+        dvs_obs::counter("certify.pivots", replay.pivots as u64);
+    }
+    let tree = tree?;
     let cert = Certificate {
         backend: "bnb".into(),
         snapshot: replay.snap,

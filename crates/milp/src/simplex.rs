@@ -812,11 +812,6 @@ impl SimplexEngine {
             self.cost[j] = 0.0;
         }
         let status = self.run_primal(max_iters)?;
-        if dvs_obs::enabled() {
-            dvs_obs::counter("milp.degenerate_pivots", self.degenerate_pivots as u64);
-            dvs_obs::counter("milp.bound_flips", self.bound_flips as u64);
-            dvs_obs::counter("milp.refactorizations", self.refactorizations as u64);
-        }
         Ok(self.finish(status))
     }
 
@@ -1245,6 +1240,9 @@ pub fn solve_lp(p: &LpProblem) -> Result<LpSolution, MilpError> {
         dvs_obs::counter("milp.lp_solves", 1);
         if let Ok(sol) = &result {
             dvs_obs::counter("milp.pivots", sol.iterations as u64);
+            dvs_obs::counter("milp.degenerate_pivots", sol.degenerate_pivots as u64);
+            dvs_obs::counter("milp.bound_flips", sol.bound_flips as u64);
+            dvs_obs::counter("milp.refactorizations", sol.refactorizations as u64);
             dvs_obs::histogram("milp.lp_pivots", sol.iterations as f64);
         }
     }

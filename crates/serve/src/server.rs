@@ -331,8 +331,10 @@ fn handle_connection(state: &State, mut stream: TcpStream) {
             }
             Err(_) => return,
         };
-        let shutting_down_ack = matches!(Request::parse(&frame), Ok(Request::Shutdown));
-        let reply = handle_request(state, &frame);
+        let started = Instant::now();
+        let request = Request::parse(&frame);
+        let shutting_down_ack = matches!(request, Ok(Request::Shutdown));
+        let reply = handle_request(state, request, started);
         if write_frame(&mut stream, &reply).is_err() {
             return;
         }
@@ -342,11 +344,11 @@ fn handle_connection(state: &State, mut stream: TcpStream) {
     }
 }
 
-/// Dispatches one request frame to a reply body.
-fn handle_request(state: &State, frame: &str) -> String {
+/// Dispatches one parsed request frame, received at `started`, to a reply
+/// body.
+fn handle_request(state: &State, request: Result<Request, String>, started: Instant) -> String {
     state.counters.requests.fetch_add(1, Ordering::Relaxed);
-    let started = Instant::now();
-    match Request::parse(frame) {
+    match request {
         Ok(Request::Ping) => ok_envelope("ping", false, us_since(started), "\"pong\""),
         Ok(Request::Stats) => {
             let body = stats_json(state).dump();

@@ -185,6 +185,36 @@ fn compile_output_does_not_depend_on_jobs() {
     assert_eq!(one, run("4"), "--jobs 1 and --jobs 4 outputs differ");
 }
 
+/// The search's `milp.*` counters carry its own `SolveStats`, so the
+/// certifying replay's LP solves stay out of them and land under
+/// `certify.*` instead.
+#[test]
+fn certify_replay_counts_apart_from_the_search() {
+    let out = dvsc()
+        .args([
+            "compile",
+            "--benchmark",
+            "gsm",
+            "--deadline",
+            "3",
+            "--certify",
+            "--no-validate",
+            "--metrics",
+        ])
+        .output()
+        .expect("dvsc runs");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let degenerate = metric_value(&text, "milp.degenerate_pivots");
+    let pivots = metric_value(&text, "milp.pivots");
+    assert!(degenerate <= pivots, "{degenerate} > {pivots} in:\n{text}");
+    assert!(metric_value(&text, "certify.lp_solves") > 0.0, "{text}");
+}
+
 #[test]
 fn analyze_prints_bounds() {
     let out = dvsc()
